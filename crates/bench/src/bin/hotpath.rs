@@ -1,5 +1,5 @@
-//! Hot-path throughput harness: hashed vs dense vs batched replay, per
-//! policy, with a noise-immune paired regression gate.
+//! Hot-path throughput harness: hashed vs dense replay, per policy, with
+//! a noise-immune paired regression gate.
 //!
 //! Replays the scaled DFN workload through the simulator paths and
 //! reports requests per second, writing the results to a JSON file
@@ -7,10 +7,8 @@
 //! review diffs. Columns:
 //!
 //! * `hashed`   — the sparse, hash-per-request replay.
-//! * `dense`    — the request-at-a-time dense replay (`run_dense`; its
-//!   no-op observer IS the `dense` column).
-//! * `batched`  — the batched dense replay (`run_dense_batched`):
-//!   deferred heap maintenance, coalesced touches, alloc-free insert.
+//! * `dense`    — the dense replay (`run_dense`; its no-op observer IS
+//!   the `dense` column).
 //! * `instr-off` — dense replay through
 //!   [`PolicyKind::build_instrumented`] with the unit sink `()`: the
 //!   generic-instrumentation construction path with instrumentation
@@ -34,7 +32,7 @@
 //! * `conc1/2/4/8` — the concurrent sharded replay
 //!   ([`ConcurrentSimulator`], 8 shards) driven by 1/2/4/8 client
 //!   threads, aggregate req/s. The paired `conc8_speedup` column
-//!   (median of `t_batched / t_conc8`) is the multi-thread scaling
+//!   (median of `t_serial / t_conc8`) is the multi-thread scaling
 //!   number; it is bounded by the host's core count, which is recorded
 //!   in the JSON (`cores`) — a single-core container cannot show the
 //!   8-core 4x bar, so the gate scales its expectation (see
@@ -44,26 +42,27 @@
 //!
 //! Every iteration interleaves, back to back in-process: a fixed
 //! xorshift *anchor* spin (pure integer work, identical every run), the
-//! serial dense replay, and the batched replay. From each iteration we
-//! take ratios, not absolute times:
+//! serial dense replay, and the concurrent replays. From each iteration
+//! we take ratios, not absolute times:
 //!
-//! * `batched_speedup` — median over iterations of
-//!   `t_serial / t_batched` (paired: both legs saw the same machine
-//!   conditions, so CPU-frequency drift and co-tenant load cancel).
-//! * `dense_norm` / `batched_norm` — median of `t_anchor / t_replay`,
+//! * `dense_norm` / `conc8_norm` — median of `t_anchor / t_replay`,
 //!   i.e. throughput in units of "anchor spins per replay". The anchor
 //!   runs in the same iteration, so a slow container slows numerator
 //!   and denominator together.
+//! * `conc8_speedup` — median over iterations of `t_serial / t_conc8`
+//!   (paired: both legs saw the same machine conditions, so
+//!   CPU-frequency drift and co-tenant load cancel).
 //!
 //! An earlier version of `--check-regress` compared absolute dense
 //! req/s against the committed JSON. That was abandoned: on a loaded
 //! container the same binary on the same tree varied by well over the
 //! tolerance between runs, so the gate failed on an *unmodified* seed
 //! tree — a gate that cries wolf is worse than no gate. The check now
-//! compares the anchor-normalized medians (`dense_norm`,
-//! `batched_norm`), which are stable under machine-wide slowdowns;
-//! baselines that predate the paired columns are skipped with a notice
-//! rather than failed.
+//! compares the anchor-normalized medians (`dense_norm`, plus
+//! `conc8_norm` against a baseline recorded on the same core count),
+//! which are stable under machine-wide slowdowns; baselines that
+//! predate the paired columns are skipped with a notice rather than
+//! failed.
 //!
 //! ```text
 //! hotpath [--scale DENOM] [--seed SEED] [--iters N] [--out PATH] [--quick]
@@ -81,10 +80,8 @@
 //!                   non-zero (and leave the file untouched) if the
 //!                   geometric mean over all policies regressed beyond the
 //!                   tolerance, or any single cell beyond 4x the tolerance;
-//!                   also enforce the absolute speedup floors: batched >=
-//!                   0.97x serial (0.90x for the parity-ceiling GreedyDual
-//!                   cells, exempt by name) and GD*(P) conc8 >= the
-//!                   core-scaled concurrency bar
+//!                   also enforce GD*(P) conc8 >= the core-scaled
+//!                   concurrency bar
 //! --tolerance FRAC  allowed relative regression of the paired-ratio
 //!                   geometric mean for --check-regress (default 0.05);
 //!                   individual cells get 4x this slack
@@ -99,8 +96,8 @@ use webcache_core::PolicyKind;
 use webcache_obs::{FlightSink, ReasonChannel, SharedRecorder};
 use webcache_sim::latency_obs::DEFAULT_LATENCY_WINDOWS;
 use webcache_sim::{
-    ConcurrentSimulator, FlightObserver, LatencyModel, LatencyObserver, NoopObserver, ShardedTrace,
-    SimulationConfig, Simulator, WindowedMetrics, DEFAULT_BATCH_SIZE,
+    ConcurrentSimulator, FlightObserver, LatencyModel, LatencyObserver, ShardedTrace,
+    SimulationConfig, Simulator, WindowedMetrics,
 };
 use webcache_trace::{ByteSize, DenseTrace, Trace};
 
@@ -108,11 +105,6 @@ use webcache_trace::{ByteSize, DenseTrace, Trace};
 /// workload, recorded before the hash-free hot path landed. The issue's
 /// acceptance bar was 2x this number on the dense path.
 const SEED_BASELINE_GDSTAR_PACKET_RPS: u64 = 1_968_196;
-
-/// GD*(P) dense req/s recorded by this harness just before the batched
-/// replay engine landed. The batched column's acceptance bar is 1.5x
-/// this number.
-const PREV_BASELINE_GDSTAR_PACKET_DENSE_RPS: u64 = 5_641_442;
 
 /// Anchor spin steps per trace request: enough integer work that the
 /// anchor is measured over milliseconds, small enough to keep the
@@ -130,39 +122,10 @@ const RECORDER_CAPACITY: usize = 4096;
 /// Client-thread counts of the concurrent columns.
 const CONC_CLIENTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Policies whose batched replay measures at **parity** with the serial
-/// dense loop on this workload, not above it — the documented ceiling
-/// for the heap-backed GreedyDual family. Deferred heap maintenance
-/// converts eager sifts into pending-buffer bookkeeping plus the same
-/// sifts at flush; unlike the list-based policies (LRU, SLRU, FIFO),
-/// nothing is actually saved, so `batched_speedup` oscillates around
-/// 1.0 with the run-to-run noise (measured 0.95–1.04 across repeated
-/// runs, with or without load). ARC and S3-FIFO join the list for the
-/// complementary reason: their `set_batched` is a no-op (ghost-list /
-/// FIFO-queue bookkeeping runs identically per request in both modes),
-/// so their paired column is parity by construction. The explicit gate
-/// below holds these cells to [`PARITY_FLOOR`] instead of
-/// [`SPEEDUP_FLOOR`] — an exemption by name, not per-cell slack.
-const PARITY_CEILING: [&str; 8] = [
-    "GDS(1)", "GDS(P)", "GDSF(1)", "GDSF(P)", "GD*(1)", "GD*(P)", "ARC", "S3-FIFO",
-];
-
-/// Minimum paired `batched_speedup` for policies where batching is a
-/// real win (list-based bookkeeping skipped wholesale): a strict > 1
-/// expectation with a 3% noise margin.
-const SPEEDUP_FLOOR: f64 = 0.97;
-
-/// Minimum paired `batched_speedup` for the [`PARITY_CEILING`]
-/// policies: parity within a 10% noise margin. Falling below this means
-/// batching actively *hurts* a heap policy — a real regression, not
-/// ceiling noise.
-const PARITY_FLOOR: f64 = 0.90;
-
 struct Cell {
     label: String,
     hashed_rps: f64,
     dense_rps: f64,
-    batched_rps: f64,
     instr_off_rps: f64,
     windowed_rps: f64,
     /// Dense replay with the flight recorder ON (instrumented sink +
@@ -179,18 +142,14 @@ struct Cell {
     /// Median over iterations of paired `t_latency / t_serial`: the
     /// relative cost of switching the latency observer on.
     latency_obs_overhead: f64,
-    /// Median over iterations of paired `t_serial / t_batched`.
-    batched_speedup: f64,
     /// Median over iterations of `t_anchor / t_serial`.
     dense_norm: f64,
-    /// Median over iterations of `t_anchor / t_batched`.
-    batched_norm: f64,
     /// Concurrent sharded replay req/s, one per [`CONC_CLIENTS`] entry,
     /// at [`CONC_SHARDS`] shards.
     conc_rps: [f64; CONC_CLIENTS.len()],
-    /// Median over iterations of paired `t_batched / t_conc8`: aggregate
+    /// Median over iterations of paired `t_serial / t_conc8`: aggregate
     /// speedup of the 8-client sharded replay over the single-thread
-    /// batched loop. Bounded by available hardware parallelism.
+    /// dense replay. Bounded by available hardware parallelism.
     conc8_speedup: f64,
     /// Median over iterations of `t_anchor / t_conc8`.
     conc8_norm: f64,
@@ -262,7 +221,7 @@ fn main() -> ExitCode {
     let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05) as u64);
     eprintln!(
         "# {} requests, {} distinct documents, capacity {} bytes, best of {iters}, \
-         batch {DEFAULT_BATCH_SIZE}, {cores} core(s), {CONC_SHARDS} shards",
+         {cores} core(s), {CONC_SHARDS} shards",
         trace.len(),
         dense.distinct_documents(),
         capacity.as_u64()
@@ -270,32 +229,28 @@ fn main() -> ExitCode {
 
     let mut cells = Vec::new();
     println!(
-        "{:<10} {:>14} {:>14} {:>14} {:>16} {:>15} {:>15} {:>14} {:>9} {:>9} {:>9}",
+        "{:<10} {:>14} {:>14} {:>16} {:>15} {:>15} {:>14} {:>9} {:>9}",
         "policy",
         "hashed req/s",
         "dense req/s",
-        "batched req/s",
         "instr-off req/s",
         "windowed req/s",
         "recorder req/s",
         "lat-obs req/s",
-        "paired",
         "rec-cost",
         "lat-cost"
     );
     for kind in PolicyKind::ALL {
         let cell = measure(kind, &trace, &dense, &sharded, capacity, iters);
         println!(
-            "{:<10} {:>14.0} {:>14.0} {:>14.0} {:>16.0} {:>15.0} {:>15.0} {:>14.0} {:>8.2}x {:>8.2}x {:>8.2}x",
+            "{:<10} {:>14.0} {:>14.0} {:>16.0} {:>15.0} {:>15.0} {:>14.0} {:>8.2}x {:>8.2}x",
             cell.label,
             cell.hashed_rps,
             cell.dense_rps,
-            cell.batched_rps,
             cell.instr_off_rps,
             cell.windowed_rps,
             cell.recorder_rps,
             cell.latency_obs_rps,
-            cell.batched_speedup,
             cell.recorder_overhead,
             cell.latency_obs_overhead
         );
@@ -320,16 +275,14 @@ fn main() -> ExitCode {
 
     if let Some(gdsp) = cells.iter().find(|c| c.label == "GD*(P)") {
         eprintln!(
-            "# GD*(P): batched {:.0} req/s = {:.2}x the pre-batching dense baseline \
-             ({PREV_BASELINE_GDSTAR_PACKET_DENSE_RPS} req/s), {:.1}x the seed hashed \
-             baseline ({SEED_BASELINE_GDSTAR_PACKET_RPS} req/s)",
-            gdsp.batched_rps,
-            gdsp.batched_rps / PREV_BASELINE_GDSTAR_PACKET_DENSE_RPS as f64,
-            gdsp.batched_rps / SEED_BASELINE_GDSTAR_PACKET_RPS as f64,
+            "# GD*(P): dense {:.0} req/s = {:.1}x the seed hashed baseline \
+             ({SEED_BASELINE_GDSTAR_PACKET_RPS} req/s)",
+            gdsp.dense_rps,
+            gdsp.dense_rps / SEED_BASELINE_GDSTAR_PACKET_RPS as f64,
         );
         eprintln!(
             "# GD*(P): 8-client/{CONC_SHARDS}-shard {:.0} req/s = {:.2}x single-thread \
-             batched (paired); acceptance bar 4x applies on hosts with >= 8 cores, this \
+             dense (paired); acceptance bar 4x applies on hosts with >= 8 cores, this \
              host has {cores} — scaled bar {:.2}x",
             gdsp.conc_rps[3],
             gdsp.conc8_speedup,
@@ -340,7 +293,7 @@ fn main() -> ExitCode {
     if check_regress {
         let baseline_path = out.as_deref().unwrap_or("BENCH_hotpath.json");
         let mut verdict = check_against_baseline(&cells, baseline_path, tolerance, trace.len())
-            .and_then(|()| check_speedup_bars(&cells, cores));
+            .and_then(|()| check_conc8_bar(&cells, cores));
         if let Err(msg) = &verdict {
             // A co-tenant burst lasting longer than one cell's measurement
             // window defeats both the anchor (ALU-bound, blind to memory
@@ -353,7 +306,7 @@ fn main() -> ExitCode {
                 cells.push(measure(kind, &trace, &dense, &sharded, capacity, iters));
             }
             verdict = check_against_baseline(&cells, baseline_path, tolerance, trace.len())
-                .and_then(|()| check_speedup_bars(&cells, cores));
+                .and_then(|()| check_conc8_bar(&cells, cores));
         }
         match verdict {
             Ok(()) => eprintln!(
@@ -415,45 +368,20 @@ fn conc8_bar(cores: usize) -> f64 {
     }
 }
 
-/// The explicit absolute expectations on the paired speedup columns:
-///
-/// * `batched_speedup` ≥ [`SPEEDUP_FLOOR`] for every policy where
-///   batching is a claimed win, ≥ [`PARITY_FLOOR`] for the
-///   [`PARITY_CEILING`] heap-backed GreedyDual cells (see there).
-/// * GD*(P) `conc8_speedup` ≥ [`conc8_bar`] for this host's core count
-///   — on an 8-core host that is the issue's 4x acceptance bar.
-fn check_speedup_bars(cells: &[Cell], cores: usize) -> Result<(), String> {
-    let mut failures = Vec::new();
-    for cell in cells {
-        let exempt = PARITY_CEILING.contains(&cell.label.as_str());
-        let floor = if exempt { PARITY_FLOOR } else { SPEEDUP_FLOOR };
-        if cell.batched_speedup < floor {
-            failures.push(format!(
-                "{}: batched_speedup {:.3} below the {} floor {:.2}",
-                cell.label,
-                cell.batched_speedup,
-                if exempt { "parity-ceiling" } else { "speedup" },
-                floor
-            ));
-        }
-    }
+/// The explicit absolute expectation on the paired speedup column:
+/// GD*(P) `conc8_speedup` ≥ [`conc8_bar`] for this host's core count —
+/// on an 8-core host that is the issue's 4x acceptance bar.
+fn check_conc8_bar(cells: &[Cell], cores: usize) -> Result<(), String> {
     let bar = conc8_bar(cores);
-    if let Some(gdsp) = cells.iter().find(|c| c.label == "GD*(P)") {
-        if gdsp.conc8_speedup < bar {
-            failures.push(format!(
-                "GD*(P): conc8_speedup {:.3} below the {cores}-core bar {bar:.2}",
-                gdsp.conc8_speedup
-            ));
+    match cells.iter().find(|c| c.label == "GD*(P)") {
+        Some(gdsp) if gdsp.conc8_speedup < bar => Err(format!(
+            "GD*(P): conc8_speedup {:.3} below the {cores}-core bar {bar:.2}",
+            gdsp.conc8_speedup
+        )),
+        _ => {
+            eprintln!("# speedup bar: GD*(P) conc8 at or above {bar:.2}");
+            Ok(())
         }
-    }
-    if failures.is_empty() {
-        eprintln!(
-            "# speedup bars: all policies at or above their floors \
-             (win {SPEEDUP_FLOOR:.2}, parity ceiling {PARITY_FLOOR:.2}, conc8 {bar:.2})"
-        );
-        Ok(())
-    } else {
-        Err(failures.join("; "))
     }
 }
 
@@ -472,7 +400,6 @@ fn measure(
     let anchor_steps = (trace.len() as u64).max(1) * ANCHOR_STEPS_PER_REQUEST;
     let mut best_hashed = f64::INFINITY;
     let mut best_dense = f64::INFINITY;
-    let mut best_batched = f64::INFINITY;
     let mut best_instr_off = f64::INFINITY;
     let mut best_windowed = f64::INFINITY;
     let mut best_latency_obs = f64::INFINITY;
@@ -480,9 +407,7 @@ fn measure(
     let mut latency_obs_overheads = Vec::with_capacity(iters);
     let mut recorder_overheads = Vec::with_capacity(iters);
     let mut recorder_norms = Vec::with_capacity(iters);
-    let mut speedups = Vec::with_capacity(iters);
     let mut dense_norms = Vec::with_capacity(iters);
-    let mut batched_norms = Vec::with_capacity(iters);
     let mut best_conc = [f64::INFINITY; CONC_CLIENTS.len()];
     let mut conc8_speedups = Vec::with_capacity(iters);
     let mut conc8_norms = Vec::with_capacity(iters);
@@ -492,15 +417,14 @@ fn measure(
     // 10-25% slow, which a short median cannot reject.
     std::hint::black_box(anchor_spin(anchor_steps));
     std::hint::black_box(Simulator::new(kind.build(), config).run_dense(dense));
-    std::hint::black_box(Simulator::new(kind.build(), config).run_dense_batched(dense));
     std::hint::black_box(ConcurrentSimulator::new(kind, config).run_sharded(
         dense,
         sharded,
         CONC_SHARDS,
     ));
     for _ in 0..iters {
-        // The paired triple runs back to back so all three legs see the
-        // same machine conditions: anchor, serial, batched.
+        // The anchor and the serial replay run back to back so both
+        // legs see the same machine conditions.
         let start = Instant::now();
         std::hint::black_box(anchor_spin(anchor_steps));
         let t_anchor = start.elapsed().as_secs_f64();
@@ -509,19 +433,11 @@ fn measure(
         std::hint::black_box(Simulator::new(kind.build(), config).run_dense(dense));
         let t_serial = start.elapsed().as_secs_f64();
         best_dense = best_dense.min(t_serial);
-
-        let start = Instant::now();
-        std::hint::black_box(Simulator::new(kind.build(), config).run_dense_batched(dense));
-        let t_batched = start.elapsed().as_secs_f64();
-        best_batched = best_batched.min(t_batched);
-
-        speedups.push(t_serial / t_batched);
         dense_norms.push(t_anchor / t_serial);
-        batched_norms.push(t_anchor / t_batched);
 
-        // The concurrent legs stay inside the paired triple's iteration
-        // so `t_batched / t_conc8` compares legs that saw the same
-        // machine conditions.
+        // The concurrent legs stay inside the paired iteration so
+        // `t_serial / t_conc8` compares legs that saw the same machine
+        // conditions.
         for (slot, &clients) in CONC_CLIENTS.iter().enumerate() {
             let start = Instant::now();
             std::hint::black_box(
@@ -530,7 +446,7 @@ fn measure(
             let t_conc = start.elapsed().as_secs_f64();
             best_conc[slot] = best_conc[slot].min(t_conc);
             if clients == 8 {
-                conc8_speedups.push(t_batched / t_conc);
+                conc8_speedups.push(t_serial / t_conc);
                 conc8_norms.push(t_anchor / t_conc);
             }
         }
@@ -589,21 +505,10 @@ fn measure(
         recorder_norms.push(t_anchor / t_recorder);
         std::hint::black_box(&flight);
     }
-    // Keep the batched replay honest: the timed runs above are
-    // black-boxed, so re-check equality here once per cell.
-    debug_assert_eq!(
-        Simulator::new(kind.build(), config).run_dense(dense),
-        Simulator::new(kind.build(), config).run_dense_batched_sized(
-            dense,
-            DEFAULT_BATCH_SIZE,
-            &mut NoopObserver
-        )
-    );
     Cell {
         label: kind.label(),
         hashed_rps: requests / best_hashed,
         dense_rps: requests / best_dense,
-        batched_rps: requests / best_batched,
         instr_off_rps: requests / best_instr_off,
         windowed_rps: requests / best_windowed,
         latency_obs_rps: requests / best_latency_obs,
@@ -611,9 +516,7 @@ fn measure(
         recorder_rps: requests / best_recorder,
         recorder_overhead: median(&mut recorder_overheads),
         recorder_norm: median(&mut recorder_norms),
-        batched_speedup: median(&mut speedups),
         dense_norm: median(&mut dense_norms),
-        batched_norm: median(&mut batched_norms),
         conc_rps: std::array::from_fn(|i| requests / best_conc[i]),
         conc8_speedup: median(&mut conc8_speedups),
         conc8_norm: median(&mut conc8_norms),
@@ -622,7 +525,8 @@ fn measure(
 
 /// Compares the freshly measured paired normalized columns against the
 /// committed JSON at `path`, failing on any policy whose `dense_norm`
-/// or `batched_norm` fell by more than `tolerance` (relative).
+/// (or `conc8_norm`, against a baseline recorded on the same core
+/// count) fell by more than `tolerance` (relative).
 ///
 /// Baseline entries that predate the paired columns (no `dense_norm`)
 /// are skipped with a notice, so the gate is a no-op until a paired
@@ -631,7 +535,7 @@ fn measure(
 /// workload, so comparing across workloads would only produce noise.
 ///
 /// Two bounds are enforced. The *geometric mean* of all fresh/baseline
-/// ratios (both norm columns, every policy) must stay within
+/// ratios (every compared norm column, every policy) must stay within
 /// `tolerance`: averaging ~26 cells shrinks per-cell timing jitter
 /// about five-fold, so the tight bound is trustworthy even on a noisy
 /// container, and any broad regression moves it. Each *individual*
@@ -686,21 +590,14 @@ fn check_against_baseline(
             eprintln!("# check-regress: no baseline for {} (skipped)", cell.label);
             continue;
         };
-        let norms = baseline
-            .get("dense_norm")
-            .and_then(|v| v.as_f64())
-            .zip(baseline.get("batched_norm").and_then(|v| v.as_f64()));
-        let Some((base_dense, base_batched)) = norms else {
+        let Some(base_dense) = baseline.get("dense_norm").and_then(|v| v.as_f64()) else {
             eprintln!(
                 "# check-regress: baseline for {} has no paired columns (skipped)",
                 cell.label
             );
             continue;
         };
-        let mut columns = vec![
-            ("dense_norm", cell.dense_norm, base_dense),
-            ("batched_norm", cell.batched_norm, base_batched),
-        ];
+        let mut columns = vec![("dense_norm", cell.dense_norm, base_dense)];
         if conc_comparable {
             if let Some(base_conc) = baseline.get("conc8_norm").and_then(|v| v.as_f64()) {
                 columns.push(("conc8_norm", cell.conc8_norm, base_conc));
@@ -720,10 +617,9 @@ fn check_against_baseline(
             }
         }
         eprintln!(
-            "# check-regress: {:<10} dense_norm {:.1}%, batched_norm {:.1}% of baseline",
+            "# check-regress: {:<10} dense_norm {:.1}% of baseline",
             cell.label,
             cell.dense_norm / base_dense * 100.0,
-            cell.batched_norm / base_batched * 100.0
         );
     }
     if ratio_count > 0 {
@@ -769,7 +665,6 @@ fn render_json(
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"requests\": {},", trace.len());
     let _ = writeln!(s, "  \"iters\": {iters},");
-    let _ = writeln!(s, "  \"batch_size\": {DEFAULT_BATCH_SIZE},");
     // Concurrent columns depend on hardware parallelism; the recording
     // host's core count makes the conc8 numbers interpretable.
     let _ = writeln!(s, "  \"cores\": {cores},");
@@ -778,27 +673,22 @@ fn render_json(
         s,
         "  \"seed_baseline_rps_gdstar_packet\": {SEED_BASELINE_GDSTAR_PACKET_RPS},"
     );
-    let _ = writeln!(
-        s,
-        "  \"prev_baseline_dense_rps_gdstar_packet\": {PREV_BASELINE_GDSTAR_PACKET_DENSE_RPS},"
-    );
     s.push_str("  \"policies\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let _ = writeln!(
             s,
             "    {{\"policy\": \"{}\", \"hashed_rps\": {:.0}, \"dense_rps\": {:.0}, \
-             \"batched_rps\": {:.0}, \"instr_off_rps\": {:.0}, \"windowed_rps\": {:.0}, \
+             \"instr_off_rps\": {:.0}, \"windowed_rps\": {:.0}, \
              \"recorder_rps\": {:.0}, \"recorder_overhead\": {:.3}, \
              \"recorder_norm\": {:.4}, \
              \"latency_obs_rps\": {:.0}, \"latency_obs_overhead\": {:.3}, \
-             \"speedup\": {:.3}, \"batched_speedup\": {:.3}, \"dense_norm\": {:.4}, \
-             \"batched_norm\": {:.4}, \"conc1_rps\": {:.0}, \"conc2_rps\": {:.0}, \
+             \"speedup\": {:.3}, \"dense_norm\": {:.4}, \
+             \"conc1_rps\": {:.0}, \"conc2_rps\": {:.0}, \
              \"conc4_rps\": {:.0}, \"conc8_rps\": {:.0}, \"conc8_speedup\": {:.3}, \
              \"conc8_norm\": {:.4}}}{}",
             cell.label,
             cell.hashed_rps,
             cell.dense_rps,
-            cell.batched_rps,
             cell.instr_off_rps,
             cell.windowed_rps,
             cell.recorder_rps,
@@ -807,9 +697,7 @@ fn render_json(
             cell.latency_obs_rps,
             cell.latency_obs_overhead,
             cell.dense_rps / cell.hashed_rps,
-            cell.batched_speedup,
             cell.dense_norm,
-            cell.batched_norm,
             cell.conc_rps[0],
             cell.conc_rps[1],
             cell.conc_rps[2],
@@ -833,17 +721,18 @@ fn usage(error: &str) -> ExitCode {
          \x20       [--check-regress] [--tolerance FRAC]\n\
          \n\
          Times every replacement policy over the scaled DFN workload through\n\
-         the hashed, dense and batched simulator paths (plus the unit-sink\n\
-         instrumented build, the dense path with a windowed-metrics\n\
+         the hashed, dense and 8-shard concurrent simulator paths (plus the\n\
+         unit-sink instrumented build, the dense path with a windowed-metrics\n\
          observer attached, and the flight-recorder-ON path: instrumented\n\
          sink + decision ring) and writes the requests/s comparison to a JSON\n\
-         file (default BENCH_hotpath.json). Serial and batched replays are\n\
-         interleaved with a fixed spin anchor every iteration; the paired\n\
-         medians (batched_speedup, dense_norm, batched_norm) are immune to\n\
+         file (default BENCH_hotpath.json). The dense and concurrent replays\n\
+         are interleaved with a fixed spin anchor every iteration; the paired\n\
+         medians (dense_norm, conc8_norm, conc8_speedup) are immune to\n\
          machine-wide load swings. --quick keeps the same trace but takes\n\
          5 samples instead of 9 and skips the JSON unless --out is given.\n\
          --check-regress compares the normalized paired columns against the\n\
-         committed JSON first: the geometric mean over all policies must\n\
+         committed JSON first (conc8_norm only when the baseline was recorded\n\
+         on the same core count): the geometric mean over all policies must\n\
          stay within --tolerance (default 0.05), each single cell within\n\
          4x that."
     );

@@ -264,14 +264,9 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         }
     };
 
-    if args.switch("batched") && args.switch("serial") {
-        return Err(usage("give at most one of --batched and --serial"));
-    }
     let shards: usize = args.get_parsed("shards")?.unwrap_or(1);
     webcache_core::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
-    let sweep = CacheSizeSweep::new(policies, capacities)
-        .with_batched(!args.switch("serial"))
-        .with_shards(shards);
+    let sweep = CacheSizeSweep::new(policies, capacities).with_shards(shards);
     let report = if args.switch("progress") {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -87,16 +87,14 @@ subcommands:
                run one policy over a trace and report per-type rates
   sweep        --trace FILE [--policies a,b,c] [--policy SPEC ...]
                [--fractions f1,f2,...]
-               [--csv] [--progress] [--batched | --serial] [--shards N]
+               [--csv] [--progress] [--shards N]
                policy x cache-size grid (the Figure 2/3 engine);
                --progress reports per-cell completion on stderr;
-               batched replay is the default (identical results,
-               faster for the heap-backed policies) — --serial forces
-               the request-at-a-time loop; --shards N (power of two)
-               runs every cell through an N-shard engine to quantify
-               the eviction-quality cost of sharding (--shards 1 is
-               bit-identical to the default); --policy is repeatable
-               and takes full specs (--policy tinylfu+slru --policy arc)
+               --shards N (power of two) runs every cell through an
+               N-shard engine to quantify the eviction-quality cost of
+               sharding (--shards 1 is bit-identical to the default);
+               --policy is repeatable and takes full specs
+               (--policy tinylfu+slru --policy arc)
   stats        --trace FILE --policy SPEC [--capacity SIZE|PCT%]
                [--warmup FRAC] [--window N | --window-bytes SIZE]
                [--json] [--csv]
@@ -206,7 +204,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "simulate" => commands::simulate(&Args::parse(rest, &["markdown"])?),
         "sweep" => commands::sweep(&Args::parse_with_repeats(
             rest,
-            &["csv", "progress", "batched", "serial"],
+            &["csv", "progress"],
             &["policy"],
         )?),
         "stats" => commands::stats(&Args::parse(rest, &["json", "csv"])?),

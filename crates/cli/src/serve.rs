@@ -968,6 +968,7 @@ pub fn serve_with(
         lock_probes: Some(lock_probes.clone()),
     };
     let status = LiveStatus::new();
+    status.set_replaying(true);
     logger.info(
         "serve",
         "listening",

@@ -128,29 +128,6 @@ fn sweep_single_shard_matches_default_and_bad_counts_error() {
 }
 
 #[test]
-fn sweep_serial_switch_matches_batched_default() {
-    let path = generate_trace("serial.wct");
-    let batched = run(&argv(&format!(
-        "sweep --trace {} --policies gd*p,lfu-da --fractions 0.01,0.05 --csv",
-        path.display()
-    )))
-    .unwrap();
-    let serial = run(&argv(&format!(
-        "sweep --trace {} --policies gd*p,lfu-da --fractions 0.01,0.05 --csv --serial",
-        path.display()
-    )))
-    .unwrap();
-    assert_eq!(batched, serial, "batched replay must not change results");
-    let err = run(&argv(&format!(
-        "sweep --trace {} --batched --serial",
-        path.display()
-    )))
-    .unwrap_err();
-    assert!(err.to_string().contains("at most one"), "{err}");
-    fs::remove_file(path).ok();
-}
-
-#[test]
 fn sweep_accepts_repeated_composed_policy_specs() {
     let path = generate_trace("cohort.wct");
     // The modern cohort rides the same grid as the legacy roster:
@@ -300,6 +277,25 @@ fn stats_usage_errors() {
         assert!(run(&argv(&bad)).is_err(), "`{bad}` should fail");
     }
     fs::remove_file(path).ok();
+}
+
+#[test]
+fn forged_binary_header_is_an_error_not_an_abort() {
+    // A bare WCTB v1 header claiming 2^36 or 2^61 records: loading used
+    // to size the trace from the claim and abort the process.
+    for (shift, name) in [(36, "forged36.wctb"), (61, "forged61.wctb")] {
+        let path = temp_path(name);
+        let mut bytes = b"WCTB\x01\0\0\0".to_vec();
+        bytes.extend_from_slice(&(1u64 << shift).to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+        let err = run(&argv(&format!(
+            "simulate --trace {} --policy lru --capacity 1MiB",
+            path.display()
+        )))
+        .unwrap_err();
+        assert!(err.to_string().contains("truncated record 0"), "{err}");
+        fs::remove_file(path).ok();
+    }
 }
 
 #[test]

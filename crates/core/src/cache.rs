@@ -380,7 +380,7 @@ impl Cache {
 
     /// Allocation-free [`Cache::insert`]: victims go into the
     /// caller-provided `evicted` buffer (cleared first) instead of a
-    /// fresh vector. The batched replay loop reuses one buffer across
+    /// fresh vector. The simulator's replay step reuses one buffer across
     /// millions of inserts.
     pub fn insert_into(
         &mut self,

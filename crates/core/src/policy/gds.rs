@@ -134,14 +134,6 @@ impl<M: MetricsSink> ReplacementPolicy for Gds<M> {
     fn reserve_slots(&mut self, n: usize) {
         self.heap.reserve(n);
     }
-
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

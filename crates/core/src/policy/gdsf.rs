@@ -135,13 +135,6 @@ impl<M: MetricsSink> ReplacementPolicy for Gdsf<M> {
             self.docs.resize(n, (ByteSize::ZERO, 0));
         }
     }
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

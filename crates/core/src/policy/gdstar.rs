@@ -435,13 +435,6 @@ impl<M: MetricsSink> ReplacementPolicy for GdStar<M> {
             self.docs.resize(n, None);
         }
     }
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

@@ -129,13 +129,6 @@ impl<M: MetricsSink> ReplacementPolicy for LfuDa<M> {
             self.counts.resize(n, 0);
         }
     }
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

@@ -141,13 +141,6 @@ impl ReplacementPolicy for LruK {
             self.history.resize(n * self.k, 0);
         }
     }
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

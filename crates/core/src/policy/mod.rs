@@ -104,22 +104,6 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     fn reserve_slots(&mut self, n: usize) {
         let _ = n;
     }
-
-    /// Switches the policy into (or out of) batched replay mode.
-    ///
-    /// Heap-backed policies forward this to
-    /// [`IndexedHeap::set_deferred`](crate::pqueue::IndexedHeap::set_deferred),
-    /// amortizing sift work across a batch of requests. Purely an
-    /// optimization hint: observable behavior (victims, hit decisions)
-    /// must be identical either way, which the batched-vs-serial
-    /// differential proptests pin for every policy. Policies without
-    /// deferrable structure ignore it.
-    fn set_batched(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// Applies any maintenance deferred by batched mode. No-op by default.
-    fn flush_deferred(&mut self) {}
 }
 
 /// The slot a document handle indexes in per-document vectors.

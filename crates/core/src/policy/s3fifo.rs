@@ -19,8 +19,7 @@
 //! [`Slru`](super::Slru) and [`Arc`](super::Arc): state lives in a
 //! per-slot vector, queue handles are (doc, generation) pairs, and stale
 //! handles are skipped on pop. FIFO insertion order *is* the queue
-//! order, so batching (`set_batched`) has nothing to amortize and stays
-//! a no-op.
+//! order.
 
 use std::collections::VecDeque;
 

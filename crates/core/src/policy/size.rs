@@ -93,14 +93,6 @@ impl<M: MetricsSink> ReplacementPolicy for SizeBased<M> {
     fn reserve_slots(&mut self, n: usize) {
         self.heap.reserve(n);
     }
-
-    fn set_batched(&mut self, enabled: bool) {
-        self.heap.set_deferred(enabled);
-    }
-
-    fn flush_deferred(&mut self) {
-        let _ = self.heap.flush();
-    }
 }
 
 #[cfg(test)]

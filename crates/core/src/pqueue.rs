@@ -20,20 +20,6 @@
 //! made unique by a tie-breaking sequence number, the extraction order
 //! is the sorted key order regardless of arity, so the fan-out is purely
 //! a layout choice — it cannot change simulation results.
-//!
-//! For batched replay the heap additionally supports a **deferred
-//! maintenance** mode ([`IndexedHeap::set_deferred`]): key changes are
-//! buffered in an append-only pending list, repeated touches to the same
-//! item coalesce to the latest key, and the sift work is paid once per
-//! touched item when the batch is [`flushed`](IndexedHeap::flush) — or
-//! lazily, when a pop actually needs the order. A heap entry superseded
-//! by a buffered key acts as a tombstone: [`IndexedHeap::pop_min`]
-//! discards it if it surfaces at the root, and a conservative lower bound
-//! over the buffered keys (the *pending floor*) proves when the root can
-//! be popped without flushing at all. Because callers key ties with a
-//! unique sequence number, the extraction order depends only on the
-//! latest key per item, never on when sifts physically happen — deferred
-//! and eager mode therefore pop identical sequences.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -229,20 +215,6 @@ pub struct IndexedHeap<I, K, X = HashPositions<I>> {
     slots: Vec<(K, I)>,
     /// Item -> index into `slots`.
     positions: X,
-    /// Whether key changes are buffered instead of sifted eagerly.
-    deferred: bool,
-    /// Coalesced pending upserts in first-touch order; empty in eager mode.
-    pending: Vec<(I, K)>,
-    /// Item -> index into `pending`.
-    pending_pos: X,
-    /// Pending items with no entry in `slots` (fresh inserts).
-    pending_new: usize,
-    /// Entries in `slots` superseded by a pending key (tombstones).
-    stale: usize,
-    /// Conservative lower bound over the pending keys. Coalescing may
-    /// leave it below the true pending minimum; it only ever errs toward
-    /// an unnecessary flush, never a wrong pop.
-    pending_floor: Option<K>,
 }
 
 /// An [`IndexedHeap`] whose position index is a plain vector — for items
@@ -271,12 +243,6 @@ where
         IndexedHeap {
             slots: Vec::new(),
             positions: X::default(),
-            deferred: false,
-            pending: Vec::new(),
-            pending_pos: X::default(),
-            pending_new: 0,
-            stale: 0,
-            pending_floor: None,
         }
     }
 
@@ -284,14 +250,11 @@ where
     pub fn reserve(&mut self, n: usize) {
         self.slots.reserve(n);
         self.positions.reserve(n);
-        self.pending_pos.reserve(n);
     }
 
-    /// Number of items in the heap, buffered inserts included. A
-    /// tombstoned item has exactly one `slots` entry (holding its stale
-    /// key) plus a pending overlay, so it counts once either way.
+    /// Number of items in the heap.
     pub fn len(&self) -> usize {
-        self.slots.len() + self.pending_new
+        self.slots.len()
     }
 
     /// Whether the heap is empty.
@@ -301,17 +264,11 @@ where
 
     /// Whether `item` is present.
     pub fn contains(&self, item: I) -> bool {
-        self.positions.get(item).is_some() || self.pending_pos.get(item).is_some()
+        self.positions.get(item).is_some()
     }
 
-    /// The key currently associated with `item`, if present. A buffered
-    /// key shadows the (stale) one still sitting in the heap.
+    /// The key currently associated with `item`, if present.
     pub fn key_of(&self, item: I) -> Option<K> {
-        if !self.pending.is_empty() {
-            if let Some(i) = self.pending_pos.get(item) {
-                return Some(self.pending[i].1);
-            }
-        }
         self.positions.get(item).map(|i| self.slots[i].0)
     }
 
@@ -326,21 +283,6 @@ where
     /// change an existing key, or [`IndexedHeap::upsert`] when presence is
     /// unknown.
     pub fn insert(&mut self, item: I, key: K) -> HeapCost {
-        if self.deferred {
-            // Inserts apply eagerly even in deferred mode: a fresh entry
-            // lands on a leaf, where the (typically large) key settles
-            // after a single failed parent comparison, and keeping it
-            // out of the pending buffer keeps the pending floor high —
-            // fewer forced flushes on pop. Buffering would save a sift
-            // only if the item were re-touched before the next flush,
-            // which coalescing measurements show is rare; the live
-            // item→key map — all that extraction order depends on — is
-            // identical either way.
-            assert!(
-                self.pending_pos.get(item).is_none(),
-                "item already present; use update/upsert"
-            );
-        }
         assert!(
             self.positions.get(item).is_none(),
             "item already present; use update/upsert"
@@ -357,14 +299,6 @@ where
     ///
     /// Panics if `item` is not present.
     pub fn update(&mut self, item: I, key: K) -> HeapCost {
-        if self.deferred {
-            if self.try_leaf_increase(item, key) {
-                return HeapCost::ZERO;
-            }
-            assert!(self.contains(item), "update of item not in heap");
-            self.defer(item, key);
-            return HeapCost::ZERO;
-        }
         let idx = self
             .positions
             .get(item)
@@ -383,16 +317,6 @@ where
     /// Inserts `item` or updates its key if already present, returning the
     /// sift cost.
     pub fn upsert(&mut self, item: I, key: K) -> HeapCost {
-        if self.deferred {
-            if self.try_leaf_increase(item, key) {
-                return HeapCost::ZERO;
-            }
-            if !self.contains(item) {
-                return self.insert(item, key);
-            }
-            self.defer(item, key);
-            return HeapCost::ZERO;
-        }
         if self.contains(item) {
             self.update(item, key)
         } else {
@@ -401,25 +325,8 @@ where
     }
 
     /// The minimum `(item, key)` without removing it.
-    ///
-    /// With buffered key changes outstanding this is a linear scan; only
-    /// diagnostics peek mid-batch, the hot path pops.
     pub fn peek_min(&self) -> Option<(I, K)> {
-        if self.pending.is_empty() {
-            return self.slots.first().map(|&(k, i)| (i, k));
-        }
-        let mut best: Option<(I, K)> = None;
-        for &(key, item) in &self.slots {
-            if self.pending_pos.get(item).is_none() && best.is_none_or(|(_, b)| key < b) {
-                best = Some((item, key));
-            }
-        }
-        for &(item, key) in &self.pending {
-            if best.is_none_or(|(_, b)| key < b) {
-                best = Some((item, key));
-            }
-        }
-        best
+        self.slots.first().map(|&(k, i)| (i, k))
     }
 
     /// Removes and returns the minimum `(item, key)`.
@@ -429,51 +336,9 @@ where
 
     /// [`IndexedHeap::pop_min`], also returning the measured sift cost.
     pub fn pop_min_counted(&mut self) -> Option<(I, K, HeapCost)> {
-        let mut cost = HeapCost::ZERO;
-        loop {
-            let Some(&(key, item)) = self.slots.first() else {
-                if self.pending.is_empty() {
-                    return None;
-                }
-                cost += self.flush();
-                continue;
-            };
-            if !self.pending.is_empty() {
-                if let Some(pi) = self.pending_pos.get(item) {
-                    // Tombstone: a newer key for this item is buffered.
-                    // Apply it in place — one sift-down settles the item
-                    // at its final position and retires the pending
-                    // entry, instead of discarding the root now and
-                    // paying a second sift to re-insert it at flush.
-                    let (_, new_key) = self.pending.swap_remove(pi);
-                    self.pending_pos.remove(item);
-                    if pi < self.pending.len() {
-                        self.pending_pos.set(self.pending[pi].0, pi);
-                    }
-                    self.stale -= 1;
-                    // Keep the floor exact: leaving a retired floor key
-                    // stale-low would force a needless flush on the
-                    // very next pop. The min over the buffer only moves
-                    // when the retired key *was* the floor, so the
-                    // O(pending) rescan is paid exactly then — for any
-                    // higher key the floor stands untouched.
-                    self.retire_from_floor(new_key);
-                    self.slots[0].0 = new_key;
-                    cost += self.sift_down(0);
-                    continue;
-                }
-                if let Some(floor) = self.pending_floor {
-                    // A buffered key at or below the root could be the
-                    // true minimum: apply the batch and re-examine.
-                    if floor <= key {
-                        cost += self.flush();
-                        continue;
-                    }
-                }
-            }
-            cost += self.remove_at(0);
-            return Some((item, key, cost));
-        }
+        let &(key, item) = self.slots.first()?;
+        let cost = self.remove_at(0);
+        Some((item, key, cost))
     }
 
     /// Removes `item`, returning its key if it was present.
@@ -483,158 +348,16 @@ where
 
     /// [`IndexedHeap::remove`], also returning the measured sift cost.
     pub fn remove_counted(&mut self, item: I) -> Option<(K, HeapCost)> {
-        if !self.pending.is_empty() {
-            if let Some(pi) = self.pending_pos.remove(item) {
-                let (_, key) = self.pending.swap_remove(pi);
-                if pi < self.pending.len() {
-                    self.pending_pos.set(self.pending[pi].0, pi);
-                }
-                let mut cost = HeapCost::ZERO;
-                if let Some(idx) = self.positions.get(item) {
-                    // Also drop the superseded heap entry.
-                    cost = self.remove_at(idx);
-                    self.stale -= 1;
-                } else {
-                    self.pending_new -= 1;
-                }
-                self.retire_from_floor(key);
-                return Some((key, cost));
-            }
-        }
         let idx = self.positions.get(item)?;
         let key = self.slots[idx].0;
         let cost = self.remove_at(idx);
         Some((key, cost))
     }
 
-    /// Removes every item, keeping allocations. Buffered changes are
-    /// discarded, not applied; deferred mode itself stays as set.
+    /// Removes every item, keeping allocations.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.positions.clear();
-        self.pending.clear();
-        self.pending_pos.clear();
-        self.pending_new = 0;
-        self.stale = 0;
-        self.pending_floor = None;
-    }
-
-    /// Switches deferred (batched) maintenance on or off. Turning it off
-    /// applies any buffered changes first, so the heap is always eagerly
-    /// consistent outside deferred mode.
-    pub fn set_deferred(&mut self, deferred: bool) {
-        if !deferred {
-            self.flush();
-        }
-        self.deferred = deferred;
-    }
-
-    /// Whether deferred maintenance is active.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
-    }
-
-    /// Number of buffered key changes awaiting a flush.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Applies every buffered key change in first-touch order, compacting
-    /// tombstones back into live entries, and returns the total sift cost.
-    ///
-    /// Flushing is idempotent and safe in any mode; pops trigger it
-    /// automatically when the pending floor no longer proves the root is
-    /// the true minimum.
-    pub fn flush(&mut self) -> HeapCost {
-        let mut cost = HeapCost::ZERO;
-        for i in 0..self.pending.len() {
-            let (item, key) = self.pending[i];
-            self.pending_pos.remove(item);
-            cost += match self.positions.get(item) {
-                Some(idx) => {
-                    let old = self.slots[idx].0;
-                    self.slots[idx].0 = key;
-                    if key < old {
-                        self.sift_up(idx)
-                    } else if key > old {
-                        self.sift_down(idx)
-                    } else {
-                        HeapCost::ZERO
-                    }
-                }
-                None => {
-                    let idx = self.slots.len();
-                    self.slots.push((key, item));
-                    self.positions.set(item, idx);
-                    self.sift_up(idx)
-                }
-            };
-        }
-        self.pending.clear();
-        self.pending_new = 0;
-        self.stale = 0;
-        self.pending_floor = None;
-        cost
-    }
-
-    /// Deferred-mode fast path: raising the key of an item that sits on
-    /// a heap *leaf* (and has no buffered entry shadowing it) cannot
-    /// violate the heap order — `parent ≤ old ≤ new` — so the key is
-    /// written in place for free, with no sift and no pending entry.
-    /// Three quarters of a 4-ary heap's items are leaves and the
-    /// GreedyDual family only ever raises keys on a hit, so this turns
-    /// most buffered touches into `O(1)` writes. Applying a change
-    /// eagerly is always equivalent to buffering it: extraction order
-    /// depends only on the latest key per item.
-    fn try_leaf_increase(&mut self, item: I, key: K) -> bool {
-        let Some(idx) = self.positions.get(item) else {
-            return false;
-        };
-        if self.pending_pos.get(item).is_some() {
-            // The slots key is stale; only the pending entry may coalesce.
-            return false;
-        }
-        if key < self.slots[idx].0 {
-            return false;
-        }
-        self.slots[idx].0 = key;
-        if ARITY * idx + 1 < self.slots.len() {
-            self.sift_down(idx);
-        }
-        true
-    }
-
-    /// Buffers `key` for `item`, coalescing with any earlier buffered key.
-    fn defer(&mut self, item: I, key: K) {
-        match self.pending_pos.get(item) {
-            Some(i) => self.pending[i].1 = key,
-            None => {
-                self.pending_pos.set(item, self.pending.len());
-                self.pending.push((item, key));
-                if self.positions.get(item).is_some() {
-                    self.stale += 1;
-                } else {
-                    self.pending_new += 1;
-                }
-            }
-        }
-        self.pending_floor = Some(match self.pending_floor {
-            Some(floor) if floor <= key => floor,
-            _ => key,
-        });
-    }
-
-    /// Restores the pending floor after an entry with `retired` was
-    /// removed from the buffer. The floor is a lower bound on every
-    /// buffered key, so a retired key strictly above it cannot have been
-    /// the minimum and the floor stands; only `retired <= floor` (the
-    /// retired entry was the floor, or the floor had gone stale-low
-    /// through coalescing) forces the exact rescan.
-    fn retire_from_floor(&mut self, retired: K) {
-        match self.pending_floor {
-            Some(floor) if retired > floor => {}
-            _ => self.pending_floor = self.pending.iter().map(|&(_, k)| k).min(),
-        }
     }
 
     fn remove_at(&mut self, idx: usize) -> HeapCost {
@@ -724,21 +447,6 @@ where
         for (i, &(_, item)) in self.slots.iter().enumerate() {
             assert_eq!(self.positions.get(item), Some(i), "position index stale");
         }
-        let mut stale = 0;
-        for (i, &(item, key)) in self.pending.iter().enumerate() {
-            assert_eq!(self.pending_pos.get(item), Some(i), "pending index stale");
-            if self.positions.get(item).is_some() {
-                stale += 1;
-            }
-            let floor = self.pending_floor.expect("pending entries imply a floor");
-            assert!(floor <= key, "floor above a pending key");
-        }
-        assert_eq!(self.stale, stale, "tombstone count drifted");
-        assert_eq!(
-            self.pending.len(),
-            self.stale + self.pending_new,
-            "pending accounting drifted"
-        );
     }
 }
 
@@ -956,161 +664,5 @@ mod tests {
         let mut sorted = popped.clone();
         sorted.sort_by_key(|&i| (i % 7, i));
         assert_eq!(popped, sorted, "post-clear ordering must be exact");
-    }
-
-    #[test]
-    fn deferred_applies_increases_in_place_and_coalesces_decreases() {
-        let mut h: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        h.insert(0, (10, 0));
-        h.insert(1, (20, 1));
-        h.set_deferred(true);
-        // Raising a key can never violate the heap order from below, so
-        // repeated touches apply in place — nothing accumulates in the
-        // pending buffer.
-        h.upsert(0, (30, 2));
-        h.upsert(0, (40, 3));
-        h.upsert(0, (50, 4));
-        assert_eq!(h.pending_len(), 0, "increases must not buffer");
-        assert_eq!(h.key_of(0), Some((50, 4)));
-        assert_eq!(h.len(), 2);
-        // Inserts land eagerly too: a fresh leaf entry is cheap and
-        // keeping it out of the buffer keeps the pending floor high.
-        h.upsert(2, (5, 5));
-        assert_eq!(h.pending_len(), 0, "inserts must not buffer");
-        assert_eq!(h.len(), 3);
-        assert!(h.contains(2));
-        // Decreases buffer, and repeated touches coalesce into a single
-        // pending entry holding only the last key.
-        h.update(1, (18, 6));
-        h.update(1, (12, 7));
-        assert_eq!(h.pending_len(), 1);
-        assert_eq!(h.key_of(1), Some((12, 7)), "pending key shadows stale");
-        // Pops see the coalesced state.
-        assert_eq!(h.pop_min(), Some((2, (5, 5))));
-        assert_eq!(h.pop_min(), Some((1, (12, 7))));
-        assert_eq!(h.pop_min(), Some((0, (50, 4))));
-        assert_eq!(h.pop_min(), None);
-    }
-
-    #[test]
-    fn deferred_pop_retires_root_tombstone_in_place_without_flushing() {
-        let mut h: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        h.insert(0, (10, 0)); // root
-        h.insert(1, (20, 1));
-        h.insert(2, (30, 2));
-        h.set_deferred(true);
-        // Decrease the root's key: its heap entry is now a tombstone
-        // shadowed by the buffered (5, 3).
-        h.update(0, (5, 3));
-        // A second buffered decrease that no early pop reaches: it must
-        // survive the next pop untouched, proving the root tombstone
-        // was retired in place rather than by flushing the buffer.
-        h.update(2, (25, 4));
-        assert_eq!(h.pending_len(), 2);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.key_of(0), Some((5, 3)));
-        // The pop finds the tombstoned root, applies its buffered key in
-        // place (one sift) and returns it; item 2 stays buffered.
-        assert_eq!(h.pop_min(), Some((0, (5, 3))));
-        assert_eq!(h.pending_len(), 1, "tombstone retirement must not flush");
-        assert_eq!(h.key_of(2), Some((25, 4)));
-        // The floor (25) proves the next root (20) pops without a flush.
-        assert_eq!(h.pop_min(), Some((1, (20, 1))));
-        assert_eq!(h.pending_len(), 1, "floor-guarded pop must not flush");
-        assert_eq!(h.pop_min(), Some((2, (25, 4))));
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn deferred_remove_covers_pending_and_tombstoned_items() {
-        let mut h: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        h.insert(0, (10, 0));
-        h.insert(1, (20, 1));
-        h.set_deferred(true);
-        // Tombstoned item (buffered decrease): remove returns the
-        // *newest* key and drops the stale heap entry too.
-        h.update(1, (5, 2));
-        assert_eq!(h.pending_len(), 1);
-        assert_eq!(h.remove(1), Some((5, 2)));
-        assert!(!h.contains(1));
-        assert_eq!(h.pending_len(), 0);
-        // Eagerly applied entries remove through the ordinary path.
-        h.upsert(0, (99, 3));
-        assert_eq!(h.remove(0), Some((99, 3)));
-        assert!(h.is_empty());
-        assert_eq!(h.pop_min(), None);
-        h.check_invariants();
-    }
-
-    #[test]
-    fn set_deferred_off_flushes() {
-        let mut h: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        h.set_deferred(true);
-        h.upsert(3, (30, 0));
-        h.upsert(4, (40, 1));
-        h.update(4, (25, 2)); // buffered decrease
-        assert_eq!(h.pending_len(), 1);
-        h.set_deferred(false);
-        assert_eq!(h.pending_len(), 0);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.peek_min(), Some((4, (25, 2))));
-        h.check_invariants();
-    }
-
-    /// The central equivalence: a deferred heap driven by the same
-    /// operation stream as an eager one pops identical sequences,
-    /// regardless of when flushes physically happen. Keys carry a unique
-    /// tie-breaker, as on the simulator hot path.
-    #[test]
-    fn deferred_matches_eager_under_random_workload() {
-        let mut state = 0x9E3779B9_7F4A7C15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-
-        let mut eager: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        let mut lazy: DenseIndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
-        lazy.set_deferred(true);
-        let mut tie = 0u32;
-
-        for step in 0..20_000 {
-            match next() % 8 {
-                // Narrow key range so pending floors frequently undercut
-                // the root and force mid-stream flushes.
-                0..=4 => {
-                    let item = next() % 48;
-                    let key = (next() % 64, tie);
-                    tie += 1;
-                    eager.upsert(item, key);
-                    lazy.upsert(item, key);
-                }
-                5 => {
-                    assert_eq!(lazy.pop_min(), eager.pop_min(), "step {step}");
-                }
-                6 => {
-                    let item = next() % 48;
-                    assert_eq!(lazy.remove(item), eager.remove(item), "step {step}");
-                }
-                _ => {
-                    let item = next() % 48;
-                    assert_eq!(lazy.key_of(item), eager.key_of(item), "step {step}");
-                    assert_eq!(lazy.contains(item), eager.contains(item), "step {step}");
-                    assert_eq!(lazy.len(), eager.len(), "step {step}");
-                    assert_eq!(lazy.peek_min(), eager.peek_min(), "step {step}");
-                    if next() % 4 == 0 {
-                        lazy.flush();
-                        lazy.check_invariants();
-                    }
-                }
-            }
-        }
-        lazy.check_invariants();
-        while let Some(got) = lazy.pop_min() {
-            assert_eq!(Some(got), eager.pop_min(), "drain order");
-        }
-        assert!(eager.is_empty() && lazy.is_empty());
     }
 }

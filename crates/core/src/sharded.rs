@@ -13,11 +13,13 @@
 //!   a request locks exactly its document's shard, so disjoint shards
 //!   proceed fully in parallel.
 //! * **Read path** (hit-rate accounting) — lock-free: per-shard
-//!   [`ShardCounters`] are plain relaxed atomics, updated by the
-//!   writers and readable by a metrics scraper (`/metrics`, `/healthz`)
-//!   at any time without touching a single mutex. The counter types
-//!   mirror the `webcache-obs` registry (`AtomicU64` adds), so gauges
-//!   can be fed straight from a [`ShardSnapshot`].
+//!   [`ShardCounters`] are plain relaxed atomics, updated by
+//!   [`ShardedEngine::request`] and readable at any time without
+//!   touching a single mutex. The counter types mirror the
+//!   `webcache-obs` registry (`AtomicU64` adds), so gauges can be fed
+//!   straight from a [`ShardSnapshot`]. Replay drivers that hold a
+//!   shard through [`ShardedEngine::with_shard`] bypass them and report
+//!   their own per-shard counts.
 //!
 //! Sharding is not free in *quality*: each shard evicts against its own
 //! `capacity / N` budget with only its own documents' recency/frequency
@@ -80,12 +82,11 @@ pub fn validate_shard_count(shards: usize) -> Result<(), ShardConfigError> {
 
 /// Lock-free per-shard accounting: requests, hits and byte volumes.
 ///
-/// Updated with relaxed atomics on the write path (either per request
-/// via [`ShardCounters::record`] or amortized per batch via
-/// [`ShardCounters::add_bulk`]); read at any time via
+/// Updated with relaxed atomics per request on the write path
+/// ([`ShardCounters::record`]); read at any time via
 /// [`ShardCounters::snapshot`] with no locks. Individual counters are
-/// each internally consistent; a snapshot taken mid-batch may be a few
-/// requests stale, which is fine for rate gauges.
+/// each internally consistent; a snapshot may miss requests still being
+/// recorded, which is fine for rate gauges.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     requests: AtomicU64,
@@ -98,22 +99,12 @@ impl ShardCounters {
     /// Accounts one request of `size` bytes that hit (or missed).
     #[inline]
     pub fn record(&self, size: ByteSize, hit: bool) {
-        self.add_bulk(
-            1,
-            hit as u64,
-            size.as_u64(),
-            if hit { size.as_u64() } else { 0 },
-        );
-    }
-
-    /// Accounts a batch of requests in four adds (the amortized path).
-    #[inline]
-    pub fn add_bulk(&self, requests: u64, hits: u64, bytes_requested: u64, bytes_hit: u64) {
-        self.requests.fetch_add(requests, Ordering::Relaxed);
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.bytes_requested
-            .fetch_add(bytes_requested, Ordering::Relaxed);
-        self.bytes_hit.fetch_add(bytes_hit, Ordering::Relaxed);
+        let bytes = size.as_u64();
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(hit as u64, Ordering::Relaxed);
+        self.bytes_requested.fetch_add(bytes, Ordering::Relaxed);
+        self.bytes_hit
+            .fetch_add(if hit { bytes } else { 0 }, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters.
@@ -316,9 +307,7 @@ impl ShardedEngine {
     /// `per_shard_distinct[s]` is shard `s`'s distinct-document count and
     /// its documents must be addressed as `DocId::new(local_slot)` with
     /// shard-local slots `0..per_shard_distinct[s]` (a sharded trace
-    /// view computes the mapping). With `batched`, every shard's policy
-    /// is switched to deferred heap maintenance before it moves into its
-    /// cache, matching the batched replay loop.
+    /// view computes the mapping).
     ///
     /// # Errors
     ///
@@ -334,7 +323,6 @@ impl ShardedEngine {
         spec: impl Into<PolicySpec>,
         admission: AdmissionRule,
         per_shard_distinct: &[usize],
-        batched: bool,
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
         let admission = spec.admission_or(admission);
@@ -342,20 +330,14 @@ impl ShardedEngine {
         let shard_capacity = Self::split_capacity(capacity, per_shard_distinct.len());
         let shards = per_shard_distinct
             .iter()
-            .map(|&distinct| {
-                let mut policy = spec.build();
-                if batched {
-                    policy.set_batched(true);
-                }
-                Shard {
-                    cache: Mutex::new(Cache::with_dense_slots(
-                        shard_capacity,
-                        policy,
-                        admission,
-                        distinct,
-                    )),
-                    counters: ShardCounters::default(),
-                }
+            .map(|&distinct| Shard {
+                cache: Mutex::new(Cache::with_dense_slots(
+                    shard_capacity,
+                    spec.build(),
+                    admission,
+                    distinct,
+                )),
+                counters: ShardCounters::default(),
             })
             .collect();
         Ok(ShardedEngine {
@@ -506,12 +488,6 @@ impl ShardedEngine {
     /// pass — nothing per request).
     pub fn with_shard<R>(&self, index: usize, f: impl FnOnce(&mut Cache) -> R) -> R {
         self.locked(index, f)
-    }
-
-    /// Shard `index`'s lock-free counters (for bulk accounting next to
-    /// [`ShardedEngine::with_shard`]).
-    pub fn counters(&self, index: usize) -> &ShardCounters {
-        &self.shards[index].counters
     }
 
     /// Snapshots every shard's counters, lock-free, in shard order.

@@ -6,10 +6,9 @@
 //! (fx-hash routing, identical to [`ShardedEngine::route`]); clients
 //! then take shards round-robin (client `c` owns shards `c`, `c + M`,
 //! `c + 2M`, …) and replay each owned shard's subsequence through the
-//! batched hot loop of PR 6 — modification pre-pass over the SoA
-//! arrays, alloc-free inserts, deferred heap maintenance — holding that
-//! shard's stripe lock for the duration and publishing progress through
-//! the engine's lock-free counters batch by batch.
+//! serial simulator's per-request step, holding that shard's stripe
+//! lock for the duration. Only the slot mapping differs: each shard's
+//! cache addresses its documents by shard-local slot.
 //!
 //! ## Determinism
 //!
@@ -34,13 +33,12 @@ use std::time::{Duration, Instant};
 use webcache_core::{
     Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardedEngine,
 };
-use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
+use webcache_trace::{DenseTrace, TypeMap};
 
 use crate::live::{LiveStatus, LiveSummary, TraceSource};
 use crate::metrics::HitStats;
-use crate::observe::{AccessEvent, NoopObserver, Observer, RunMeta};
-use crate::simulator::{access_kind, notify_insert, SimulationConfig, SimulationReport};
-use crate::simulator::{DEFAULT_BATCH_SIZE, NO_TRANSFER};
+use crate::observe::{NoopObserver, Observer, RunMeta};
+use crate::simulator::{Replay, SimulationConfig, SimulationReport, SlotMap};
 
 /// A [`DenseTrace`] pre-split for an `N`-shard engine.
 ///
@@ -226,8 +224,6 @@ pub struct ConcurrentSimulator {
     /// Simulation parameters; `capacity` is the total budget split
     /// evenly across shards, `occupancy_samples` is ignored.
     pub config: SimulationConfig,
-    /// Batch size of the per-shard hot loop.
-    pub batch_size: usize,
     /// Optional per-shard lock-contention probes, cloned onto each
     /// pass's engine (the handles share cells, so stats accumulate
     /// across passes). `None` leaves the engine's lock path
@@ -236,7 +232,7 @@ pub struct ConcurrentSimulator {
 }
 
 impl ConcurrentSimulator {
-    /// A concurrent simulator with the default batch size. Accepts a
+    /// A concurrent simulator without lock probes. Accepts a
     /// bare [`PolicyKind`](webcache_core::PolicyKind) or a composed
     /// spec; a spec-level admission filter overrides
     /// [`SimulationConfig::admission_rule`], mirroring
@@ -248,7 +244,6 @@ impl ConcurrentSimulator {
         ConcurrentSimulator {
             spec,
             config,
-            batch_size: DEFAULT_BATCH_SIZE,
             lock_probes: None,
         }
     }
@@ -311,9 +306,9 @@ impl ConcurrentSimulator {
 
     /// The full-control variant: an optional aggregate request-rate
     /// throttle (split across clients in proportion to their share of
-    /// the trace) and an optional shutdown flag checked at batch
-    /// boundaries (a raised flag abandons the rest of the replay and
-    /// marks the report `completed: false`).
+    /// the trace) and an optional shutdown flag, both checked every 128
+    /// requests of a shard (a raised flag abandons the rest of the
+    /// replay and marks the report `completed: false`).
     pub fn run_sharded_controlled<O, F>(
         &self,
         trace: &DenseTrace,
@@ -335,7 +330,6 @@ impl ConcurrentSimulator {
             self.spec,
             self.config.admission_rule,
             sharded.per_shard_distinct(),
-            true,
         )
         .expect("ShardedTrace shard count is validated");
         if let Some(probes) = &self.lock_probes {
@@ -362,13 +356,15 @@ impl ConcurrentSimulator {
                             let outcome = engine.with_shard(shard, |cache| {
                                 replay_shard(
                                     cache,
-                                    engine,
                                     trace,
                                     sharded,
                                     shard,
-                                    warmup_end,
+                                    RunMeta {
+                                        total_requests: sharded.shard_len(shard),
+                                        warmup_end,
+                                        capacity: engine.shard_capacity(),
+                                    },
                                     self.config,
-                                    self.batch_size,
                                     &mut observer,
                                     throttle.as_mut(),
                                     shutdown,
@@ -437,42 +433,64 @@ struct ShardOutcome {
     completed: bool,
 }
 
-/// The per-shard batched hot loop: PR 6's replay specialized to one
-/// shard's subsequence. Holds the shard lock (the caller passes the
-/// locked cache) and publishes counter deltas per batch.
+/// Requests the per-shard driver replays between two checks of the
+/// shutdown flag and the rate throttle.
+const CONTROL_STRIDE: usize = 128;
+
+/// A shard's [`SlotMap`]: its cache addresses documents by shard-local
+/// slot, and victims map back to global slots so observers see the
+/// same document ids a serial replay would.
+struct ShardSlots<'a> {
+    /// Per global slot: the slot within the owning shard.
+    local_slot: &'a [u32],
+    /// Per shard-local slot: the global slot.
+    global_of_local: &'a [u32],
+}
+
+impl SlotMap for ShardSlots<'_> {
+    #[inline(always)]
+    fn cache_slot(&self, slot: u32) -> u32 {
+        self.local_slot[slot as usize]
+    }
+
+    #[inline(always)]
+    fn trace_victims(&self, evicted: &mut [Eviction]) {
+        for eviction in evicted {
+            eviction.doc =
+                DenseTrace::slot_doc(self.global_of_local[eviction.doc.as_u64() as usize]);
+        }
+    }
+}
+
+/// The per-shard driver: replays one shard's subsequence, in trace
+/// order, through the serial simulator's [`Replay::step`]. Holds the
+/// shard lock (the caller passes the locked cache).
 #[allow(clippy::too_many_arguments)]
 fn replay_shard<O: Observer>(
     cache: &mut Cache,
-    engine: &ShardedEngine,
     trace: &DenseTrace,
     sharded: &ShardedTrace,
     shard: usize,
-    warmup_end: usize,
+    meta: RunMeta,
     config: SimulationConfig,
-    batch_size: usize,
     observer: &mut O,
     mut throttle: Option<&mut Throttle>,
     shutdown: Option<&AtomicBool>,
 ) -> ShardOutcome {
-    let batch_size = batch_size.max(1);
-    let requests = &sharded.shard_requests[shard];
+    observer.on_run_start(meta);
     let distinct = sharded.per_shard_distinct[shard];
-    observer.on_run_start(RunMeta {
-        total_requests: requests.len(),
-        warmup_end,
-        capacity: engine.shard_capacity(),
-    });
-
-    let slots = trace.docs();
+    let slots = ShardSlots {
+        local_slot: &sharded.local_slot,
+        global_of_local: &sharded.global_of_local[shard],
+    };
+    let mut replay = Replay::new(
+        trace,
+        slots,
+        config.modification_rule,
+        meta.warmup_end,
+        distinct,
+    );
     let sizes = trace.sizes();
-    let types = trace.type_indices();
-    let local = &sharded.local_slot;
-    let global_of = &sharded.global_of_local[shard];
-
-    let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; distinct];
-    let mut modified_flags = vec![false; batch_size.min(requests.len().max(1))];
-    let mut evicted: Vec<Eviction> = Vec::new();
-    let mut by_type: TypeMap<HitStats> = TypeMap::default();
     let mut summary = ShardSummary {
         shard,
         requests: 0,
@@ -484,98 +502,34 @@ fn replay_shard<O: Observer>(
     };
     let mut completed = true;
 
-    'batches: for batch in requests.chunks(batch_size) {
-        if let Some(flag) = shutdown {
-            if flag.load(Ordering::Relaxed) {
-                completed = false;
-                break 'batches;
-            }
+    for stride in sharded.shard_requests[shard].chunks(CONTROL_STRIDE) {
+        if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            completed = false;
+            break;
         }
-        // Modification pre-pass, exactly as in the serial batched loop:
-        // the last-transfer chain is per document and every document
-        // lives in exactly one shard, so per-shard verdicts equal the
-        // global serial ones.
-        for (k, &gi) in batch.iter().enumerate() {
-            let gi = gi as usize;
-            let slot = local[slots[gi] as usize] as usize;
-            let transfer = sizes[gi];
-            let prev = last_transfer[slot];
-            last_transfer[slot] = transfer;
-            modified_flags[k] =
-                prev != NO_TRANSFER && config.modification_rule.is_modification(prev, transfer);
-        }
-
-        let mut batch_hits = 0u64;
-        let mut batch_bytes_hit = 0u64;
-        let mut batch_bytes = 0u64;
-        for (k, &gi) in batch.iter().enumerate() {
-            let gi = gi as usize;
-            let global_slot = slots[gi];
-            let doc = DenseTrace::slot_doc(local[global_slot as usize]);
-            let size = ByteSize::new(sizes[gi]);
-            let doc_type = DocumentType::from_index(types[gi] as usize);
-            let modified = modified_flags[k];
-
-            let hit = if modified {
-                cache.invalidate(doc);
-                false
-            } else {
-                cache.access(doc)
-            };
-            let event = AccessEvent {
-                index: gi as u64,
-                doc: DenseTrace::slot_doc(global_slot),
-                doc_type,
-                size,
-                warmup: gi < warmup_end,
-            };
-            observer.on_access(event, access_kind(hit, modified));
-            if !hit {
-                let disposition = cache.insert_into(doc, doc_type, size, &mut evicted);
-                // The cache addresses documents by shard-local slot;
-                // translate victims back to global slots so observers
-                // see the same document ids a serial replay would.
-                for eviction in &mut evicted {
-                    eviction.doc = DenseTrace::slot_doc(global_of[eviction.doc.as_u64() as usize]);
-                }
-                notify_insert(observer, event, disposition, &evicted);
-            }
-
-            batch_bytes += size.as_u64();
+        for &index in stride {
+            let index = index as usize;
+            let hit = replay.step(cache, index, observer);
+            let bytes = sizes[index];
+            summary.requests += 1;
+            summary.bytes_requested += bytes;
             if hit {
-                batch_hits += 1;
-                batch_bytes_hit += size.as_u64();
-            }
-            if gi >= warmup_end {
-                let stats = &mut by_type[doc_type];
-                stats.record(size, hit);
-                if modified {
-                    stats.modification_misses += 1;
-                }
+                summary.hits += 1;
+                summary.bytes_hit += bytes;
             }
         }
-
-        summary.requests += batch.len() as u64;
-        summary.hits += batch_hits;
-        summary.bytes_requested += batch_bytes;
-        summary.bytes_hit += batch_bytes_hit;
-        engine.counters(shard).add_bulk(
-            batch.len() as u64,
-            batch_hits,
-            batch_bytes,
-            batch_bytes_hit,
-        );
         if let Some(t) = throttle.as_deref_mut() {
-            t.pace(batch.len() as u64, shutdown);
+            t.pace(stride.len() as u64, shutdown);
         }
     }
     observer.on_run_end();
-    summary.by_type = by_type;
+    summary.by_type = replay.by_type;
     ShardOutcome { summary, completed }
 }
 
 /// Sleeps as needed to hold one client's target request rate. Checked
-/// once per batch; never sleeps once the shutdown flag is up.
+/// every [`CONTROL_STRIDE`] requests; never sleeps once the shutdown
+/// flag is up.
 #[derive(Debug)]
 struct Throttle {
     per_sec: f64,
@@ -621,8 +575,8 @@ pub struct ConcurrentPassSummary {
 /// The continuous replay driver against the sharded engine — the
 /// `webcache serve --shards N --clients M` engine. Mirrors
 /// [`ReplayLoop`](crate::live::ReplayLoop): one fresh engine per pass,
-/// shutdown honored between passes *and* at batch boundaries within a
-/// pass (an interrupted pass is discarded, not reported).
+/// shutdown honored between passes *and* every 128 requests of a shard
+/// within a pass (an interrupted pass is discarded, not reported).
 #[derive(Debug, Clone)]
 pub struct ShardedReplayLoop {
     /// Cache/simulation parameters, applied to every pass.
@@ -737,7 +691,7 @@ mod tests {
     use super::*;
     use crate::live::FixedSource;
     use webcache_core::PolicyKind;
-    use webcache_trace::{DocId, Request, Timestamp, Trace};
+    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
 
     fn mixed_trace(requests: usize, distinct: u64) -> Trace {
         (0..requests as u64)
@@ -878,7 +832,7 @@ mod tests {
         let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
             .run_sharded_controlled(&dense, &sharded, 2, None, Some(&flag), |_| NoopObserver);
         assert!(!report.completed);
-        assert_eq!(report.requests, 0, "flag was up before the first batch");
+        assert_eq!(report.requests, 0, "flag was up before the first request");
     }
 
     #[test]

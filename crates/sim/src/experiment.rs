@@ -162,7 +162,6 @@ pub struct CacheSizeSweep {
     policies: Vec<PolicySpec>,
     capacities: Vec<ByteSize>,
     template: SimulationConfig,
-    batched: bool,
     shards: usize,
 }
 
@@ -187,7 +186,6 @@ impl CacheSizeSweep {
             policies,
             capacities,
             template: SimulationConfig::new(ByteSize::new(1)),
-            batched: true,
             shards: 1,
         }
     }
@@ -200,13 +198,11 @@ impl CacheSizeSweep {
         self
     }
 
-    /// Selects between batched replay
-    /// ([`Simulator::run_dense_batched`], the default — results are
-    /// bit-identical, only faster for heap-backed policies) and the
-    /// serial [`Simulator::run_dense`] loop.
+    /// Does nothing: every cell replays through [`Simulator::run_dense`].
+    /// Kept so callers written against the former batched-replay switch
+    /// still compile.
     #[must_use]
-    pub fn with_batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
+    pub fn with_batched(self, _batched: bool) -> Self {
         self
     }
 
@@ -335,12 +331,7 @@ impl CacheSizeSweep {
                             .run_sharded(dense, split, 1)
                             .to_simulation_report()
                     } else {
-                        let simulator = Simulator::from_spec(policy, config);
-                        if self.batched {
-                            simulator.run_dense_batched(dense)
-                        } else {
-                            simulator.run_dense(dense)
-                        }
+                        Simulator::from_spec(policy, config).run_dense(dense)
                     };
                     let elapsed = started.elapsed();
                     if let Some(rec) = recorder.as_deref_mut() {
@@ -430,27 +421,6 @@ mod tests {
         );
         assert!(report.get(PolicyKind::Lru, ByteSize::new(2_000)).is_some());
         assert!(report.get(PolicyKind::Fifo, ByteSize::new(2_000)).is_none());
-    }
-
-    #[test]
-    fn batched_sweep_matches_serial_sweep() {
-        let trace = tiny_trace();
-        let policies = vec![
-            PolicyKind::Lru,
-            PolicyKind::LfuDa,
-            PolicyKind::GdStar(webcache_core::CostModel::Packet),
-        ];
-        let capacities = vec![ByteSize::new(2_000), ByteSize::new(8_000)];
-        let batched =
-            CacheSizeSweep::new(policies.clone(), capacities.clone()).run_with_threads(&trace, 2);
-        let serial = CacheSizeSweep::new(policies, capacities)
-            .with_batched(false)
-            .run_with_threads(&trace, 2);
-        for (b, s) in batched.points().iter().zip(serial.points()) {
-            assert_eq!(b.policy, s.policy);
-            assert_eq!(b.capacity, s.capacity);
-            assert_eq!(b.report, s.report, "{} @ {}", b.policy.label(), b.capacity);
-        }
     }
 
     #[test]

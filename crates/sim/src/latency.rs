@@ -222,7 +222,10 @@ mod tests {
             .collect();
         let report = crate::Simulator::new(
             PolicyKind::Lru.instantiate(),
-            crate::SimulationConfig::new(ByteSize::from_kib(64)).with_warmup_fraction(0.0),
+            crate::SimulationConfig::builder()
+                .capacity(ByteSize::from_kib(64))
+                .warmup_fraction(0.0)
+                .build(),
         )
         .run(&trace);
         let m = LatencyModel::campus_2001();

@@ -82,7 +82,6 @@ pub use regret::{RegretConfig, RegretTracker};
 pub use report::Metric;
 pub use simulator::{
     ModificationRule, SimulationConfig, SimulationConfigBuilder, SimulationReport, Simulator,
-    DEFAULT_BATCH_SIZE,
 };
 pub use slo::{SloBreach, SloConfig, SloTracker, SloTrigger};
 pub use windowed::{ChurnCounters, Window, WindowSpec, WindowedMetrics};

@@ -11,7 +11,7 @@
 //! (passes, requests, replaying, last pass throughput) that an HTTP
 //! `/healthz` handler can read from another thread without locking.
 //!
-//! An optional request-rate throttle turns the batch replay into a
+//! An optional request-rate throttle turns the flat-out replay into a
 //! paced, wall-clock workload (useful for watching windowed metrics
 //! evolve on a live dashboard instead of finishing a pass in
 //! milliseconds). The pacer stops sleeping the moment the shutdown flag
@@ -95,8 +95,11 @@ impl LiveStatus {
         f64::from_bits(self.last_pass_rps.load(Ordering::Relaxed))
     }
 
-    /// Flags the replay loop as running / stopped (driver-side).
-    pub(crate) fn set_replaying(&self, on: bool) {
+    /// Flags the replay loop as running / stopped. The drivers set it
+    /// around their loops; a daemon that answers `/healthz` before its
+    /// replay thread starts sets it first, so the endpoint never reads
+    /// "not replaying" before the first pass.
+    pub fn set_replaying(&self, on: bool) {
         self.replaying.store(on, Ordering::Relaxed);
     }
 

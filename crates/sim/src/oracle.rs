@@ -136,7 +136,10 @@ mod tests {
     }
 
     fn config(capacity: u64) -> SimulationConfig {
-        SimulationConfig::new(ByteSize::new(capacity)).with_warmup_fraction(0.0)
+        SimulationConfig::builder()
+            .capacity(ByteSize::new(capacity))
+            .warmup_fraction(0.0)
+            .build()
     }
 
     #[test]
@@ -229,7 +232,10 @@ mod tests {
         let t = trace(&[0, 0, 0, 0]);
         let stats = clairvoyant_overall(
             &t,
-            &SimulationConfig::new(ByteSize::new(1_000)).with_warmup_fraction(0.5),
+            &SimulationConfig::builder()
+                .capacity(ByteSize::new(1_000))
+                .warmup_fraction(0.5)
+                .build(),
         );
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.hits, 2);

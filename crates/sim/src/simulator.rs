@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use webcache_core::{AdmissionRule, Cache, PolicySpec, ReplacementPolicy};
+use webcache_core::{AdmissionRule, Cache, Eviction, PolicySpec, ReplacementPolicy};
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
 
 use crate::metrics::HitStats;
@@ -184,44 +184,6 @@ impl SimulationConfigBuilder {
     }
 }
 
-impl SimulationConfig {
-    /// Overrides the admission rule.
-    #[must_use]
-    pub fn with_admission_rule(mut self, rule: AdmissionRule) -> Self {
-        self.admission_rule = rule;
-        self
-    }
-
-    /// Enables occupancy sampling with the given number of snapshots.
-    #[must_use]
-    pub fn with_occupancy_samples(mut self, samples: usize) -> Self {
-        self.occupancy_samples = samples;
-        self
-    }
-
-    /// Overrides the modification rule.
-    #[must_use]
-    pub fn with_modification_rule(mut self, rule: ModificationRule) -> Self {
-        self.modification_rule = rule;
-        self
-    }
-
-    /// Overrides the warm-up fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ fraction < 1`.
-    #[must_use]
-    pub fn with_warmup_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "warm-up fraction must be in [0, 1)"
-        );
-        self.warmup_fraction = fraction;
-        self
-    }
-}
-
 /// The outcome of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationReport {
@@ -267,14 +229,7 @@ impl SimulationReport {
 }
 
 /// Sentinel in the dense last-transfer table: document never fetched.
-pub(crate) const NO_TRANSFER: u64 = u64::MAX;
-
-/// Default batch size of [`Simulator::run_dense_batched`].
-///
-/// Heap-maintenance deferral amortizes over the batch, while the
-/// modification pre-pass still fits comfortably in L1; 64–256 measure
-/// within noise of each other, so the midpoint is baked in.
-pub const DEFAULT_BATCH_SIZE: usize = 128;
+const NO_TRANSFER: u64 = u64::MAX;
 
 /// Drives a [`Cache`] over a [`Trace`] and accounts per-type hit rates.
 ///
@@ -408,56 +363,17 @@ impl Simulator {
         if let Some(reasons) = self.admit_reasons {
             cache.set_admit_reasons(reasons);
         }
-        let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; trace.distinct_documents()];
-
-        let mut by_type: TypeMap<HitStats> = TypeMap::default();
+        let mut replay = Replay::new(
+            trace,
+            TraceSlots,
+            self.config.modification_rule,
+            warmup_end,
+            trace.distinct_documents(),
+        );
         let mut occupancy = OccupancySeries::new();
-
-        let slots = trace.docs();
-        let sizes = trace.sizes();
-        let types = trace.type_indices();
         for index in 0..trace.len() {
-            let slot = slots[index];
-            let doc = DenseTrace::slot_doc(slot);
-            let transfer = sizes[index];
-            let size = ByteSize::new(transfer);
-            let doc_type = DocumentType::from_index(types[index] as usize);
-
-            let prev = last_transfer[slot as usize];
-            last_transfer[slot as usize] = transfer;
-            let modified = prev != NO_TRANSFER
-                && self
-                    .config
-                    .modification_rule
-                    .is_modification(prev, transfer);
-
-            let hit = if modified {
-                // The origin changed the document: any cached copy is
-                // stale. Count a miss and fetch the new version.
-                cache.invalidate(doc);
-                false
-            } else {
-                cache.access(doc)
-            };
-            let event = AccessEvent {
-                index: index as u64,
-                doc,
-                doc_type,
-                size,
-                warmup: index < warmup_end,
-            };
-            observer.on_access(event, access_kind(hit, modified));
-            if !hit {
-                let outcome = cache.insert(doc, doc_type, size);
-                notify_insert(observer, event, outcome.disposition, &outcome.evicted);
-            }
-
+            replay.step(&mut cache, index, observer);
             if index >= warmup_end {
-                let stats = &mut by_type[doc_type];
-                stats.record(size, hit);
-                if modified {
-                    stats.modification_misses += 1;
-                }
                 let measured_index = index - warmup_end;
                 if measured_index % sample_every == sample_every - 1 {
                     occupancy.push(OccupancySample::capture(index as u64, &cache));
@@ -469,141 +385,7 @@ impl Simulator {
         SimulationReport {
             policy: cache.policy_label(),
             config: self.config,
-            by_type,
-            occupancy,
-        }
-    }
-
-    /// Replays a pre-built dense trace in fixed-size batches with
-    /// deferred heap maintenance — the fast path for heap-backed
-    /// policies (GDS/GDSF/GD\*/LFU/LFU-DA/SIZE).
-    ///
-    /// Observable behavior is bit-identical to [`Simulator::run_dense`]
-    /// (pinned by the `batched_vs_serial` proptests): batching only
-    /// changes *when* heap sifts physically happen, never which victims
-    /// are chosen. Uses [`DEFAULT_BATCH_SIZE`].
-    pub fn run_dense_batched(self, trace: &DenseTrace) -> SimulationReport {
-        self.run_dense_batched_sized(trace, DEFAULT_BATCH_SIZE, &mut NoopObserver)
-    }
-
-    /// Like [`Simulator::run_dense_batched`], but streams every event
-    /// into `observer`.
-    pub fn run_dense_batched_observed<O: Observer>(
-        self,
-        trace: &DenseTrace,
-        observer: &mut O,
-    ) -> SimulationReport {
-        self.run_dense_batched_sized(trace, DEFAULT_BATCH_SIZE, observer)
-    }
-
-    /// [`Simulator::run_dense_batched`] with an explicit batch size
-    /// (clamped to ≥ 1). Exposed so the differential tests can probe
-    /// batch-boundary edge cases; sweeps should use the default.
-    pub fn run_dense_batched_sized<O: Observer>(
-        mut self,
-        trace: &DenseTrace,
-        batch_size: usize,
-        observer: &mut O,
-    ) -> SimulationReport {
-        let batch_size = batch_size.max(1);
-        let (warmup_end, sample_every) = self.schedule(trace.len());
-        observer.on_run_start(RunMeta {
-            total_requests: trace.len(),
-            warmup_end,
-            capacity: self.config.capacity,
-        });
-        // The policy must be switched before it moves into the cache;
-        // deferral stays on for the whole replay — pops flush lazily, so
-        // batch boundaries need no synchronization point.
-        self.policy.set_batched(true);
-        let mut cache = Cache::with_dense_slots(
-            self.config.capacity,
-            self.policy,
-            self.config.admission_rule,
-            trace.distinct_documents(),
-        );
-        if let Some(reasons) = self.admit_reasons.take() {
-            cache.set_admit_reasons(reasons);
-        }
-        let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; trace.distinct_documents()];
-
-        let mut by_type: TypeMap<HitStats> = TypeMap::default();
-        let mut occupancy = OccupancySeries::new();
-
-        let slots = trace.docs();
-        let sizes = trace.sizes();
-        let types = trace.type_indices();
-        // Scratch reused across batches: per-request modification verdicts
-        // and the eviction buffer (replaces a Vec allocation per insert).
-        let mut modified_flags = vec![false; batch_size.min(trace.len().max(1))];
-        let mut evicted: Vec<webcache_core::Eviction> = Vec::new();
-
-        let mut start = 0usize;
-        while start < trace.len() {
-            let end = (start + batch_size).min(trace.len());
-
-            // Pre-pass: resolve every request's modification verdict for
-            // the batch in one straight-line sweep over the SoA arrays.
-            // The last-transfer chain is sequential within the batch, so
-            // the verdicts equal the serial loop's exactly.
-            for index in start..end {
-                let slot = slots[index] as usize;
-                let transfer = sizes[index];
-                let prev = last_transfer[slot];
-                last_transfer[slot] = transfer;
-                modified_flags[index - start] = prev != NO_TRANSFER
-                    && self
-                        .config
-                        .modification_rule
-                        .is_modification(prev, transfer);
-            }
-
-            for index in start..end {
-                let slot = slots[index];
-                let doc = DenseTrace::slot_doc(slot);
-                let size = ByteSize::new(sizes[index]);
-                let doc_type = DocumentType::from_index(types[index] as usize);
-                let modified = modified_flags[index - start];
-
-                let hit = if modified {
-                    cache.invalidate(doc);
-                    false
-                } else {
-                    cache.access(doc)
-                };
-                let event = AccessEvent {
-                    index: index as u64,
-                    doc,
-                    doc_type,
-                    size,
-                    warmup: index < warmup_end,
-                };
-                observer.on_access(event, access_kind(hit, modified));
-                if !hit {
-                    let disposition = cache.insert_into(doc, doc_type, size, &mut evicted);
-                    notify_insert(observer, event, disposition, &evicted);
-                }
-
-                if index >= warmup_end {
-                    let stats = &mut by_type[doc_type];
-                    stats.record(size, hit);
-                    if modified {
-                        stats.modification_misses += 1;
-                    }
-                    let measured_index = index - warmup_end;
-                    if measured_index % sample_every == sample_every - 1 {
-                        occupancy.push(OccupancySample::capture(index as u64, &cache));
-                    }
-                }
-            }
-            start = end;
-        }
-        observer.on_run_end();
-
-        SimulationReport {
-            policy: cache.policy_label(),
-            config: self.config,
-            by_type,
+            by_type: replay.by_type,
             occupancy,
         }
     }
@@ -693,9 +475,132 @@ impl Simulator {
     }
 }
 
+/// How a dense replay's cache addresses the trace's document slots.
+///
+/// The serial simulator's cache uses the trace slots themselves
+/// ([`TraceSlots`]); a shard's cache uses shard-local slots. Observers
+/// see trace slots either way.
+pub(crate) trait SlotMap {
+    /// The cache-side slot of trace slot `slot`.
+    fn cache_slot(&self, slot: u32) -> u32;
+
+    /// Rewrites the cache-side ids of `evicted` to trace slots.
+    fn trace_victims(&self, evicted: &mut [Eviction]);
+}
+
+/// The identity [`SlotMap`] of the serial replay.
+pub(crate) struct TraceSlots;
+
+impl SlotMap for TraceSlots {
+    #[inline(always)]
+    fn cache_slot(&self, slot: u32) -> u32 {
+        slot
+    }
+
+    #[inline(always)]
+    fn trace_victims(&self, _evicted: &mut [Eviction]) {}
+}
+
+/// The state of one dense replay and its per-request [`Replay::step`]:
+/// the single replay kernel behind both [`Simulator::run_dense_observed`]
+/// (over the whole trace) and the concurrent per-shard driver (over one
+/// shard's subsequence).
+pub(crate) struct Replay<'t, M> {
+    docs: &'t [u32],
+    sizes: &'t [u64],
+    types: &'t [u8],
+    map: M,
+    rule: ModificationRule,
+    warmup_end: usize,
+    /// Per cache slot: the last transfer size, or [`NO_TRANSFER`].
+    last_transfer: Vec<u64>,
+    /// Victims of the latest insert, one buffer reused for every miss.
+    evicted: Vec<Eviction>,
+    /// Per-type counters over the measured region.
+    pub(crate) by_type: TypeMap<HitStats>,
+}
+
+impl<'t, M: SlotMap> Replay<'t, M> {
+    /// A replay of `trace` into a cache of `cache_slots` dense slots
+    /// addressed through `map`; requests before global index
+    /// `warmup_end` are not counted.
+    pub(crate) fn new(
+        trace: &'t DenseTrace,
+        map: M,
+        rule: ModificationRule,
+        warmup_end: usize,
+        cache_slots: usize,
+    ) -> Self {
+        Replay {
+            docs: trace.docs(),
+            sizes: trace.sizes(),
+            types: trace.type_indices(),
+            map,
+            rule,
+            warmup_end,
+            last_transfer: vec![NO_TRANSFER; cache_slots],
+            evicted: Vec::new(),
+            by_type: TypeMap::default(),
+        }
+    }
+
+    /// Replays request `index` of the trace against `cache` and returns
+    /// whether it hit: the modification verdict, then invalidate or
+    /// access, the observer's access event, insert on a miss (victims
+    /// translated back to trace slots), and the measured-region counters.
+    #[inline(always)]
+    pub(crate) fn step<O: Observer>(
+        &mut self,
+        cache: &mut Cache,
+        index: usize,
+        observer: &mut O,
+    ) -> bool {
+        let slot = self.docs[index];
+        let cache_slot = self.map.cache_slot(slot);
+        let doc = DenseTrace::slot_doc(cache_slot);
+        let transfer = self.sizes[index];
+        let size = ByteSize::new(transfer);
+        let doc_type = DocumentType::from_index(self.types[index] as usize);
+
+        let prev = std::mem::replace(&mut self.last_transfer[cache_slot as usize], transfer);
+        let modified = prev != NO_TRANSFER && self.rule.is_modification(prev, transfer);
+
+        let hit = if modified {
+            // The origin changed the document: any cached copy is
+            // stale. Count a miss and fetch the new version.
+            cache.invalidate(doc);
+            false
+        } else {
+            cache.access(doc)
+        };
+        let event = AccessEvent {
+            index: index as u64,
+            doc: DenseTrace::slot_doc(slot),
+            doc_type,
+            size,
+            warmup: index < self.warmup_end,
+        };
+        observer.on_access(event, access_kind(hit, modified));
+        if !hit {
+            let disposition = cache.insert_into(doc, doc_type, size, &mut self.evicted);
+            self.map.trace_victims(&mut self.evicted);
+            notify_insert(observer, event, disposition, &self.evicted);
+        }
+
+        if index >= self.warmup_end {
+            let stats = &mut self.by_type[doc_type];
+            stats.record(size, hit);
+            if modified {
+                stats.modification_misses += 1;
+            }
+        }
+        hit
+    }
+}
+
 /// Classifies one request's outcome for the observer.
 #[inline(always)]
-pub(crate) fn access_kind(hit: bool, modified: bool) -> AccessKind {
+fn access_kind(hit: bool, modified: bool) -> AccessKind {
     if modified {
         AccessKind::ModificationMiss
     } else if hit {
@@ -707,11 +612,11 @@ pub(crate) fn access_kind(hit: bool, modified: bool) -> AccessKind {
 
 /// Forwards the insert outcome (disposition + victims) to the observer.
 #[inline(always)]
-pub(crate) fn notify_insert<O: Observer>(
+fn notify_insert<O: Observer>(
     observer: &mut O,
     event: AccessEvent,
     disposition: webcache_core::InsertDisposition,
-    evicted: &[webcache_core::Eviction],
+    evicted: &[Eviction],
 ) {
     match disposition {
         webcache_core::InsertDisposition::Inserted => observer.on_insert(event),
@@ -742,6 +647,14 @@ mod tests {
         )
     }
 
+    /// The paper's defaults at `capacity` bytes minus the warm-up: most
+    /// tests here count every request.
+    fn no_warmup(capacity: u64) -> SimulationConfigBuilder {
+        SimulationConfig::builder()
+            .capacity(ByteSize::new(capacity))
+            .warmup_fraction(0.0)
+    }
+
     fn run(trace: Vec<Request>, config: SimulationConfig) -> SimulationReport {
         Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace.into())
     }
@@ -749,7 +662,7 @@ mod tests {
     #[test]
     fn repeated_requests_hit() {
         let trace = vec![req(1, 100), req(1, 100), req(1, 100), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         let overall = report.overall();
         assert_eq!(overall.requests, 4);
@@ -760,7 +673,10 @@ mod tests {
     #[test]
     fn warmup_requests_are_not_counted() {
         let trace = vec![req(1, 100), req(1, 100), req(1, 100), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.5);
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(1000))
+            .warmup_fraction(0.5)
+            .build();
         let report = run(trace, config);
         let overall = report.overall();
         assert_eq!(overall.requests, 2);
@@ -771,7 +687,7 @@ mod tests {
     fn small_size_change_is_a_modification_miss() {
         // 100 -> 102 bytes: 2% change, under the 5% threshold.
         let trace = vec![req(1, 100), req(1, 102), req(1, 102)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         let overall = report.overall();
         assert_eq!(overall.hits, 1, "only the third request hits");
@@ -782,7 +698,7 @@ mod tests {
     fn large_size_change_is_an_interrupted_transfer_hit() {
         // 100 -> 30 bytes: 70% change, an interrupt; cached copy valid.
         let trace = vec![req(1, 100), req(1, 30), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         let overall = report.overall();
         assert_eq!(overall.hits, 2);
@@ -792,9 +708,9 @@ mod tests {
     #[test]
     fn any_change_rule_counts_every_change_as_modification() {
         let trace = vec![req(1, 100), req(1, 30), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000))
-            .with_warmup_fraction(0.0)
-            .with_modification_rule(ModificationRule::AnyChange);
+        let config = no_warmup(1000)
+            .modification_rule(ModificationRule::AnyChange)
+            .build();
         let report = run(trace, config);
         let overall = report.overall();
         assert_eq!(overall.hits, 0);
@@ -810,7 +726,7 @@ mod tests {
             DocumentType::Image,
             ByteSize::new(50),
         ));
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         assert_eq!(report.by_type()[DocumentType::Html].requests, 2);
         assert_eq!(report.by_type()[DocumentType::Image].requests, 1);
@@ -822,7 +738,7 @@ mod tests {
     fn eviction_under_pressure_reduces_hits() {
         // Capacity for one document only; alternating docs never hit.
         let trace = vec![req(1, 80), req(2, 80), req(1, 80), req(2, 80)];
-        let config = SimulationConfig::new(ByteSize::new(100)).with_warmup_fraction(0.0);
+        let config = no_warmup(100).build();
         let report = run(trace, config);
         assert_eq!(report.overall().hits, 0);
     }
@@ -830,9 +746,7 @@ mod tests {
     #[test]
     fn occupancy_sampling_produces_series() {
         let trace: Vec<Request> = (0..100).map(|i| req(i % 10, 100)).collect();
-        let config = SimulationConfig::new(ByteSize::new(10_000))
-            .with_warmup_fraction(0.0)
-            .with_occupancy_samples(10);
+        let config = no_warmup(10_000).occupancy_samples(10).build();
         let report = run(trace, config);
         assert_eq!(report.occupancy.len(), 10);
         let last = report.occupancy.samples().last().unwrap();
@@ -881,7 +795,7 @@ mod tests {
         // End-to-end: a document first seen as a 0-byte transfer, then
         // fetched in full, must not be scored as a modification miss.
         let trace = vec![req(1, 0), req(1, 500), req(1, 500)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         assert_eq!(report.overall().modification_misses, 0);
         assert_eq!(report.overall().hits, 2, "both follow-ups hit");
@@ -908,11 +822,13 @@ mod tests {
             .admission_rule(AdmissionRule::SecondHit(8))
             .occupancy_samples(7)
             .build();
-        let by_hand = SimulationConfig::new(ByteSize::new(10))
-            .with_warmup_fraction(0.25)
-            .with_modification_rule(ModificationRule::AnyChange)
-            .with_admission_rule(AdmissionRule::SecondHit(8))
-            .with_occupancy_samples(7);
+        let by_hand = SimulationConfig {
+            capacity: ByteSize::new(10),
+            warmup_fraction: 0.25,
+            modification_rule: ModificationRule::AnyChange,
+            admission_rule: AdmissionRule::SecondHit(8),
+            occupancy_samples: 7,
+        };
         assert_eq!(built, by_hand);
     }
 
@@ -933,7 +849,7 @@ mod tests {
     #[test]
     fn oversized_documents_never_hit_but_do_not_crash() {
         let trace = vec![req(1, 5_000), req(1, 5_000)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         let report = run(trace, config);
         assert_eq!(report.overall().hits, 0);
     }
@@ -944,15 +860,15 @@ mod tests {
         // doc 1 appears three times; with the second-hit filter the first
         // request cannot populate the cache, so only the third hits.
         let trace = vec![req(1, 100), req(1, 100), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000))
-            .with_warmup_fraction(0.0)
-            .with_admission_rule(AdmissionRule::SecondHit(16));
+        let config = no_warmup(1000)
+            .admission_rule(AdmissionRule::SecondHit(16))
+            .build();
         let report = run(trace, config);
         assert_eq!(report.overall().hits, 1);
 
         // The same trace without admission control hits twice.
         let trace = vec![req(1, 100), req(1, 100), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let config = no_warmup(1000).build();
         assert_eq!(run(trace, config).overall().hits, 2);
     }
 
@@ -982,8 +898,10 @@ mod tests {
         );
 
         // A bare kind inherits the config's admission rule.
-        let config = SimulationConfig::new(ByteSize::new(100))
-            .with_admission_rule(AdmissionRule::SecondHit(8));
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(100))
+            .admission_rule(AdmissionRule::SecondHit(8))
+            .build();
         let report = Simulator::from_spec(PolicyKind::Lru, config).run(&trace);
         assert_eq!(report.policy, "2HIT:8+LRU");
         assert_eq!(report.config.admission_rule, AdmissionRule::SecondHit(8));

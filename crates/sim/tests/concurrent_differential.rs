@@ -51,7 +51,7 @@ fn arb_spec() -> impl Strategy<Value = PolicySpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Law 1: the `N = 1` sharded engine reproduces the serial batched
+    /// Law 1: the `N = 1` sharded engine reproduces the serial
     /// simulator counter-for-counter, for every policy.
     #[test]
     fn single_shard_engine_matches_serial_cache(
@@ -61,9 +61,11 @@ proptest! {
         warmup in 0.0f64..0.5,
     ) {
         let dense = DenseTrace::build(&trace);
-        let config = SimulationConfig::new(ByteSize::new(capacity))
-            .with_warmup_fraction(warmup);
-        let serial = Simulator::from_spec(spec, config).run_dense_batched(&dense);
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(capacity))
+            .warmup_fraction(warmup)
+            .build();
+        let serial = Simulator::from_spec(spec, config).run_dense(&dense);
         let concurrent = ConcurrentSimulator::new(spec, config)
             .run(&dense, 1, 1)
             .expect("1 is a valid shard count");
@@ -121,7 +123,10 @@ fn single_shard_windowed_series_matches_serial() {
         })
         .collect();
     let dense = DenseTrace::build(&trace);
-    let config = SimulationConfig::new(ByteSize::new(30_000)).with_warmup_fraction(0.1);
+    let config = SimulationConfig::builder()
+        .capacity(ByteSize::new(30_000))
+        .warmup_fraction(0.1)
+        .build();
     let spec = WindowSpec::Requests(500);
 
     let mut serial_obs = WindowedMetrics::new(spec);
@@ -129,7 +134,7 @@ fn single_shard_windowed_series_matches_serial() {
         PolicyKind::GdStar(webcache_core::CostModel::Packet).build(),
         config,
     )
-    .run_dense_batched_observed(&dense, &mut serial_obs);
+    .run_dense_observed(&dense, &mut serial_obs);
 
     let sharded = ShardedTrace::build(&dense, 1).unwrap();
     let (report, observers) =

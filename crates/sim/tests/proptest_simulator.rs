@@ -40,8 +40,10 @@ proptest! {
         capacity in 1_000u64..200_000,
         warmup in 0.0f64..0.5,
     ) {
-        let config = SimulationConfig::new(ByteSize::new(capacity))
-            .with_warmup_fraction(warmup);
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(capacity))
+            .warmup_fraction(warmup)
+            .build();
         let report = Simulator::new(kind.instantiate(), config).run(&trace);
         let overall = report.overall();
         let measured = trace.len() - trace.warmup_boundary(warmup);
@@ -62,8 +64,10 @@ proptest! {
     /// every policy.
     #[test]
     fn infinite_cache_upper_bound(trace in arb_trace(), kind in arb_policy()) {
-        let config = SimulationConfig::new(ByteSize::from_gib(8))
-            .with_warmup_fraction(0.0);
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::from_gib(8))
+            .warmup_fraction(0.0)
+            .build();
         let report = Simulator::new(kind.instantiate(), config).run(&trace);
         let overall = report.overall();
         // Compulsory misses: first touch of each doc; plus modification
@@ -81,9 +85,11 @@ proptest! {
     #[test]
     fn any_change_rule_is_stricter(trace in arb_trace()) {
         let run = |rule| {
-            let config = SimulationConfig::new(ByteSize::from_gib(8))
-                .with_warmup_fraction(0.0)
-                .with_modification_rule(rule);
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::from_gib(8))
+                .warmup_fraction(0.0)
+                .modification_rule(rule)
+                .build();
             Simulator::new(PolicyKind::Lru.instantiate(), config)
                 .run(&trace)
                 .overall()
@@ -117,8 +123,10 @@ proptest! {
             ))
             .collect();
         let run = |blocks: u64| {
-            let config = SimulationConfig::new(ByteSize::new(blocks * size))
-                .with_warmup_fraction(0.0);
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::new(blocks * size))
+                .warmup_fraction(0.0)
+                .build();
             Simulator::new(PolicyKind::Lru.instantiate(), config)
                 .run(&trace)
                 .overall()
@@ -133,9 +141,11 @@ proptest! {
     #[test]
     fn occupancy_sampling_shape(trace in arb_trace(), samples in 1usize..10) {
         prop_assume!(trace.len() >= samples * 2);
-        let config = SimulationConfig::new(ByteSize::from_gib(1))
-            .with_warmup_fraction(0.0)
-            .with_occupancy_samples(samples);
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::from_gib(1))
+            .warmup_fraction(0.0)
+            .occupancy_samples(samples)
+            .build();
         let report = Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace);
         prop_assert!(report.occupancy.len() >= samples.min(trace.len()));
         for s in report.occupancy.samples() {
@@ -207,11 +217,13 @@ mod dense_vs_hashed {
             } else {
                 ModificationRule::SizeDelta
             };
-            let config = SimulationConfig::new(ByteSize::new(capacity))
-                .with_warmup_fraction(warmup)
-                .with_admission_rule(admission)
-                .with_modification_rule(rule)
-                .with_occupancy_samples(samples);
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::new(capacity))
+                .warmup_fraction(warmup)
+                .admission_rule(admission)
+                .modification_rule(rule)
+                .occupancy_samples(samples)
+                .build();
             let dense = Simulator::new(kind.instantiate(), config).run(&trace);
             let hashed = Simulator::new(kind.instantiate(), config).run_hashed(&trace);
             prop_assert_eq!(dense, hashed);
@@ -406,159 +418,6 @@ mod observer_props {
     }
 }
 
-mod batched_vs_serial {
-    use proptest::prelude::*;
-    use webcache_core::{AdmissionRule, PolicyKind};
-    use webcache_sim::{
-        ModificationRule, NoopObserver, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
-        DEFAULT_BATCH_SIZE,
-    };
-    use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
-
-    fn arb_trace() -> impl Strategy<Value = Trace> {
-        prop::collection::vec((0u64..48, 0u8..5, 1u64..100_000), 1..300).prop_map(|reqs| {
-            reqs.into_iter()
-                .enumerate()
-                .map(|(i, (doc, ty, size))| {
-                    Request::new(
-                        Timestamp::from_millis(i as u64),
-                        DocId::new(doc),
-                        DocumentType::ALL[ty as usize],
-                        ByteSize::new(size),
-                    )
-                })
-                .collect()
-        })
-    }
-
-    fn arb_admission() -> impl Strategy<Value = AdmissionRule> {
-        prop_oneof![
-            Just(AdmissionRule::All),
-            Just(AdmissionRule::TinyLfu),
-            (1u64..50_000).prop_map(|s| AdmissionRule::MaxSize(ByteSize::new(s))),
-            (1usize..64).prop_map(AdmissionRule::SecondHit),
-        ]
-    }
-
-    /// Batch sizes biased towards the interesting boundaries: 1 (a batch
-    /// per request), tiny batches, the default, and batches larger than
-    /// any generated trace (a single batch).
-    fn arb_batch() -> impl Strategy<Value = usize> {
-        prop_oneof![
-            Just(1usize),
-            2usize..16,
-            Just(DEFAULT_BATCH_SIZE),
-            400usize..2_000,
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The batched replay is *bit-identical* to the request-at-a-time
-        /// dense replay — same report, same eviction accounting, same
-        /// occupancy samples — for every policy, admission rule, batch
-        /// size (including 1 and larger-than-the-trace) and config.
-        #[test]
-        fn batched_replay_matches_serial_replay(
-            trace in arb_trace(),
-            kind in prop::sample::select(PolicyKind::ALL.to_vec()),
-            capacity in 1_000u64..200_000,
-            warmup in 0.0f64..0.5,
-            admission in arb_admission(),
-            any_change in prop_oneof![Just(false), Just(true)],
-            samples in 0usize..8,
-            batch in arb_batch(),
-        ) {
-            let rule = if any_change {
-                ModificationRule::AnyChange
-            } else {
-                ModificationRule::SizeDelta
-            };
-            let config = SimulationConfig::new(ByteSize::new(capacity))
-                .with_warmup_fraction(warmup)
-                .with_admission_rule(admission)
-                .with_modification_rule(rule)
-                .with_occupancy_samples(samples);
-            let dense = DenseTrace::build(&trace);
-            let serial = Simulator::new(kind.build(), config).run_dense(&dense);
-            let batched = Simulator::new(kind.build(), config)
-                .run_dense_batched_sized(&dense, batch, &mut NoopObserver);
-            prop_assert_eq!(serial, batched, "{:?} diverged at batch size {}", kind, batch);
-        }
-
-        /// The batched replay feeds observers identically: windowed
-        /// series and churn collected on either path are equal.
-        #[test]
-        fn batched_windowed_series_match_serial(
-            trace in arb_trace(),
-            kind in prop::sample::select(PolicyKind::ALL.to_vec()),
-            capacity in 1_000u64..200_000,
-            window in prop_oneof![
-                (1u64..80).prop_map(WindowSpec::Requests),
-                (1u64..500_000).prop_map(|b| WindowSpec::Bytes(ByteSize::new(b))),
-            ],
-            batch in arb_batch(),
-        ) {
-            let config = SimulationConfig::builder()
-                .capacity(ByteSize::new(capacity))
-                .build();
-            let dense = DenseTrace::build(&trace);
-            let mut serial = WindowedMetrics::new(window);
-            let s = Simulator::new(kind.build(), config).run_dense_observed(&dense, &mut serial);
-            let mut batched = WindowedMetrics::new(window);
-            let b = Simulator::new(kind.build(), config)
-                .run_dense_batched_sized(&dense, batch, &mut batched);
-            prop_assert_eq!(s, b);
-            prop_assert_eq!(serial.windows(), batched.windows());
-            prop_assert_eq!(serial.warmup_churn(), batched.warmup_churn());
-            prop_assert_eq!(serial.total_churn(), batched.total_churn());
-        }
-    }
-
-    /// Deterministic spot check: every policy, a grid of capacities and
-    /// batch sizes around the boundaries, on a workload long enough to
-    /// force sustained eviction churn through the deferred heaps.
-    #[test]
-    fn all_policies_agree_across_batch_sizes_on_fixed_workload() {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let trace: Trace = (0..4_000)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(next() % 300),
-                    DocumentType::ALL[(next() % 5) as usize],
-                    ByteSize::new(next() % 20_000 + 1),
-                )
-            })
-            .collect();
-        let dense = DenseTrace::build(&trace);
-        for kind in PolicyKind::ALL {
-            for capacity in [10_000u64, 100_000, 1_000_000] {
-                let config = SimulationConfig::new(ByteSize::new(capacity));
-                let serial = Simulator::new(kind.build(), config).run_dense(&dense);
-                for batch in [1usize, 2, 7, DEFAULT_BATCH_SIZE, trace.len() + 1] {
-                    let batched = Simulator::new(kind.build(), config).run_dense_batched_sized(
-                        &dense,
-                        batch,
-                        &mut NoopObserver,
-                    );
-                    assert_eq!(
-                        serial, batched,
-                        "{kind:?} diverged at capacity {capacity}, batch {batch}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 mod hierarchy_props {
     use proptest::prelude::*;
     use webcache_core::PolicyKind;
@@ -629,7 +488,10 @@ mod hierarchy_props {
             );
             let single = Simulator::new(
                 PolicyKind::Lru.instantiate(),
-                SimulationConfig::new(ByteSize::new(cap)).with_warmup_fraction(0.0),
+                SimulationConfig::builder()
+                    .capacity(ByteSize::new(cap))
+                    .warmup_fraction(0.0)
+                    .build(),
             )
             .run(&trace);
             let combined_hits = hierarchy.leaf.hits + hierarchy.parent.hits;
@@ -666,8 +528,10 @@ mod oracle_props {
                     ByteSize::new(size),
                 ))
                 .collect();
-            let config = SimulationConfig::new(ByteSize::new(blocks * size))
-                .with_warmup_fraction(0.0);
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::new(blocks * size))
+                .warmup_fraction(0.0)
+                .build();
             let oracle = clairvoyant_overall(&trace, &config);
             let online = Simulator::new(kind.instantiate(), config).run(&trace).overall();
             prop_assert!(

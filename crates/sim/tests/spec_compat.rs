@@ -42,9 +42,11 @@ fn from_spec_matches_legacy_simulator_entry_point() {
     let trace = fixed_trace();
     for kind in PolicyKind::LEGACY {
         for capacity in [20_000u64, 200_000, 2_000_000] {
-            let config = SimulationConfig::new(ByteSize::new(capacity))
-                .with_warmup_fraction(0.2)
-                .with_occupancy_samples(4);
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::new(capacity))
+                .warmup_fraction(0.2)
+                .occupancy_samples(4)
+                .build();
             let legacy = Simulator::new(kind.build(), config).run(&trace);
             let spec = PolicySpec::from(kind);
             assert_eq!(spec.admission, AdmissionSpec::All, "{kind:?}");
@@ -61,8 +63,10 @@ fn from_spec_matches_legacy_simulator_entry_point() {
 fn all_admission_spec_preserves_config_carried_rule() {
     let trace = fixed_trace();
     for kind in PolicyKind::LEGACY {
-        let config = SimulationConfig::new(ByteSize::new(100_000))
-            .with_admission_rule(AdmissionSpec::SecondHit(16));
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(100_000))
+            .admission_rule(AdmissionSpec::SecondHit(16))
+            .build();
         let legacy = Simulator::new(kind.build(), config).run(&trace);
         let modern = Simulator::from_spec(kind, config).run(&trace);
         assert_eq!(legacy, modern, "{kind:?} diverged under config admission");

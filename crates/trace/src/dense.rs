@@ -16,8 +16,7 @@
 
 use crate::doctype::DocumentType;
 use crate::error::TraceError;
-use crate::format::type_from_char;
-use crate::format_bin::{MAGIC, RECORD_BYTES, VERSION};
+use crate::format_bin::Wctb;
 use crate::fxhash::FxHashMap;
 use crate::record::Trace;
 use crate::types::{ByteSize, DocId};
@@ -80,52 +79,19 @@ impl DenseTrace {
     /// version, truncated header or records, trailing bytes, invalid
     /// type tags.
     pub fn from_wctb_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        let Some(header) = bytes.get(..16) else {
-            return Err(TraceError::parse(0, "truncated header"));
-        };
-        if header[..4] != MAGIC {
-            return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
-        }
-        if header[4] != VERSION {
-            return Err(TraceError::parse(
-                0,
-                format!("unsupported version {}", header[4]),
-            ));
-        }
-        let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let body = &bytes[16..];
-
-        let cap = usize::try_from(count).unwrap_or(0);
+        let wctb = Wctb::parse(bytes)?;
+        let cap = wctb.capacity();
         let mut docs = Vec::with_capacity(cap);
         let mut sizes = Vec::with_capacity(cap);
         let mut types = Vec::with_capacity(cap);
         let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
-        for i in 0..count {
-            let offset = i as usize * RECORD_BYTES;
-            let Some(record) = body.get(offset..offset + RECORD_BYTES) else {
-                return Err(TraceError::parse(
-                    i as usize + 1,
-                    format!("truncated record {i} of {count}"),
-                ));
-            };
-            // record[0..8] is the timestamp: validated by presence, unused.
-            let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
-            let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
-            let ty = type_from_char(record[24] as char).ok_or_else(|| {
-                TraceError::parse(i as usize + 1, format!("bad type tag {}", record[24]))
-            })?;
+        // The timestamp is validated by presence, unused.
+        wctb.for_each(|_, doc, size, ty| {
             let next = intern.len() as u32;
-            let slot = *intern.entry(doc).or_insert(next);
-            docs.push(slot);
+            docs.push(*intern.entry(doc).or_insert(next));
             sizes.push(size);
             types.push(ty.index() as u8);
-        }
-        if body.len() > cap * RECORD_BYTES {
-            return Err(TraceError::parse(
-                cap + 1,
-                "trailing bytes after final record",
-            ));
-        }
+        })?;
         Ok(DenseTrace {
             docs,
             sizes,
@@ -319,5 +285,14 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("type tag"), "{err}");
+
+        // A bare header claiming 2^36 or 2^61 records must fail on the
+        // first missing record, not reserve memory for the claim.
+        for count in [1u64 << 36, 1 << 61] {
+            let mut bytes = crate::format_bin::to_bytes(&Trace::new());
+            bytes[8..16].copy_from_slice(&count.to_le_bytes());
+            let err = DenseTrace::from_wctb_bytes(&bytes).unwrap_err().to_string();
+            assert!(err.contains("truncated record 0"), "{err}");
+        }
     }
 }

@@ -20,10 +20,13 @@
 //! }
 //! ```
 //!
-//! The count-prefixed header makes truncation detectable.
+//! The count-prefixed header makes truncation detectable. The count is
+//! untrusted: readers preallocate no more records than the input can
+//! hold, so a forged header cannot make them reserve memory.
 
 use std::io::{self, Read, Write};
 
+use crate::doctype::DocumentType;
 use crate::error::TraceError;
 use crate::format::{type_char, type_from_char};
 use crate::record::{Request, Trace};
@@ -35,6 +38,79 @@ pub const MAGIC: [u8; 4] = *b"WCTB";
 pub const VERSION: u8 = 1;
 /// Bytes per record.
 pub const RECORD_BYTES: usize = 25;
+/// Bytes of the header in front of the records.
+const HEADER_BYTES: usize = 16;
+
+/// A WCTB input whose header has been checked: the record count it
+/// claims and the bytes behind the header. The one decoder of the
+/// layout, shared by [`from_bytes`] and
+/// [`DenseTrace::from_wctb_bytes`](crate::DenseTrace::from_wctb_bytes).
+pub(crate) struct Wctb<'a> {
+    count: u64,
+    records: &'a [u8],
+}
+
+impl<'a> Wctb<'a> {
+    /// Checks the header of `bytes`.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, TraceError> {
+        let Some((header, records)) = bytes.split_at_checked(HEADER_BYTES) else {
+            return Err(TraceError::parse(0, "truncated header"));
+        };
+        if header[..4] != MAGIC {
+            return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
+        }
+        if header[4] != VERSION {
+            return Err(TraceError::parse(
+                0,
+                format!("unsupported version {}", header[4]),
+            ));
+        }
+        let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        Ok(Wctb { count, records })
+    }
+
+    /// How many records to preallocate for: the header's count, capped
+    /// by what the input can hold, so a forged count cannot reserve
+    /// memory the input never backs. A valid input gets its exact count.
+    pub(crate) fn capacity(&self) -> usize {
+        usize::try_from(self.count)
+            .unwrap_or(usize::MAX)
+            .min(self.records.len() / RECORD_BYTES)
+    }
+
+    /// Calls `each` with the timestamp, document id, size and type of
+    /// every record, in order; errors on a missing record, a bad type
+    /// tag, or bytes after the last record.
+    pub(crate) fn for_each(
+        &self,
+        mut each: impl FnMut(u64, u64, u64, DocumentType),
+    ) -> Result<(), TraceError> {
+        let count = self.count;
+        let mut records = self.records.chunks_exact(RECORD_BYTES);
+        for i in 0..count {
+            let Some(record) = records.next() else {
+                return Err(TraceError::parse(
+                    i as usize + 1,
+                    format!("truncated record {i} of {count}"),
+                ));
+            };
+            let field =
+                |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8 bytes"));
+            let ty = type_from_char(record[24] as char).ok_or_else(|| {
+                TraceError::parse(i as usize + 1, format!("bad type tag {}", record[24]))
+            })?;
+            each(field(0), field(8), field(16), ty);
+        }
+        // Trailing data after the declared count indicates a corrupt writer.
+        if records.next().is_some() || !records.remainder().is_empty() {
+            return Err(TraceError::parse(
+                count as usize + 1,
+                "trailing bytes after final record",
+            ));
+        }
+        Ok(())
+    }
+}
 
 /// Writes a trace in the binary format.
 ///
@@ -54,58 +130,18 @@ pub fn write_trace_bin<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()>
     Ok(())
 }
 
-/// Reads a trace in the binary format.
+/// Reads a trace in the binary format: reads `reader` to its end, then
+/// parses the bytes as [`from_bytes`] does.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] for bad magic, unsupported version,
-/// truncation, or invalid type tags, and [`TraceError::Io`] for reader
-/// failures.
+/// truncation, trailing bytes or invalid type tags, and
+/// [`TraceError::Io`] for reader failures.
 pub fn read_trace_bin<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
-    let mut header = [0u8; 16];
-    reader
-        .read_exact(&mut header)
-        .map_err(|_| TraceError::parse(0, "truncated header"))?;
-    if header[..4] != MAGIC {
-        return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
-    }
-    if header[4] != VERSION {
-        return Err(TraceError::parse(
-            0,
-            format!("unsupported version {}", header[4]),
-        ));
-    }
-    let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-
-    let mut trace = Trace::with_capacity(usize::try_from(count).unwrap_or(0));
-    let mut record = [0u8; RECORD_BYTES];
-    for i in 0..count {
-        reader.read_exact(&mut record).map_err(|_| {
-            TraceError::parse(i as usize + 1, format!("truncated record {i} of {count}"))
-        })?;
-        let ts = u64::from_le_bytes(record[0..8].try_into().expect("8 bytes"));
-        let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
-        let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
-        let ty = type_from_char(record[24] as char).ok_or_else(|| {
-            TraceError::parse(i as usize + 1, format!("bad type tag {}", record[24]))
-        })?;
-        trace.push(Request::new(
-            Timestamp::from_millis(ts),
-            DocId::new(doc),
-            ty,
-            ByteSize::new(size),
-        ));
-    }
-    // Trailing data after the declared count indicates a corrupt writer.
-    let mut probe = [0u8; 1];
-    match reader.read(&mut probe) {
-        Ok(0) => Ok(trace),
-        Ok(_) => Err(TraceError::parse(
-            count as usize + 1,
-            "trailing bytes after final record",
-        )),
-        Err(e) => Err(TraceError::Io(e)),
-    }
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    from_bytes(&bytes)
 }
 
 /// Serializes a trace to an in-memory byte vector.
@@ -117,11 +153,24 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
 
 /// Parses a trace from an in-memory byte slice.
 ///
+/// A valid input holds exactly its header's count of records, so the
+/// trace is allocated once, at its final size.
+///
 /// # Errors
 ///
 /// Same as [`read_trace_bin`].
 pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-    read_trace_bin(bytes)
+    let wctb = Wctb::parse(bytes)?;
+    let mut trace = Trace::with_capacity(wctb.capacity());
+    wctb.for_each(|ts, doc, size, ty| {
+        trace.push(Request::new(
+            Timestamp::from_millis(ts),
+            DocId::new(doc),
+            ty,
+            ByteSize::new(size),
+        ));
+    })?;
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -188,6 +237,30 @@ mod tests {
         // Cut mid-header.
         let err = from_bytes(&bytes[..10]).unwrap_err().to_string();
         assert!(err.contains("truncated header"), "{err}");
+    }
+
+    #[test]
+    fn forged_record_counts_are_errors_not_allocations() {
+        // A bare header claiming 2^36 records used to abort on allocation
+        // failure, and one claiming 2^61 to panic with a capacity
+        // overflow, before a single record was read.
+        for count in [1u64 << 36, 1 << 61] {
+            let mut bytes = to_bytes(&Trace::new());
+            bytes[8..16].copy_from_slice(&count.to_le_bytes());
+            let err = from_bytes(&bytes).unwrap_err().to_string();
+            assert!(err.contains("truncated record 0"), "{err}");
+            let err = read_trace_bin(io::Cursor::new(&bytes))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("truncated record 0"), "{err}");
+        }
+    }
+
+    #[test]
+    fn valid_input_preallocates_exactly_its_count() {
+        let t = sample();
+        let bytes = to_bytes(&t);
+        assert_eq!(Wctb::parse(&bytes).unwrap().capacity(), t.len());
     }
 
     #[test]

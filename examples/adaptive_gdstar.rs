@@ -26,7 +26,10 @@ fn main() {
                 refresh_interval: 2_000,
             },
         );
-        let config = SimulationConfig::new(capacity).with_occupancy_samples(20);
+        let config = SimulationConfig::builder()
+            .capacity(capacity)
+            .occupancy_samples(20)
+            .build();
         let report = Simulator::new(Box::new(policy), config).run(&trace);
 
         println!("=== {} (cache {capacity}) ===", report.policy);
@@ -52,7 +55,10 @@ fn main() {
     // The raw Figure 1 series as CSV, ready for plotting.
     let report = Simulator::new(
         Box::new(GdStar::new(CostModel::Packet, BetaMode::default())),
-        SimulationConfig::new(capacity).with_occupancy_samples(10),
+        SimulationConfig::builder()
+            .capacity(capacity)
+            .occupancy_samples(10)
+            .build(),
     )
     .run(&trace);
     println!("GD*(P) occupancy series (CSV):");

@@ -217,7 +217,10 @@ fn gdstar_packet_adapts_cache_composition() {
     let run = |cost: CostModel| {
         Simulator::new(
             Box::new(GdStar::new(cost, BetaMode::default())),
-            SimulationConfig::new(capacity).with_occupancy_samples(20),
+            SimulationConfig::builder()
+                .capacity(capacity)
+                .occupancy_samples(20)
+                .build(),
         )
         .run(&trace)
     };

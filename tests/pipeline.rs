@@ -60,7 +60,10 @@ fn squid_pipeline_end_to_end() {
 
     let report = Simulator::new(
         PolicyKind::Lru.instantiate(),
-        SimulationConfig::new(ByteSize::from_kib(64)).with_warmup_fraction(0.0),
+        SimulationConfig::builder()
+            .capacity(ByteSize::from_kib(64))
+            .warmup_fraction(0.0)
+            .build(),
     )
     .run(&trace);
     // 10 docs fit comfortably: everything but size-change misses hits.
@@ -109,8 +112,10 @@ fn stack_distance_predicts_uniform_lru() {
         let predicted = stack.lru_hit_rate(capacity_docs);
         let report = Simulator::new(
             PolicyKind::Lru.instantiate(),
-            SimulationConfig::new(ByteSize::from_kib(capacity_docs as u64))
-                .with_warmup_fraction(0.0),
+            SimulationConfig::builder()
+                .capacity(ByteSize::from_kib(capacity_docs as u64))
+                .warmup_fraction(0.0)
+                .build(),
         )
         .run(&uniform);
         let simulated = report.overall().hit_rate();
