@@ -4,11 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use webcache_bench::{dfn_trace, experiments};
 use webcache_sim::{clairvoyant_overall, SimulationConfig};
-use webcache_trace::ByteSize;
+use webcache_trace::{ByteSize, DenseTrace};
 
 fn bench(c: &mut Criterion) {
     let scale = 1.0 / 256.0;
-    let trace = dfn_trace(scale, 1);
+    let trace = DenseTrace::build(&dfn_trace(scale, 1));
     let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05) as u64);
     let mut g = c.benchmark_group("oracle_efficiency");
     g.sample_size(10);

@@ -11,7 +11,7 @@ use webcache_sim::{
     CacheSizeSweep, ModificationRule, SimulationConfig, SimulationReport, Simulator,
 };
 use webcache_stats::{Table, TraceCharacterization};
-use webcache_trace::{ByteSize, DocumentType, Trace};
+use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace};
 
 use crate::{dfn_trace, rtp_trace};
 
@@ -467,7 +467,7 @@ pub fn per_type_beta(scale: f64, seed: u64) -> String {
 pub fn oracle_efficiency(scale: f64, seed: u64) -> String {
     use webcache_sim::clairvoyant_overall;
 
-    let trace = dfn_trace(scale, seed);
+    let trace = DenseTrace::build(&dfn_trace(scale, seed));
     let overall = trace.overall_size();
     let mut t = Table::new(vec![
         "cache size".into(),
@@ -490,7 +490,7 @@ pub fn oracle_efficiency(scale: f64, seed: u64) -> String {
         ];
         for kind in PolicyKind::PAPER_CONSTANT {
             let hr = Simulator::new(kind.build(), config)
-                .run(&trace)
+                .run_dense(&trace)
                 .overall()
                 .hit_rate();
             row.push(format!("{:.1}%", hr / oracle * 100.0));

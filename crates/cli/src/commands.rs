@@ -12,7 +12,10 @@ use webcache_sim::{
     ProfileObserver, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
 };
 use webcache_stats::{Table, TraceCharacterization};
-use webcache_trace::{format as trace_format, preprocess, squid, ByteSize, DocumentType, Trace};
+use webcache_trace::{
+    format as trace_format, format_bin, preprocess, squid, ByteSize, DenseTrace, DocumentType,
+    Trace,
+};
 use webcache_workload::WorkloadProfile;
 
 use crate::args::Args;
@@ -31,12 +34,26 @@ fn parse_spec(name: &str) -> Result<PolicySpec, CliError> {
 }
 
 /// Loads a trace, auto-detecting the binary format by its magic.
-pub(crate) fn load_trace(path: &str) -> Result<Trace, CliError> {
+fn load_trace(path: &str) -> Result<Trace, CliError> {
     let bytes = fs::read(path)?;
-    if bytes.starts_with(&webcache_trace::format_bin::MAGIC) {
-        Ok(webcache_trace::format_bin::from_bytes(&bytes)?)
+    if bytes.starts_with(&format_bin::MAGIC) {
+        Ok(format_bin::from_bytes(&bytes)?)
     } else {
         Ok(trace_format::read_trace(bytes.as_slice())?)
+    }
+}
+
+/// Loads the dense view of a trace for the replay-only commands. A
+/// binary trace decodes straight into it, with no [`Trace`] in between;
+/// a text trace parses to a `Trace` first. Either way the file bytes and
+/// any `Trace` are dropped before this returns.
+pub(crate) fn load_dense(path: &str) -> Result<DenseTrace, CliError> {
+    let bytes = fs::read(path)?;
+    if bytes.starts_with(&format_bin::MAGIC) {
+        Ok(DenseTrace::from_wctb_bytes(&bytes)?)
+    } else {
+        let trace = trace_format::read_trace(bytes.as_slice())?;
+        Ok(DenseTrace::build(&trace))
     }
 }
 
@@ -49,7 +66,7 @@ fn encode_trace(trace: &Trace, format: Option<&str>) -> Result<Vec<u8>, CliError
             trace_format::write_trace(&mut buf, trace)?;
             Ok(buf)
         }
-        "bin" => Ok(webcache_trace::format_bin::to_bytes(trace)),
+        "bin" => Ok(format_bin::to_bytes(trace)),
         other => Err(usage(format!("unknown format `{other}` (text|bin)"))),
     }
 }
@@ -65,6 +82,16 @@ fn input_trace(args: &Args) -> Result<(Trace, String), CliError> {
     match (args.get("trace"), args.get("squid")) {
         (Some(path), None) => Ok((load_trace(path)?, path.to_owned())),
         (None, Some(path)) => Ok((load_squid(path)?.0, path.to_owned())),
+        _ => Err(usage("give exactly one of --trace FILE or --squid FILE")),
+    }
+}
+
+/// Loads the dense view of `--trace FILE` or `--squid FILE` (see
+/// [`load_dense`]).
+fn input_dense(args: &Args) -> Result<DenseTrace, CliError> {
+    match (args.get("trace"), args.get("squid")) {
+        (Some(path), None) => load_dense(path),
+        (None, Some(path)) => Ok(DenseTrace::build(&load_squid(path)?.0)),
         _ => Err(usage("give exactly one of --trace FILE or --squid FILE")),
     }
 }
@@ -109,7 +136,7 @@ pub fn characterize(args: &Args) -> Result<String, CliError> {
 
 /// `webcache simulate`.
 pub fn simulate(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let trace = input_dense(args)?;
     let policy_name = args.require("policy")?;
     let is_oracle = policy_name.eq_ignore_ascii_case("oracle")
         || policy_name.eq_ignore_ascii_case("clairvoyant");
@@ -136,7 +163,7 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
         .build();
     let (label, by_type, occupancy_series) = match policy {
         Some(spec) => {
-            let report = Simulator::from_spec(spec, config).run(&trace);
+            let report = Simulator::from_spec(spec, config).run_dense(&trace);
             (
                 report.policy.clone(),
                 *report.by_type(),
@@ -302,7 +329,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
 
 /// `webcache stats`.
 pub fn stats(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let trace = input_dense(args)?;
     let policy = parse_spec(args.require("policy")?)?;
     let cap_spec = match args.get("capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?,
@@ -342,7 +369,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
         .warmup_fraction(warmup)
         .build();
     let mut metrics = WindowedMetrics::new(window_spec);
-    Simulator::from_spec(policy, config).run_observed(&trace, &mut metrics);
+    Simulator::from_spec(policy, config).run_dense_observed(&trace, &mut metrics);
 
     let want_json = args.switch("json");
     let want_csv = args.switch("csv");

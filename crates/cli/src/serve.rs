@@ -213,12 +213,12 @@ impl ServeOptions {
         // The replay source: a trace file, or the endless generator.
         let (source, reference_trace_bytes) = match (args.get("trace"), args.get("workload")) {
             (Some(path), None) => {
-                let trace = crate::commands::load_trace(path)?;
-                if trace.is_empty() {
+                let dense = crate::commands::load_dense(path)?;
+                if dense.is_empty() {
                     return Err(usage(format!("trace `{path}` is empty")));
                 }
-                let bytes = trace.overall_size();
-                (Source::Fixed(FixedSource::new(&trace)), bytes)
+                let bytes = dense.overall_size();
+                (Source::Fixed(FixedSource::from_dense(dense)), bytes)
             }
             (None, Some(name)) => {
                 let profile = match name.to_ascii_lowercase().as_str() {

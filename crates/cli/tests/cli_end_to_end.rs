@@ -288,14 +288,48 @@ fn forged_binary_header_is_an_error_not_an_abort() {
         let mut bytes = b"WCTB\x01\0\0\0".to_vec();
         bytes.extend_from_slice(&(1u64 << shift).to_le_bytes());
         fs::write(&path, bytes).unwrap();
-        let err = run(&argv(&format!(
-            "simulate --trace {} --policy lru --capacity 1MiB",
-            path.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("truncated record 0"), "{err}");
+        for cmd in ["simulate", "stats", "serve"] {
+            let err = run(&argv(&format!(
+                "{cmd} --trace {} --policy lru --capacity 1MiB",
+                path.display()
+            )))
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("truncated record 0"),
+                "{cmd}: {err}"
+            );
+        }
         fs::remove_file(path).ok();
     }
+}
+
+#[test]
+fn text_and_binary_forms_of_a_trace_print_identical_output() {
+    // The replay-only commands decode a binary trace straight into the
+    // dense view, and a text trace through a `Trace`: both loaders must
+    // feed the replay the same requests and the same capacity.
+    let text_path = generate_trace("parity.wct");
+    let bin_path = temp_path("parity.wctb");
+    run(&argv(&format!(
+        "convert --trace {} --out {} --format bin",
+        text_path.display(),
+        bin_path.display()
+    )))
+    .unwrap();
+    for cmd in [
+        "simulate --policy gd*(p) --capacity 5%",
+        "simulate --policy oracle --capacity 5%",
+        "simulate --policy lru --capacity 2% --warmup 0.2 --occupancy 4",
+        "stats --policy gd*(p) --capacity 5%",
+        "stats --policy lfu-da --window-bytes 1% --csv",
+    ] {
+        let out = |path: &PathBuf| run(&argv(&format!("{cmd} --trace {}", path.display())));
+        let (text, binary) = (out(&text_path).unwrap(), out(&bin_path).unwrap());
+        assert!(text.len() > 100, "{cmd}: {text}");
+        assert_eq!(text, binary, "{cmd}");
+    }
+    fs::remove_file(text_path).ok();
+    fs::remove_file(bin_path).ok();
 }
 
 #[test]

@@ -838,7 +838,7 @@ mod tests {
     #[test]
     fn sharded_loop_runs_passes_and_reports_status() {
         let trace = mixed_trace(800, 67);
-        let mut source = FixedSource::new(&trace);
+        let mut source = FixedSource::from_dense(DenseTrace::build(&trace));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let mut seen = Vec::new();
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn sharded_loop_rejects_bad_shard_counts() {
         let trace = mixed_trace(100, 11);
-        let mut source = FixedSource::new(&trace);
+        let mut source = FixedSource::from_dense(DenseTrace::build(&trace));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let err = ShardedReplayLoop {

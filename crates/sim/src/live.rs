@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use webcache_core::PolicySpec;
-use webcache_trace::{DenseTrace, Trace};
+use webcache_trace::DenseTrace;
 
 use crate::observe::{AccessEvent, AccessKind, Observer};
 use crate::simulator::{SimulationConfig, SimulationReport, Simulator};
@@ -39,14 +39,7 @@ pub struct FixedSource {
 }
 
 impl FixedSource {
-    /// Builds the dense view of `trace` once; every pass replays it.
-    pub fn new(trace: &Trace) -> Self {
-        FixedSource {
-            dense: DenseTrace::build(trace),
-        }
-    }
-
-    /// Wraps an already-built dense trace.
+    /// Replays `dense` on every pass.
     pub fn from_dense(dense: DenseTrace) -> Self {
         FixedSource { dense }
     }
@@ -318,19 +311,10 @@ mod tests {
     use super::*;
     use crate::observe::NoopObserver;
     use webcache_core::PolicyKind;
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp};
+    use webcache_trace::{ByteSize, DocumentType};
 
-    fn small_trace(requests: usize) -> Trace {
-        (0..requests as u64)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(i % 16),
-                    DocumentType::Html,
-                    ByteSize::new(700),
-                )
-            })
-            .collect()
+    fn small_trace(requests: usize) -> DenseTrace {
+        DenseTrace::from_requests((0..requests).map(|i| (i as u64 % 16, 700, DocumentType::Html)))
     }
 
     fn replay_loop(max_passes: Option<u64>, rate: Option<f64>) -> ReplayLoop {
@@ -347,7 +331,7 @@ mod tests {
 
     #[test]
     fn bounded_loop_runs_exactly_max_passes() {
-        let mut source = FixedSource::new(&small_trace(200));
+        let mut source = FixedSource::from_dense(small_trace(200));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let mut pass_indices = Vec::new();
@@ -382,7 +366,7 @@ mod tests {
                 self.accesses += 1;
             }
         }
-        let mut source = FixedSource::new(&small_trace(100));
+        let mut source = FixedSource::from_dense(small_trace(100));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let mut obs = CountRuns::default();
@@ -393,7 +377,7 @@ mod tests {
 
     #[test]
     fn raised_shutdown_flag_stops_before_the_first_pass() {
-        let mut source = FixedSource::new(&small_trace(100));
+        let mut source = FixedSource::from_dense(small_trace(100));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(true);
         let summary =
@@ -404,7 +388,7 @@ mod tests {
 
     #[test]
     fn shutdown_from_the_pass_callback_ends_an_unbounded_loop() {
-        let mut source = FixedSource::new(&small_trace(50));
+        let mut source = FixedSource::from_dense(small_trace(50));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let summary = replay_loop(None, None).run(
@@ -429,7 +413,7 @@ mod tests {
                 (pass < 2).then(|| self.0.as_ref().expect("trace"))
             }
         }
-        let mut source = TwoPasses(Some(DenseTrace::build(&small_trace(30))));
+        let mut source = TwoPasses(Some(small_trace(30)));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let summary =
@@ -440,7 +424,7 @@ mod tests {
 
     #[test]
     fn rate_throttle_slows_the_pass() {
-        let mut source = FixedSource::new(&small_trace(512));
+        let mut source = FixedSource::from_dense(small_trace(512));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
         let started = Instant::now();

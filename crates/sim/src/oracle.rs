@@ -14,42 +14,44 @@
 //! clairvoyant" is a more informative statement than any absolute
 //! number.
 
-use std::collections::HashMap;
-
-use webcache_core::pqueue::IndexedHeap;
-use webcache_trace::{Trace, TypeMap};
+use webcache_core::pqueue::DenseIndexedHeap;
+use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 
 use crate::metrics::HitStats;
-use crate::simulator::{ModificationRule, SimulationConfig};
+use crate::simulator::{SimulationConfig, NO_TRANSFER};
 
 /// Runs the clairvoyant policy over `trace` under `config` (capacity,
 /// warm-up and modification rule are honoured; occupancy sampling and
 /// admission rules are ignored).
 ///
-/// Returns per-type hit statistics, comparable to an online
+/// Per-document state lives in vectors indexed by the trace's dense
+/// slots. Returns per-type hit statistics, comparable to an online
 /// [`SimulationReport`](crate::SimulationReport)'s.
-pub fn clairvoyant(trace: &Trace, config: &SimulationConfig) -> TypeMap<HitStats> {
+pub fn clairvoyant(trace: &DenseTrace, config: &SimulationConfig) -> TypeMap<HitStats> {
+    let (docs, sizes, types) = (trace.docs(), trace.sizes(), trace.type_indices());
+    let documents = trace.distinct_documents();
+
     // Precompute each request's next-reference index: next_use[i] is the
     // position of the next request to the same document, or u64::MAX.
-    let n = trace.len();
-    let mut next_use = vec![u64::MAX; n];
-    let mut last_pos: HashMap<u64, usize> = HashMap::new();
-    for (i, r) in trace.iter().enumerate() {
-        if let Some(prev) = last_pos.insert(r.doc.as_u64(), i) {
-            next_use[prev] = i as u64;
-        }
+    let mut next_use = vec![u64::MAX; docs.len()];
+    let mut seen_at = vec![u64::MAX; documents];
+    for (i, &slot) in docs.iter().enumerate().rev() {
+        next_use[i] = std::mem::replace(&mut seen_at[slot as usize], i as u64);
     }
 
     // Max-heap on next use: evict the latest-next-use document first.
     // Key: (u64::MAX - next_use, then smaller size last). PriorityKey is
-    // private to core; a plain tuple key works with IndexedHeap.
-    let mut heap: IndexedHeap<u64, (i64, i64)> = IndexedHeap::new();
-    let mut resident_size: HashMap<u64, u64> = HashMap::new();
+    // private to core; a plain tuple key works with IndexedHeap. The heap
+    // holds exactly the resident documents.
+    let mut heap: DenseIndexedHeap<u32, (i64, i64)> = DenseIndexedHeap::new();
+    // Per slot: the resident copy's size (meaningful while in the heap).
+    let mut resident_size = vec![0u64; documents];
     let mut used = 0u64;
     let capacity = config.capacity.as_u64();
-    let warmup_end = trace.warmup_boundary(config.warmup_fraction);
-    let rule: ModificationRule = config.modification_rule;
-    let mut last_transfer: HashMap<u64, u64> = HashMap::new();
+    let warmup_end = ((docs.len() as f64) * config.warmup_fraction).floor() as usize;
+    let rule = config.modification_rule;
+    // Per slot: the last transfer size, or NO_TRANSFER.
+    let mut last_transfer = vec![NO_TRANSFER; documents];
     let mut by_type: TypeMap<HitStats> = TypeMap::default();
 
     // Smaller key pops first. We want to *keep* soon-needed documents and
@@ -60,44 +62,40 @@ pub fn clairvoyant(trace: &Trace, config: &SimulationConfig) -> TypeMap<HitStats
         (-(next as i64), -(size as i64))
     };
 
-    for (i, r) in trace.iter().enumerate() {
-        let doc = r.doc.as_u64();
-        let transfer = r.size.as_u64();
-        let prev = last_transfer.insert(doc, transfer);
-        let modified = prev.is_some_and(|p| rule.is_modification(p, transfer));
+    for (i, &slot) in docs.iter().enumerate() {
+        let transfer = sizes[i];
+        let prev = std::mem::replace(&mut last_transfer[slot as usize], transfer);
+        let modified = prev != NO_TRANSFER && rule.is_modification(prev, transfer);
 
-        let resident = resident_size.contains_key(&doc);
+        let resident = heap.contains(slot);
         let hit = resident && !modified;
 
         if modified && resident {
-            let size = resident_size.remove(&doc).expect("resident");
-            used -= size;
-            heap.remove(doc);
+            used -= resident_size[slot as usize];
+            heap.remove(slot);
         }
 
         if hit {
             // Refresh the document's key to its new next use.
-            heap.update(doc, key_of(next_use[i], resident_size[&doc]));
+            heap.update(slot, key_of(next_use[i], resident_size[slot as usize]));
         } else {
             // Fetch and admit, evicting far-future documents as needed.
             let size = transfer;
-            if size <= capacity {
-                // A clairvoyant cache never stores a dead document.
-                if next_use[i] != u64::MAX {
-                    while used + size > capacity {
-                        let (victim, _) = heap.pop_min().expect("over budget => non-empty");
-                        used -= resident_size.remove(&victim).expect("resident");
-                    }
-                    resident_size.insert(doc, size);
-                    used += size;
-                    heap.insert(doc, key_of(next_use[i], size));
+            // A clairvoyant cache never stores a dead document.
+            if size <= capacity && next_use[i] != u64::MAX {
+                while used + size > capacity {
+                    let (victim, _) = heap.pop_min().expect("over budget => non-empty");
+                    used -= resident_size[victim as usize];
                 }
+                resident_size[slot as usize] = size;
+                used += size;
+                heap.insert(slot, key_of(next_use[i], size));
             }
         }
 
         if i >= warmup_end {
-            let stats = &mut by_type[r.doc_type];
-            stats.record(r.size, hit);
+            let stats = &mut by_type[DocumentType::from_index(types[i] as usize)];
+            stats.record(ByteSize::new(transfer), hit);
             if modified {
                 stats.modification_misses += 1;
             }
@@ -107,7 +105,7 @@ pub fn clairvoyant(trace: &Trace, config: &SimulationConfig) -> TypeMap<HitStats
 }
 
 /// Convenience: the overall clairvoyant hit statistics.
-pub fn clairvoyant_overall(trace: &Trace, config: &SimulationConfig) -> HitStats {
+pub fn clairvoyant_overall(trace: &DenseTrace, config: &SimulationConfig) -> HitStats {
     let mut total = HitStats::default();
     for (_, s) in clairvoyant(trace, config).iter() {
         total += *s;
@@ -119,7 +117,12 @@ pub fn clairvoyant_overall(trace: &Trace, config: &SimulationConfig) -> HitStats
 mod tests {
     use super::*;
     use webcache_core::PolicyKind;
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp};
+    use webcache_trace::{DocId, Request, Timestamp, Trace};
+    use webcache_workload::WorkloadProfile;
+
+    fn oracle_overall(trace: &Trace, config: &SimulationConfig) -> HitStats {
+        clairvoyant_overall(&DenseTrace::build(trace), config)
+    }
 
     fn trace(docs: &[u64]) -> Trace {
         docs.iter()
@@ -147,7 +150,7 @@ mod tests {
         // The classic pattern where LRU fails and MIN succeeds:
         // cyclic a b c with capacity 2 blocks.
         let t = trace(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        let oracle = clairvoyant_overall(&t, &config(200));
+        let oracle = oracle_overall(&t, &config(200));
         let lru = crate::Simulator::new(PolicyKind::Lru.instantiate(), config(200))
             .run(&t)
             .overall();
@@ -158,7 +161,7 @@ mod tests {
     #[test]
     fn infinite_capacity_matches_compulsory_miss_bound() {
         let t = trace(&[0, 1, 0, 2, 1, 0, 3, 2, 1, 0]);
-        let oracle = clairvoyant_overall(&t, &config(1_000_000));
+        let oracle = oracle_overall(&t, &config(1_000_000));
         assert_eq!(oracle.requests - oracle.hits, t.distinct_documents() as u64);
     }
 
@@ -175,7 +178,7 @@ mod tests {
         let t = trace(&stream);
         for blocks in [5u64, 10, 20] {
             let cap = blocks * 100;
-            let oracle = clairvoyant_overall(&t, &config(cap));
+            let oracle = oracle_overall(&t, &config(cap));
             for kind in PolicyKind::ALL {
                 let online = crate::Simulator::new(kind.instantiate(), config(cap))
                     .run(&t)
@@ -195,7 +198,7 @@ mod tests {
         // Single-shot documents waste no space: a tiny cache still hits
         // every re-reference of the one hot document.
         let t = trace(&[0, 1, 0, 2, 0, 3, 0, 4, 0]);
-        let oracle = clairvoyant_overall(&t, &config(100));
+        let oracle = oracle_overall(&t, &config(100));
         assert_eq!(oracle.hits, 4, "all re-references of doc 0 hit");
     }
 
@@ -222,7 +225,7 @@ mod tests {
             ),
         ]
         .into();
-        let oracle = clairvoyant_overall(&t, &config(1_000));
+        let oracle = oracle_overall(&t, &config(1_000));
         assert_eq!(oracle.hits, 1);
         assert_eq!(oracle.modification_misses, 1);
     }
@@ -230,7 +233,7 @@ mod tests {
     #[test]
     fn warmup_is_honoured() {
         let t = trace(&[0, 0, 0, 0]);
-        let stats = clairvoyant_overall(
+        let stats = oracle_overall(
             &t,
             &SimulationConfig::builder()
                 .capacity(ByteSize::new(1_000))
@@ -239,5 +242,60 @@ mod tests {
         );
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn per_type_stats_match_the_recorded_hashed_oracle() {
+        // Recorded from the earlier oracle, which kept its per-document
+        // state in hash maps keyed by document id: (requests, hits,
+        // bytes requested, bytes hit, modification misses) per type, in
+        // `DocumentType::ALL` order.
+        type Row = (u64, u64, u64, u64, u64);
+        let trace = WorkloadProfile::dfn().scaled(1.0 / 1024.0).build_trace(11);
+        let dense = DenseTrace::build(&trace);
+        assert_eq!(dense.overall_size().as_u64(), 31_109_002);
+        let cases: [(f64, f64, [Row; 5]); 2] = [
+            (
+                0.05,
+                0.1,
+                [
+                    (4336, 2348, 19342171, 10717614, 25),
+                    (1263, 557, 8411896, 1832943, 16),
+                    (9, 2, 4172651, 1657373, 0),
+                    (274, 168, 14480814, 2722433, 0),
+                    (23, 1, 501585, 997, 0),
+                ],
+            ),
+            (
+                0.01,
+                0.0,
+                [
+                    (4842, 2001, 21070828, 8989759, 26),
+                    (1391, 476, 9353418, 1578202, 16),
+                    (9, 0, 4172651, 0, 0),
+                    (295, 162, 15157711, 1221176, 0),
+                    (24, 1, 519378, 997, 0),
+                ],
+            ),
+        ];
+        for (fraction, warmup, expected) in cases {
+            let capacity = (dense.overall_size().as_u64() as f64 * fraction) as u64;
+            let config = SimulationConfig::builder()
+                .capacity(ByteSize::new(capacity))
+                .warmup_fraction(warmup)
+                .build();
+            let stats = clairvoyant(&dense, &config);
+            for (ty, want) in DocumentType::ALL.into_iter().zip(expected) {
+                let s = stats[ty];
+                let got = (
+                    s.requests,
+                    s.hits,
+                    s.bytes_requested.as_u64(),
+                    s.bytes_hit.as_u64(),
+                    s.modification_misses,
+                );
+                assert_eq!(got, want, "{ty:?} at {fraction} (warm-up {warmup})");
+            }
+        }
     }
 }

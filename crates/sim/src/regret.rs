@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 
 use webcache_core::Eviction;
 use webcache_obs::{Counter, Gauge, Registry};
-use webcache_trace::{ByteSize, DocumentType, Request, Timestamp, Trace, TypeMap};
+use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 
 use crate::observe::{AccessEvent, AccessKind, Observer, RunMeta};
 use crate::oracle;
@@ -174,24 +174,16 @@ impl RegretTracker {
         }
         let hits = self.recent.iter().filter(|&&(_, _, _, hit)| hit).count();
         let actual = hits as f64 / self.recent.len() as f64;
-        let trace: Trace = self
-            .recent
-            .iter()
-            .enumerate()
-            .map(|(i, &(doc, ty, size, _))| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    webcache_trace::DocId::new(doc),
-                    ty,
-                    ByteSize::new(size),
-                )
-            })
-            .collect();
+        let window = DenseTrace::from_requests(
+            self.recent
+                .iter()
+                .map(|&(doc, ty, size, _)| (doc, size, ty)),
+        );
         let config = SimulationConfig::builder()
             .capacity(self.capacity)
             .warmup_fraction(0.0)
             .build();
-        let oracle_hr = oracle::clairvoyant_overall(&trace, &config).hit_rate();
+        let oracle_hr = oracle::clairvoyant_overall(&window, &config).hit_rate();
         let gap = oracle_hr - actual;
         self.last_gap = Some(gap);
         if let Some(m) = &self.metrics {
@@ -255,7 +247,7 @@ mod tests {
     use super::*;
 
     use webcache_core::PolicyKind;
-    use webcache_trace::DocId;
+    use webcache_trace::{DocId, Request, Timestamp, Trace};
 
     use crate::Simulator;
 

@@ -229,7 +229,7 @@ impl SimulationReport {
 }
 
 /// Sentinel in the dense last-transfer table: document never fetched.
-const NO_TRANSFER: u64 = u64::MAX;
+pub(crate) const NO_TRANSFER: u64 = u64::MAX;
 
 /// Drives a [`Cache`] over a [`Trace`] and accounts per-type hit rates.
 ///

@@ -504,7 +504,7 @@ mod oracle_props {
     use proptest::prelude::*;
     use webcache_core::PolicyKind;
     use webcache_sim::{clairvoyant_overall, SimulationConfig, Simulator};
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+    use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -532,8 +532,9 @@ mod oracle_props {
                 .capacity(ByteSize::new(blocks * size))
                 .warmup_fraction(0.0)
                 .build();
-            let oracle = clairvoyant_overall(&trace, &config);
-            let online = Simulator::new(kind.instantiate(), config).run(&trace).overall();
+            let dense = DenseTrace::build(&trace);
+            let oracle = clairvoyant_overall(&dense, &config);
+            let online = Simulator::new(kind.instantiate(), config).run_dense(&dense).overall();
             prop_assert!(
                 oracle.hits >= online.hits,
                 "{kind} beat MIN: {} vs {}", online.hits, oracle.hits

@@ -11,6 +11,11 @@
 //! Per-document simulator state can then live in plain `Vec`s indexed by
 //! slot, and the per-request working set shrinks from 32 to 13 bytes.
 //!
+//! Every constructor goes through one interner (`Interner` below), which
+//! also records each document's size, so [`DenseTrace::overall_size`]
+//! costs nothing after the build. [`DenseTrace::from_wctb_bytes`] decodes
+//! a binary trace straight into the view, with no [`Trace`] in between.
+//!
 //! The view is built **once** per sweep and shared read-only across worker
 //! threads; each worker replays it against its own cache.
 
@@ -33,6 +38,87 @@ pub struct DenseTrace {
     types: Vec<u8>,
     /// Number of distinct documents (== the number of slots handed out).
     distinct: usize,
+    /// The sum over documents of each one's largest transfer size.
+    overall: ByteSize,
+}
+
+/// Builds a [`DenseTrace`] one request at a time, interning document ids
+/// to slots in first-appearance order.
+///
+/// Two tiers share one slot counter. An id below the record count
+/// indexes `direct` (slot + 1, 0 = unseen): the generator and
+/// `preprocess` number documents from 0, so on their traces every lookup
+/// is one vector access. Any larger id goes to the `sparse` hash map.
+/// `direct` holds one entry per record and `sparse` at most one per
+/// record, so the interner's memory is bounded by the input however its
+/// ids are spread.
+struct Interner {
+    docs: Vec<u32>,
+    sizes: Vec<u64>,
+    types: Vec<u8>,
+    direct: Vec<u32>,
+    sparse: FxHashMap<u64, u32>,
+    /// Per slot: the largest transfer size seen so far.
+    doc_sizes: Vec<u64>,
+}
+
+impl Interner {
+    /// An interner for `records` requests; the direct tier covers ids
+    /// `0..records`.
+    fn with_records(records: usize) -> Self {
+        Interner {
+            docs: Vec::with_capacity(records),
+            sizes: Vec::with_capacity(records),
+            types: Vec::with_capacity(records),
+            direct: vec![0; records],
+            sparse: FxHashMap::default(),
+            doc_sizes: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, doc: u64, size: u64, ty: DocumentType) {
+        let next = self.doc_sizes.len() as u32;
+        let direct = usize::try_from(doc)
+            .ok()
+            .and_then(|i| self.direct.get_mut(i));
+        let slot = match direct {
+            Some(entry) => {
+                if *entry == 0 {
+                    *entry = next + 1;
+                }
+                *entry - 1
+            }
+            None => self.sparse_slot(doc, next),
+        };
+        if slot == next {
+            self.doc_sizes.push(size);
+        } else {
+            let max = &mut self.doc_sizes[slot as usize];
+            *max = (*max).max(size);
+        }
+        self.docs.push(slot);
+        self.sizes.push(size);
+        self.types.push(ty.index() as u8);
+    }
+
+    /// The slot of an id beyond the direct table. Kept out of line: the
+    /// inlined hash lookup slows the direct tier's loop by about a fifth.
+    #[cold]
+    #[inline(never)]
+    fn sparse_slot(&mut self, doc: u64, next: u32) -> u32 {
+        *self.sparse.entry(doc).or_insert(next)
+    }
+
+    fn finish(self) -> DenseTrace {
+        DenseTrace {
+            docs: self.docs,
+            sizes: self.sizes,
+            types: self.types,
+            distinct: self.doc_sizes.len(),
+            overall: self.doc_sizes.into_iter().map(ByteSize::new).sum(),
+        }
+    }
 }
 
 impl DenseTrace {
@@ -40,24 +126,28 @@ impl DenseTrace {
     /// first-appearance order: the document of the first request gets
     /// slot 0, the next previously unseen document slot 1, and so on.
     pub fn build(trace: &Trace) -> Self {
-        let requests = trace.requests();
-        let mut docs = Vec::with_capacity(requests.len());
-        let mut sizes = Vec::with_capacity(requests.len());
-        let mut types = Vec::with_capacity(requests.len());
-        let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
-        for request in requests {
-            let next = intern.len() as u32;
-            let slot = *intern.entry(request.doc.as_u64()).or_insert(next);
-            docs.push(slot);
-            sizes.push(request.size.as_u64());
-            types.push(request.doc_type.index() as u8);
+        Self::from_requests(
+            trace
+                .iter()
+                .map(|r| (r.doc.as_u64(), r.size.as_u64(), r.doc_type)),
+        )
+    }
+
+    /// Builds the dense view of `(document id, transfer size, type)`
+    /// requests in arrival order, interning as [`DenseTrace::build`]
+    /// does. For callers that hold requests in some other form than a
+    /// [`Trace`].
+    pub fn from_requests<I>(requests: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, u64, DocumentType)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let requests = requests.into_iter();
+        let mut interner = Interner::with_records(requests.len());
+        for (doc, size, ty) in requests {
+            interner.push(doc, size, ty);
         }
-        DenseTrace {
-            docs,
-            sizes,
-            types,
-            distinct: intern.len(),
-        }
+        interner.finish()
     }
 
     /// Builds the dense view straight from WCTB binary bytes
@@ -70,7 +160,9 @@ impl DenseTrace {
     /// are validated-over and dropped, exactly as [`DenseTrace::build`]
     /// drops them. Equivalent to
     /// `DenseTrace::build(&format_bin::from_bytes(bytes)?)` — the
-    /// round-trip tests pin that — at roughly half the peak memory.
+    /// round-trip tests pin that — at roughly half the peak memory. The
+    /// record count sizing every buffer is capped by the input length,
+    /// so a forged header cannot make it reserve memory.
     ///
     /// # Errors
     ///
@@ -80,24 +172,10 @@ impl DenseTrace {
     /// type tags.
     pub fn from_wctb_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
         let wctb = Wctb::parse(bytes)?;
-        let cap = wctb.capacity();
-        let mut docs = Vec::with_capacity(cap);
-        let mut sizes = Vec::with_capacity(cap);
-        let mut types = Vec::with_capacity(cap);
-        let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut interner = Interner::with_records(wctb.capacity());
         // The timestamp is validated by presence, unused.
-        wctb.for_each(|_, doc, size, ty| {
-            let next = intern.len() as u32;
-            docs.push(*intern.entry(doc).or_insert(next));
-            sizes.push(size);
-            types.push(ty.index() as u8);
-        })?;
-        Ok(DenseTrace {
-            docs,
-            sizes,
-            types,
-            distinct: intern.len(),
-        })
+        wctb.for_each(|_, doc, size, ty| interner.push(doc, size, ty))?;
+        Ok(interner.finish())
     }
 
     /// Number of requests.
@@ -114,6 +192,13 @@ impl DenseTrace {
     /// `0..distinct_documents()`. Size per-slot state from this.
     pub fn distinct_documents(&self) -> usize {
         self.distinct
+    }
+
+    /// Sum of the sizes of distinct documents ("Overall Size"): equal to
+    /// [`Trace::overall_size`] of the trace the view was built from, but
+    /// recorded during the build instead of computed by a sort.
+    pub fn overall_size(&self) -> ByteSize {
+        self.overall
     }
 
     /// The interned document slot of each request, in arrival order.
@@ -206,6 +291,53 @@ mod tests {
         let dense = DenseTrace::build(&Trace::new());
         assert!(dense.is_empty());
         assert_eq!(dense.distinct_documents(), 0);
+        assert_eq!(dense.overall_size(), ByteSize::ZERO);
+    }
+
+    #[test]
+    fn direct_and_sparse_ids_share_one_slot_counter() {
+        // Six records: ids below 6 take the direct table, the rest the
+        // hash map; slots still number documents in first-appearance
+        // order across both.
+        let trace: Trace = vec![
+            req(5, DocumentType::Html, 10),
+            req(1 << 40, DocumentType::Image, 20),
+            req(2, DocumentType::Html, 30),
+            req(5, DocumentType::Html, 40),
+            req(6, DocumentType::Other, 50),
+            req(1 << 40, DocumentType::Image, 5),
+        ]
+        .into();
+        let dense = DenseTrace::build(&trace);
+        assert_eq!(dense.docs(), &[0, 1, 2, 0, 3, 1]);
+        assert_eq!(dense.distinct_documents(), 4);
+        assert_eq!(dense.overall_size(), ByteSize::new(40 + 20 + 30 + 50));
+        assert_eq!(dense.overall_size(), trace.overall_size());
+    }
+
+    #[test]
+    fn overall_size_saturates_like_the_trace() {
+        let trace: Trace = vec![
+            req(0, DocumentType::Html, u64::MAX - 1),
+            req(1, DocumentType::Html, 7),
+        ]
+        .into();
+        let dense = DenseTrace::build(&trace);
+        assert_eq!(dense.overall_size(), ByteSize::new(u64::MAX));
+        assert_eq!(dense.overall_size(), trace.overall_size());
+    }
+
+    #[test]
+    fn from_requests_equals_build() {
+        let trace = mixed_trace();
+        let requests: Vec<(u64, u64, DocumentType)> = trace
+            .iter()
+            .map(|r| (r.doc.as_u64(), r.size.as_u64(), r.doc_type))
+            .collect();
+        assert_eq!(
+            DenseTrace::from_requests(requests),
+            DenseTrace::build(&trace)
+        );
     }
 
     #[test]

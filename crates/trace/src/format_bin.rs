@@ -72,6 +72,7 @@ impl<'a> Wctb<'a> {
     /// How many records to preallocate for: the header's count, capped
     /// by what the input can hold, so a forged count cannot reserve
     /// memory the input never backs. A valid input gets its exact count.
+    /// It also sizes the dense interner's direct table.
     pub(crate) fn capacity(&self) -> usize {
         usize::try_from(self.count)
             .unwrap_or(usize::MAX)

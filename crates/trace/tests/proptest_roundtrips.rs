@@ -188,3 +188,75 @@ mod canonical_props {
         }
     }
 }
+
+mod dense_props {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+    use webcache_trace::format_bin;
+    use webcache_trace::{ByteSize, DenseTrace, DocId, Request, Timestamp, Trace};
+
+    /// Traces whose document ids fall in the interner's direct tier
+    /// (`mix` 0: ids below the record count), its hash tier (`mix` 1:
+    /// ids at or above the record count, some at or beyond 2^32), or a
+    /// mix of both (`mix` 2).
+    fn arb_interned_trace() -> impl Strategy<Value = Trace> {
+        (
+            0u8..3,
+            prop::collection::vec(
+                (0u8..3, 0u64..64, super::arb_doc_type(), 0u64..1_000_000),
+                0..200,
+            ),
+        )
+            .prop_map(|(mix, picks)| {
+                let records = picks.len() as u64;
+                picks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(pick, raw, ty, size))| {
+                        let tier = match mix {
+                            0 => 0,
+                            1 => 1 + pick % 2,
+                            _ => pick,
+                        };
+                        let doc = match tier {
+                            0 => raw % records,
+                            1 => records + raw,
+                            _ if raw % 2 == 0 => (1 << 32) + raw,
+                            _ => u64::MAX - raw,
+                        };
+                        Request::new(
+                            Timestamp::from_millis(i as u64),
+                            DocId::new(doc),
+                            ty,
+                            ByteSize::new(size),
+                        )
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        /// Decoding a binary trace straight into the dense view equals
+        /// building it from the decoded trace, its overall size equals
+        /// the trace's, and slots number documents in first-appearance
+        /// order — for ids in either interner tier.
+        #[test]
+        fn wctb_decode_equals_build_in_both_tiers(trace in arb_interned_trace()) {
+            let built = DenseTrace::build(&trace);
+            let decoded = DenseTrace::from_wctb_bytes(&format_bin::to_bytes(&trace)).unwrap();
+            prop_assert_eq!(&decoded, &built);
+            prop_assert_eq!(built.overall_size(), trace.overall_size());
+            prop_assert_eq!(built.len(), trace.len());
+
+            let mut first_seen: HashMap<u64, u32> = HashMap::new();
+            for (request, &slot) in trace.iter().zip(built.docs()) {
+                let next = first_seen.len() as u32;
+                let want = *first_seen.entry(request.doc.as_u64()).or_insert(next);
+                prop_assert_eq!(slot, want);
+            }
+            prop_assert_eq!(built.distinct_documents(), first_seen.len());
+            prop_assert_eq!(built.distinct_documents(), trace.distinct_documents());
+        }
+    }
+}
