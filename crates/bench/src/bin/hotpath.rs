@@ -30,8 +30,8 @@
 //!   `t_latency / t_serial`) prices it; observer-OFF stays the `dense`
 //!   column, which the gate holds to baseline.
 //! * `conc1/2/4/8` — the concurrent sharded replay
-//!   ([`ConcurrentSimulator`], 8 shards) driven by 1/2/4/8 client
-//!   threads, aggregate req/s. The paired `conc8_speedup` column
+//!   ([`ConcurrentSimulator`], 8 shards) driven by 1/2/4/8 clients
+//!   (client 0 on the timing thread), aggregate req/s. The paired `conc8_speedup` column
 //!   (median of `t_serial / t_conc8`) is the multi-thread scaling
 //!   number; it is bounded by the host's core count, which is recorded
 //!   in the JSON (`cores`) — a single-core container cannot show the

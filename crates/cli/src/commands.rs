@@ -96,6 +96,17 @@ fn input_dense(args: &Args) -> Result<DenseTrace, CliError> {
     }
 }
 
+/// Reads `--scale DENOM` (the workload shrinks to `1/DENOM`),
+/// `default` when absent. A denominator below 1, NaN or infinite is a
+/// usage error.
+pub(crate) fn scale_denominator(args: &Args, default: f64) -> Result<f64, CliError> {
+    let denom: f64 = args.get_parsed("scale")?.unwrap_or(default);
+    if !denom.is_finite() || denom < 1.0 {
+        return Err(usage("--scale expects a finite denominator ≥ 1"));
+    }
+    Ok(denom)
+}
+
 /// `webcache generate`.
 pub fn generate(args: &Args) -> Result<String, CliError> {
     let profile = match args.require("profile")?.to_ascii_lowercase().as_str() {
@@ -103,10 +114,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         "rtp" => WorkloadProfile::rtp(),
         other => return Err(usage(format!("unknown profile `{other}` (dfn|rtp)"))),
     };
-    let denom: f64 = args.get_parsed("scale")?.unwrap_or(256.0);
-    if denom < 1.0 {
-        return Err(usage("--scale expects a denominator ≥ 1"));
-    }
+    let denom = scale_denominator(args, 256.0)?;
     let seed: u64 = args.get_parsed("seed")?.unwrap_or(1);
     let out = args.require("out")?;
 
@@ -427,12 +435,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     // Input: an explicit trace, or a synthetic DFN workload.
     let trace = match (args.get("trace"), args.get("squid")) {
         (None, None) => {
-            let denom: f64 =
-                args.get_parsed("scale")?
-                    .unwrap_or(if quick { 4096.0 } else { 256.0 });
-            if denom < 1.0 {
-                return Err(usage("--scale expects a denominator ≥ 1"));
-            }
+            let denom = scale_denominator(args, if quick { 4096.0 } else { 256.0 })?;
             let seed: u64 = args.get_parsed("seed")?.unwrap_or(1);
             main.span("generate-trace", |_| {
                 WorkloadProfile::dfn().scaled(1.0 / denom).build_trace(seed)

@@ -144,9 +144,10 @@ subcommands:
                registry.json + manifest.json, at most --max-bundles,
                default 8); --shards N (power of two) with --clients M
                replays through the concurrent sharded engine and
-               exports per-shard balance metrics (per-event observers
-               are single-stream and stay off; flight recording stays
-               on, without reason payloads); modeled per-request
+               exports per-shard balance metrics (the anomaly
+               detectors, regret metrics, profiling counters and event
+               log read one event stream and need one shard; flight
+               recording keeps its reason payloads); modeled per-request
                latency (two-link model: hits ride the fast local link,
                misses the slow origin link) exports p50/p90/p99/p999
                gauges per document type from windowed histograms;

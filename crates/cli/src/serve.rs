@@ -30,18 +30,25 @@
 //!
 //! The replay is fed either by one fixed trace file replayed pass after
 //! pass, or by the endless [`WorkloadStream`] generator (one epoch per
-//! pass). Observers — profiling counters, the anomaly detectors, the
-//! regret tracker, the flight recorder, the structured event log —
-//! persist across passes, so EWMA baselines, rings and totals accumulate
-//! for the daemon's lifetime. With `--bundle-dir` set, an anomaly that
-//! logs a warning also snapshots the flight ring and the registry into a
-//! post-mortem bundle (see [`crate::forensics`]), rate limited by the
-//! anomaly cooldown and capped by `--max-bundles`.
+//! pass). There is one replay driver: without `--shards`, every pass is
+//! the one-shard, one-client pass of the sharded loop, replayed on the
+//! replay thread itself; `--shards N --clients M` runs the same loop,
+//! pass callback and pacer. Each shard has one observer chain: its
+//! flight recorder (stamped with reasons from that shard's policy and
+//! admission filter), the latency observer and the SLO tracker, plus —
+//! on a one-shard daemon only, since they read one ordered event stream
+//! — the regret tracker, the profiling counters, the anomaly detectors
+//! and the structured event log. Observers persist across passes, so
+//! EWMA baselines, rings and totals accumulate for the daemon's
+//! lifetime. With `--bundle-dir` set, an anomaly that logs a warning
+//! also snapshots the flight rings and the registry into a post-mortem
+//! bundle (see [`crate::forensics`]), rate limited by the anomaly
+//! cooldown and capped by `--max-bundles`.
 //!
 //! Shutdown is cooperative: SIGINT (or anything else raising the shared
 //! flag) stops the HTTP accept loop within one poll interval and the
-//! replay loop at the next pass boundary; [`serve_with`] then joins both
-//! and returns a summary.
+//! replay within 128 requests of a shard (the interrupted pass is
+//! discarded); [`serve_with`] then joins both and returns a summary.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -49,17 +56,16 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use webcache_core::{PolicySpec, ShardLockProbe};
+use webcache_core::{PolicySpec, ShardLockProbe, ShardReasons};
 use webcache_obs::{
-    merge_sorted, Counter, FlightSink, Gauge, HttpRequest, HttpResponse, HttpServer, Level, Logger,
-    ReasonChannel, Registry, SharedRecorder, SnapshotRing,
+    merge_sorted, Counter, Gauge, HttpRequest, HttpResponse, HttpServer, Level, Logger, Registry,
+    SharedRecorder, SnapshotRing,
 };
 use webcache_sim::latency_obs::DEFAULT_LATENCY_WINDOWS;
 use webcache_sim::{
     AnomalyConfig, AnomalyObserver, AnomalyTrigger, FixedSource, FlightObserver, LatencyModel,
     LatencyObserver, LiveStatus, LogObserver, ProfileObserver, RegretConfig, RegretTracker,
-    ReplayLoop, ShardedReplayLoop, SimulationConfig, Simulator, SloConfig, SloTracker, SloTrigger,
-    TraceSource,
+    ReplayLoop, SimulationConfig, SloConfig, SloTracker, SloTrigger, TraceSource,
 };
 use webcache_trace::{DenseTrace, Trace};
 use webcache_workload::{WorkloadProfile, WorkloadStream};
@@ -226,12 +232,8 @@ impl ServeOptions {
                     "rtp" => WorkloadProfile::rtp(),
                     other => return Err(usage(format!("unknown workload `{other}` (dfn|rtp)"))),
                 };
-                let denom: f64 =
-                    args.get_parsed("scale")?
-                        .unwrap_or(if quick { 4096.0 } else { 256.0 });
-                if denom < 1.0 {
-                    return Err(usage("--scale expects a denominator ≥ 1"));
-                }
+                let denom =
+                    crate::commands::scale_denominator(args, if quick { 4096.0 } else { 256.0 })?;
                 let seed: u64 = args.get_parsed("seed")?.unwrap_or(1);
                 let mut stream = WorkloadStream::new(profile.scaled(1.0 / denom), seed);
                 let per_pass = stream.epoch_len();
@@ -391,10 +393,7 @@ impl BundleWriter {
         if self.seq as usize >= self.max_bundles {
             return;
         }
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
+        let unix_ms = u128::from(unix_ms_now());
         let records = merge_sorted(&self.recorders);
         let jsonl: String = records
             .iter()
@@ -509,13 +508,7 @@ fn route_debug_flight(ctx: &RouteContext<'_>, _req: &HttpRequest) -> HttpRespons
 }
 
 fn route_debug_doc(ctx: &RouteContext<'_>, req: &HttpRequest) -> HttpResponse {
-    let id = req.query.as_deref().and_then(|q| {
-        q.split('&').find_map(|pair| {
-            let (key, value) = pair.split_once('=')?;
-            (key == "id").then(|| value.parse::<u64>().ok()).flatten()
-        })
-    });
-    let Some(id) = id else {
+    let Some(id) = query_param(req, "id").and_then(|v| v.parse::<u64>().ok()) else {
         return HttpResponse::status(400, "expected ?id=<numeric document id>\n");
     };
     let mut records: Vec<webcache_obs::DecisionRecord> = ctx
@@ -714,8 +707,8 @@ fn respond(req: &HttpRequest, ctx: &RouteContext<'_>, http_counters: &[Counter])
 /// flag, port 0, and collect the bound address from `on_ready`).
 ///
 /// Returns after the flag rises (or the HTTP listener fails): the HTTP
-/// loop stops within one poll interval, the replay loop at the current
-/// pass boundary, and both are joined.
+/// loop stops within one poll interval, the replay within 128 requests
+/// of a shard, and both are joined.
 ///
 /// # Errors
 ///
@@ -793,8 +786,7 @@ pub fn serve_with(
         })
         .collect();
 
-    // Per-shard balance metrics, registered even for the single-shard
-    // daemon so the exposition surface is stable across configurations.
+    // Per-shard balance metrics; a plain daemon exports shard 0's.
     let shard_labels: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
     let shard_metrics: Vec<(Counter, Counter, Gauge)> = shard_labels
         .iter()
@@ -831,9 +823,7 @@ pub fn serve_with(
     );
 
     // Lock contention instrumentation: one probe per shard, its
-    // histograms/counters attached under stable per-shard labels (the
-    // serial daemon registers shard 0 too, keeping the exposition
-    // surface configuration-independent).
+    // histograms/counters attached under stable per-shard labels.
     let lock_probes: Vec<ShardLockProbe> = (0..shards).map(|_| ShardLockProbe::new()).collect();
     let contention_gauges: Vec<Gauge> = shard_labels
         .iter()
@@ -882,11 +872,12 @@ pub fn serve_with(
     let slo_tracker = SloTracker::register(slo, latency_model, &registry);
     let ring = SnapshotRing::new(dash_history);
 
-    // One flight ring per shard; serial mode uses ring 0. HTTP handlers
-    // snapshot the rings while the replay thread records into them.
+    // One flight ring and one pair of reason channels per shard. HTTP
+    // handlers snapshot the rings while the replay records into them.
     let recorders: Vec<SharedRecorder> = (0..shards)
         .map(|_| SharedRecorder::new(flight_capacity))
         .collect();
+    let reasons: Vec<ShardReasons> = (0..shards).map(|_| ShardReasons::default()).collect();
 
     let profile_obs = ProfileObserver::register(&registry, &label);
     let mut anomaly_obs = AnomalyObserver::register(&registry, logger.clone(), anomaly);
@@ -923,42 +914,31 @@ pub fn serve_with(
     }
     let log_obs = LogObserver::new(logger.clone());
     let regret_obs = RegretTracker::with_registry(RegretConfig::default(), &registry);
-    let evict_reasons = ReasonChannel::new();
-    let admit_reasons = ReasonChannel::new();
-    // The flight observer is first in the chain so the ring already
-    // holds the current event when the anomaly trigger snapshots it.
-    let flight_obs = FlightObserver::with_reasons(
-        recorders[0].clone(),
-        evict_reasons.clone(),
-        admit_reasons.clone(),
-    );
-    let mut observer = (
-        flight_obs,
-        (
-            regret_obs,
+    // The regret tracker, profiler, anomaly detectors and event log read
+    // one ordered event stream, so only a one-shard daemon runs them;
+    // they are registered either way, keeping the exposition surface
+    // configuration-independent.
+    let mut single = (shards == 1).then_some((regret_obs, (profile_obs, (anomaly_obs, log_obs))));
+    // One observer chain per shard, the single-stream stage on shard 0
+    // only. The flight observer is first in the chain so the ring
+    // already holds the current event when the anomaly trigger
+    // snapshots it.
+    let mut observers: Vec<_> = recorders
+        .iter()
+        .zip(&reasons)
+        .map(|(recorder, reasons)| {
             (
-                profile_obs,
-                (
-                    anomaly_obs,
-                    (log_obs, (latency_obs.clone(), slo_tracker.clone())),
+                FlightObserver::with_reasons(
+                    recorder.clone(),
+                    reasons.evictions.clone(),
+                    reasons.admissions.clone(),
                 ),
-            ),
-        ),
-    );
+                (single.take(), (latency_obs.clone(), slo_tracker.clone())),
+            )
+        })
+        .collect();
 
-    // Concurrent mode trades the per-event observers (profiler, anomaly
-    // detectors, regret tracker, event log — single-stream by design)
-    // for client-thread parallelism and per-shard balance metrics; the
-    // flight recorders stay on via per-shard observers, without reason
-    // channels (the sharded caches are not sink-instrumented).
-    let concurrent = shards > 1 || clients > 1;
     let replay = ReplayLoop {
-        config,
-        spec,
-        rate,
-        max_passes,
-    };
-    let sharded_replay = ShardedReplayLoop {
         config,
         spec,
         rate,
@@ -966,6 +946,7 @@ pub fn serve_with(
         shards,
         clients,
         lock_probes: Some(lock_probes.clone()),
+        reasons: Some(reasons),
     };
     let status = LiveStatus::new();
     status.set_replaying(true);
@@ -979,36 +960,49 @@ pub fn serve_with(
     );
     replaying_gauge.set(1.0);
 
-    let shard_recorders = recorders.clone();
     let (summary, http_served) = std::thread::scope(|scope| {
-        let replay_logger = logger.clone();
-        let replay_handle = {
-            let status = &status;
-            let passes_total = passes_total.clone();
-            let requests_total = requests_total.clone();
-            let rps_gauge = rps_gauge.clone();
-            let hit_rate_gauge = hit_rate_gauge.clone();
-            let replaying_gauge = replaying_gauge.clone();
-            let shard_metrics = &shard_metrics;
-            let request_imbalance_gauge = request_imbalance_gauge.clone();
-            let byte_imbalance_gauge = byte_imbalance_gauge.clone();
-            let lock_probes = &lock_probes;
-            let contention_gauges = &contention_gauges;
-            let pass_latency = latency_obs.clone();
-            let pass_slo = slo_tracker.clone();
-            let pass_ring = ring.clone();
-            let pass_registry = registry.clone();
-            scope.spawn(move || {
-                // Pass-boundary bookkeeping shared by both replay
-                // modes: rotate the latency windows, fold the pass into
-                // the SLO burn windows (fired breaches are logged here;
-                // the bundle side effect rides the trigger), refresh
-                // the contention gauges, and sample the registry into
-                // the snapshot ring.
-                let end_of_pass = || {
-                    pass_latency.rotate_and_publish();
-                    for breach in pass_slo.evaluate() {
-                        replay_logger.warn(
+        let replay_handle = scope.spawn(|| {
+            // The pass callback publishes the pass's counters and
+            // gauges before its `pass complete` record, then does the
+            // pass-boundary bookkeeping: rotate the latency windows,
+            // fold the pass into the SLO burn windows (fired breaches
+            // are logged here; the bundle side effect rides the
+            // trigger), refresh the contention gauges, and sample the
+            // registry into the snapshot ring.
+            let summary = replay
+                .run(&mut source, &mut observers, &status, shutdown, |pass| {
+                    let hit_rate = pass.report.overall().hit_rate();
+                    passes_total.inc();
+                    requests_total.add(pass.requests);
+                    rps_gauge.set(pass.req_per_sec);
+                    hit_rate_gauge.set(hit_rate);
+                    for summary in &pass.report.per_shard {
+                        let (requests, bytes, rate) = &shard_metrics[summary.shard];
+                        requests.add(summary.requests);
+                        bytes.add(summary.bytes_requested);
+                        rate.set(if summary.requests > 0 {
+                            summary.hits as f64 / summary.requests as f64
+                        } else {
+                            0.0
+                        });
+                    }
+                    let balance = pass.report.balance();
+                    request_imbalance_gauge.set(balance.request_imbalance);
+                    byte_imbalance_gauge.set(balance.byte_imbalance);
+                    logger.info(
+                        "serve",
+                        "pass complete",
+                        &[
+                            ("pass", pass.pass.into()),
+                            ("requests", pass.requests.into()),
+                            ("req_per_sec", pass.req_per_sec.into()),
+                            ("hit_rate", hit_rate.into()),
+                            ("request_imbalance", balance.request_imbalance.into()),
+                        ],
+                    );
+                    latency_obs.rotate_and_publish();
+                    for breach in slo_tracker.evaluate() {
+                        logger.warn(
                             "serve",
                             "slo breach",
                             &[("slo", breach.slo.into()), ("detail", breach.detail.into())],
@@ -1017,97 +1011,12 @@ pub fn serve_with(
                     for (probe, gauge) in lock_probes.iter().zip(contention_gauges.iter()) {
                         gauge.set(probe.contention_ratio());
                     }
-                    pass_ring.capture(&pass_registry, unix_ms_now());
-                };
-                let summary = if concurrent {
-                    sharded_replay
-                        .run_observed(
-                            &mut source,
-                            status,
-                            shutdown,
-                            |shard| {
-                                (
-                                    FlightObserver::new(shard_recorders[shard].clone()),
-                                    (pass_latency.clone(), pass_slo.clone()),
-                                )
-                            },
-                            |pass| {
-                                let hit_rate = pass.report.overall().hit_rate();
-                                passes_total.inc();
-                                requests_total.add(pass.requests);
-                                rps_gauge.set(pass.req_per_sec);
-                                hit_rate_gauge.set(hit_rate);
-                                for summary in &pass.report.per_shard {
-                                    let (requests, bytes, rate) = &shard_metrics[summary.shard];
-                                    requests.add(summary.requests);
-                                    bytes.add(summary.bytes_requested);
-                                    rate.set(if summary.requests > 0 {
-                                        summary.hits as f64 / summary.requests as f64
-                                    } else {
-                                        0.0
-                                    });
-                                }
-                                let balance = pass.report.balance();
-                                request_imbalance_gauge.set(balance.request_imbalance);
-                                byte_imbalance_gauge.set(balance.byte_imbalance);
-                                replay_logger.info(
-                                    "serve",
-                                    "pass complete",
-                                    &[
-                                        ("pass", pass.pass.into()),
-                                        ("requests", pass.requests.into()),
-                                        ("req_per_sec", pass.req_per_sec.into()),
-                                        ("hit_rate", hit_rate.into()),
-                                        ("request_imbalance", balance.request_imbalance.into()),
-                                    ],
-                                );
-                                end_of_pass();
-                            },
-                        )
-                        .expect("shard count validated in from_args")
-                } else {
-                    // Instrumented serial replay: the policy pushes its
-                    // eviction reasons and the cache its admission
-                    // verdicts into the channels the flight observer
-                    // drains.
-                    replay.run_with(
-                        &mut source,
-                        &mut observer,
-                        status,
-                        shutdown,
-                        move || {
-                            let mut sim = Simulator::from_spec_instrumented(
-                                spec,
-                                config,
-                                FlightSink::new(evict_reasons.clone()),
-                            );
-                            sim.set_admit_reasons(admit_reasons.clone());
-                            sim
-                        },
-                        |pass| {
-                            let hit_rate = pass.report.overall().hit_rate();
-                            passes_total.inc();
-                            requests_total.add(pass.requests);
-                            rps_gauge.set(pass.req_per_sec);
-                            hit_rate_gauge.set(hit_rate);
-                            replay_logger.info(
-                                "serve",
-                                "pass complete",
-                                &[
-                                    ("pass", pass.pass.into()),
-                                    ("requests", pass.requests.into()),
-                                    ("req_per_sec", pass.req_per_sec.into()),
-                                    ("hit_rate", hit_rate.into()),
-                                ],
-                            );
-                            end_of_pass();
-                        },
-                    )
-                };
-                replaying_gauge.set(0.0);
-                summary
-            })
-        };
+                    ring.capture(&registry, unix_ms_now());
+                })
+                .expect("shard count validated in from_args");
+            replaying_gauge.set(0.0);
+            summary
+        });
         on_ready(addr);
         let served = server.serve(shutdown, |req| {
             let ctx = RouteContext {

@@ -402,6 +402,10 @@ fn usage_errors_are_reported() {
         "simulate --trace a --squid b --policy lru", // both inputs
         "sweep --trace missing-file.wct",
         "simulate --trace missing-file.wct --policy nonsense",
+        "generate --profile dfn --scale nan --out /tmp/x",
+        "generate --profile dfn --scale inf --out /tmp/x",
+        "profile --scale nan",
+        "profile --scale inf",
     ] {
         assert!(run(&argv(bad)).is_err(), "`{bad}` should fail");
     }

@@ -75,6 +75,16 @@ fn await_replay_done(addr: SocketAddr, deadline: Duration) -> String {
     }
 }
 
+/// The value of the exported sample `series` (name plus labels) in a
+/// Prometheus text body.
+fn sample(metrics: &str, series: &str) -> f64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("missing sample {series}: {metrics}"))
+}
+
 /// A single-type trace with a hit-rate cliff: with a 500-request anomaly
 /// window, window 1 cycles an 8-document hot set (~98% hit rate, seeds
 /// the EWMA baseline) and window 2 is almost entirely cold distinct
@@ -406,7 +416,8 @@ fn anomaly_writes_one_bundle_that_round_trips_through_inspect() {
 fn sharded_daemon_exports_per_shard_balance_metrics() {
     let args = Args::parse(
         &argv(
-            "--workload dfn --quick --passes 2 --port 0 --log-level error --shards 4 --clients 4",
+            "--workload dfn --quick --passes 2 --port 0 --log-level error --shards 4 --clients 4 \
+             --policy gds1",
         ),
         &["quick"],
     )
@@ -450,20 +461,11 @@ fn sharded_daemon_exports_per_shard_balance_metrics() {
     // Lock contention instrumentation: every shard's probe saw real
     // acquisitions, and the derived contention-ratio gauge exports.
     for shard in 0..4 {
-        let acquire = metrics
-            .lines()
-            .find(|l| {
-                l.starts_with(&format!(
-                    "webcache_shard_lock_acquire_total{{shard=\"{shard}\"}}"
-                ))
-            })
-            .unwrap_or_else(|| panic!("missing shard {shard} lock acquisitions: {metrics}"));
-        let value: f64 = acquire
-            .split_whitespace()
-            .next_back()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0);
-        assert!(value > 0.0, "shard {shard} never locked: {acquire}");
+        let acquire = sample(
+            &metrics,
+            &format!("webcache_shard_lock_acquire_total{{shard=\"{shard}\"}}"),
+        );
+        assert!(acquire > 0.0, "shard {shard} never locked");
         assert!(
             metrics.contains(&format!(
                 "webcache_shard_lock_wait_us_count{{shard=\"{shard}\"}}"
@@ -495,14 +497,16 @@ fn sharded_daemon_exports_per_shard_balance_metrics() {
     assert!(frame.contains("modeled latency"), "{frame}");
     assert!(frame.contains("shard 3"), "{frame}");
 
-    // The concurrent engine records flight events too (one ring per
-    // shard, no reason payloads): /debug/flight merges all four rings.
+    // The concurrent engine records flight events too, one ring per
+    // shard with that shard's policy reasons: /debug/flight merges all
+    // four rings.
     let (status, flight) = http_get(addr, "/debug/flight");
     assert_eq!(status, 200);
     let parsed = webcache_obs::json::parse(&flight).expect("flight parses");
     assert!(parsed.get("records").is_some(), "{flight}");
     assert!(flight.contains("\"shards\": 4"), "{flight}");
     assert!(flight.contains("\"event\": "), "{flight}");
+    assert!(flight.contains("\"kind\": \"greedy_dual\""), "{flight}");
     // Every shard actually received traffic on a realistic workload.
     for line in metrics.lines() {
         if let Some(rest) = line.strip_prefix("webcache_serve_shard_requests_total{") {
@@ -547,6 +551,16 @@ fn workload_mode_replays_the_endless_generator() {
     assert!(
         metrics.contains("webcache_http_requests_total{path=\"/healthz\"}"),
         "{metrics}"
+    );
+    // A plain daemon is a one-shard replay: shard 0 carries every
+    // request and takes its lock once per pass.
+    assert_eq!(
+        sample(&metrics, "webcache_serve_shard_requests_total{shard=\"0\"}"),
+        sample(&metrics, "webcache_serve_requests_total"),
+    );
+    assert_eq!(
+        sample(&metrics, "webcache_shard_lock_acquire_total{shard=\"0\"}"),
+        2.0
     );
 
     SHUTDOWN.store(true, Ordering::SeqCst);
@@ -703,6 +717,9 @@ fn serve_usage_errors() {
         "--workload dfn --slo-burn nan",      // non-finite threshold
         "--workload dfn --dash-history 0",    // empty snapshot ring
         "--workload dfn --dash-history deep", // non-numeric
+        "--workload dfn --scale 0.5",         // denominator below 1
+        "--workload dfn --scale nan",         // parses as f64 but useless
+        "--workload dfn --scale inf",         // likewise
     ] {
         let args = Args::parse(&argv(bad), &["quick"]).unwrap();
         assert!(

@@ -63,8 +63,8 @@ pub use cost::CostModel;
 pub use float::OrderedF64;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
 pub use sharded::{
-    validate_shard_count, ShardBalance, ShardConfigError, ShardCounters, ShardLockProbe,
-    ShardSnapshot, ShardedEngine,
+    validate_shard_count, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
+    ShardedEngine,
 };
 pub use sketch::FrequencySketch;
 pub use spec::{ParseSpecError, PolicySpec, ReplacementKind, DEFAULT_SECOND_HIT_WINDOW};

@@ -7,19 +7,13 @@
 //! shards by fx-hashing their [`DocId`] ([`ShardedEngine::route`]), so
 //! a document only ever lives in, and contends on, one shard.
 //!
-//! Two access paths with different locking disciplines:
-//!
-//! * **Write path** (lookups, inserts, invalidations) — `Mutex`-striped:
-//!   a request locks exactly its document's shard, so disjoint shards
-//!   proceed fully in parallel.
-//! * **Read path** (hit-rate accounting) — lock-free: per-shard
-//!   [`ShardCounters`] are plain relaxed atomics, updated by
-//!   [`ShardedEngine::request`] and readable at any time without
-//!   touching a single mutex. The counter types mirror the
-//!   `webcache-obs` registry (`AtomicU64` adds), so gauges can be fed
-//!   straight from a [`ShardSnapshot`]. Replay drivers that hold a
-//!   shard through [`ShardedEngine::with_shard`] bypass them and report
-//!   their own per-shard counts.
+//! One access path: [`ShardedEngine::with_shard`] locks a shard's stripe
+//! once and hands its cache to a replay driver, which replays the
+//! shard's whole request subsequence through it and reports its own
+//! per-shard counts. Two opt-in attachments observe that path without
+//! changing it: [`ShardLockProbe`]s time each acquisition, and
+//! per-shard [`ShardReasons`] carry the policy's eviction reasons and
+//! the cache's admission verdicts to a flight recorder.
 //!
 //! Sharding is not free in *quality*: each shard evicts against its own
 //! `capacity / N` budget with only its own documents' recency/frequency
@@ -29,12 +23,11 @@
 //! single-shard oracle (`N = 1`, which degenerates to a plain
 //! [`Cache`] bit-for-bit).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, TryLockError};
 use std::time::Instant;
 
-use webcache_obs::{Counter, Histogram};
-use webcache_trace::{fxhash, ByteSize, DocId, DocumentType};
+use webcache_obs::{Counter, FlightSink, Histogram, ReasonChannel};
+use webcache_trace::{fxhash, ByteSize, DocId};
 
 use crate::admission::AdmissionRule;
 use crate::cache::Cache;
@@ -77,85 +70,6 @@ pub fn validate_shard_count(shards: usize) -> Result<(), ShardConfigError> {
         Err(ShardConfigError::NotPowerOfTwo(shards))
     } else {
         Ok(())
-    }
-}
-
-/// Lock-free per-shard accounting: requests, hits and byte volumes.
-///
-/// Updated with relaxed atomics per request on the write path
-/// ([`ShardCounters::record`]); read at any time via
-/// [`ShardCounters::snapshot`] with no locks. Individual counters are
-/// each internally consistent; a snapshot may miss requests still being
-/// recorded, which is fine for rate gauges.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    requests: AtomicU64,
-    hits: AtomicU64,
-    bytes_requested: AtomicU64,
-    bytes_hit: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Accounts one request of `size` bytes that hit (or missed).
-    #[inline]
-    pub fn record(&self, size: ByteSize, hit: bool) {
-        let bytes = size.as_u64();
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(hit as u64, Ordering::Relaxed);
-        self.bytes_requested.fetch_add(bytes, Ordering::Relaxed);
-        self.bytes_hit
-            .fetch_add(if hit { bytes } else { 0 }, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            bytes_requested: self.bytes_requested.load(Ordering::Relaxed),
-            bytes_hit: self.bytes_hit.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of one shard's [`ShardCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Requests routed to the shard.
-    pub requests: u64,
-    /// Requests served from the shard.
-    pub hits: u64,
-    /// Bytes requested from the shard.
-    pub bytes_requested: u64,
-    /// Bytes served from the shard.
-    pub bytes_hit: u64,
-}
-
-impl ShardSnapshot {
-    /// Hit rate (0 when the shard saw no requests).
-    pub fn hit_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests as f64
-        }
-    }
-
-    /// Byte hit rate (0 when the shard served no bytes).
-    pub fn byte_hit_rate(&self) -> f64 {
-        if self.bytes_requested == 0 {
-            0.0
-        } else {
-            self.bytes_hit as f64 / self.bytes_requested as f64
-        }
-    }
-
-    /// Sums the other snapshot into this one.
-    pub fn merge(&mut self, other: ShardSnapshot) {
-        self.requests += other.requests;
-        self.hits += other.hits;
-        self.bytes_requested += other.bytes_requested;
-        self.bytes_hit += other.bytes_hit;
     }
 }
 
@@ -241,18 +155,21 @@ impl ShardLockProbe {
     }
 }
 
-/// One shard: its cache behind the stripe lock, plus the lock-free
-/// counters beside it.
-#[derive(Debug)]
-struct Shard {
-    cache: Mutex<Cache>,
-    counters: ShardCounters,
+/// One shard's flight-recorder reason channels.
+#[derive(Debug, Clone, Default)]
+pub struct ShardReasons {
+    /// Eviction reasons, pushed by the shard's policy through a
+    /// [`FlightSink`] (one per victim, in victim order).
+    pub evictions: ReasonChannel,
+    /// Admission verdicts, pushed by the shard's cache (see
+    /// [`Cache::set_admit_reasons`]).
+    pub admissions: ReasonChannel,
 }
 
-/// The concurrent sharded engine. See the [module docs](self).
+/// The shard-striped cache engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct ShardedEngine {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Cache>>,
     capacity: ByteSize,
     shard_capacity: ByteSize,
     policy_label: String,
@@ -260,54 +177,22 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds an engine of `shards` shards splitting `capacity` evenly,
-    /// each with a fresh instance of `spec`'s replacement policy and its
-    /// own admission-filter state, using sparse-id document interning
-    /// (the general-purpose path; replay drivers with a dense trace
-    /// should use [`ShardedEngine::with_dense_shards`]).
-    ///
-    /// `spec` is anything convertible to a [`PolicySpec`] — a composed
-    /// spec or a bare [`PolicyKind`]. When the spec names an admission
-    /// filter it wins over the `admission` fallback (see
-    /// [`PolicySpec::admission_or`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardConfigError`] when `shards` is zero or not a power of two.
-    pub fn new(
-        capacity: ByteSize,
-        spec: impl Into<PolicySpec>,
-        admission: AdmissionRule,
-        shards: usize,
-    ) -> Result<ShardedEngine, ShardConfigError> {
-        let spec = spec.into();
-        let admission = spec.admission_or(admission);
-        validate_shard_count(shards)?;
-        let shard_capacity = Self::split_capacity(capacity, shards);
-        let shards = (0..shards)
-            .map(|_| Shard {
-                cache: Mutex::new(Cache::with_admission(
-                    shard_capacity,
-                    spec.build(),
-                    admission,
-                )),
-                counters: ShardCounters::default(),
-            })
-            .collect();
-        Ok(ShardedEngine {
-            shards,
-            capacity,
-            shard_capacity,
-            policy_label: PolicySpec::new(admission, spec.replacement).label(),
-            lock_probes: None,
-        })
-    }
-
     /// Builds an engine whose shards use dense slot addressing:
     /// `per_shard_distinct[s]` is shard `s`'s distinct-document count and
     /// its documents must be addressed as `DocId::new(local_slot)` with
     /// shard-local slots `0..per_shard_distinct[s]` (a sharded trace
-    /// view computes the mapping).
+    /// view computes the mapping). `capacity` splits evenly; each shard
+    /// gets a fresh instance of `spec`'s replacement policy and its own
+    /// admission-filter state.
+    ///
+    /// `spec` is anything convertible to a [`PolicySpec`] — a composed
+    /// spec or a bare [`PolicyKind`](crate::PolicyKind). When the spec
+    /// names an admission filter it wins over the `admission` fallback
+    /// (see [`PolicySpec::admission_or`]).
+    ///
+    /// With `reasons`, shard `s`'s policy pushes its eviction reasons into
+    /// `reasons[s].evictions` and its cache pushes admission verdicts into
+    /// `reasons[s].admissions`.
     ///
     /// # Errors
     ///
@@ -316,28 +201,40 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `per_shard_distinct` is empty (its length is the
-    /// shard count).
+    /// Panics when `reasons` does not hold one entry per shard.
     pub fn with_dense_shards(
         capacity: ByteSize,
         spec: impl Into<PolicySpec>,
         admission: AdmissionRule,
         per_shard_distinct: &[usize],
+        reasons: Option<&[ShardReasons]>,
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
         let admission = spec.admission_or(admission);
         validate_shard_count(per_shard_distinct.len())?;
+        if let Some(reasons) = reasons {
+            assert_eq!(
+                reasons.len(),
+                per_shard_distinct.len(),
+                "one reason pair per shard"
+            );
+        }
         let shard_capacity = Self::split_capacity(capacity, per_shard_distinct.len());
         let shards = per_shard_distinct
             .iter()
-            .map(|&distinct| Shard {
-                cache: Mutex::new(Cache::with_dense_slots(
-                    shard_capacity,
-                    spec.build(),
-                    admission,
-                    distinct,
-                )),
-                counters: ShardCounters::default(),
+            .enumerate()
+            .map(|(shard, &distinct)| {
+                let reasons = reasons.map(|r| &r[shard]);
+                let policy = match reasons {
+                    Some(r) => spec.build_instrumented(FlightSink::new(r.evictions.clone())),
+                    None => spec.build(),
+                };
+                let mut cache =
+                    Cache::with_dense_slots(shard_capacity, policy, admission, distinct);
+                if let Some(r) = reasons {
+                    cache.set_admit_reasons(r.admissions.clone());
+                }
+                Mutex::new(cache)
             })
             .collect();
         Ok(ShardedEngine {
@@ -350,7 +247,6 @@ impl ShardedEngine {
     }
 
     /// Installs one [`ShardLockProbe`] per shard; every subsequent
-    /// [`ShardedEngine::request`], [`ShardedEngine::invalidate`] and
     /// [`ShardedEngine::with_shard`] times its lock wait and hold into
     /// the probe cells. Install before sharing the engine across
     /// threads (the setter takes `&mut self`).
@@ -361,11 +257,6 @@ impl ShardedEngine {
     pub fn set_lock_probes(&mut self, probes: Vec<ShardLockProbe>) {
         assert_eq!(probes.len(), self.shards.len(), "one lock probe per shard");
         self.lock_probes = Some(probes);
-    }
-
-    /// The installed lock probes, if any.
-    pub fn lock_probes(&self) -> Option<&[ShardLockProbe]> {
-        self.lock_probes.as_deref()
     }
 
     /// Splits the total byte budget evenly, never below one byte per
@@ -394,13 +285,6 @@ impl ShardedEngine {
         (fxhash::hash_u64(doc.as_u64()) >> (64 - bits)) as usize
     }
 
-    /// Which of this engine's shards owns `doc` (sparse-id addressing;
-    /// dense-slot drivers route through their trace view instead).
-    #[inline]
-    pub fn shard_of(&self, doc: DocId) -> usize {
-        Self::route(doc, self.shards.len())
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -425,19 +309,24 @@ impl ShardedEngine {
     /// hold into the shard's [`ShardLockProbe`] when probes are
     /// installed.
     ///
+    /// This is the replay drivers' path: a worker that owns a shard's
+    /// whole request subsequence takes the stripe lock once and replays
+    /// through it (so with probes installed the cost is one timed
+    /// acquisition per shard per pass — nothing per request).
+    ///
     /// The probed path is `try_lock`-then-block: an uncontended
     /// acquisition observes a zero wait without ever reading the clock;
     /// only the contended slow path (which is already paying a blocking
     /// park) takes two `Instant` reads for the wait and two for the
     /// hold.
-    fn locked<R>(&self, index: usize, f: impl FnOnce(&mut Cache) -> R) -> R {
+    pub fn with_shard<R>(&self, index: usize, f: impl FnOnce(&mut Cache) -> R) -> R {
         let shard = &self.shards[index];
         let Some(probe) = self.lock_probes.as_ref().map(|p| &p[index]) else {
-            let mut cache = shard.cache.lock().expect("shard mutex poisoned");
+            let mut cache = shard.lock().expect("shard mutex poisoned");
             return f(&mut cache);
         };
         probe.acquisitions.inc();
-        let mut cache = match shard.cache.try_lock() {
+        let mut cache = match shard.try_lock() {
             Ok(guard) => {
                 probe.wait_us.observe(0);
                 guard
@@ -445,7 +334,7 @@ impl ShardedEngine {
             Err(TryLockError::WouldBlock) => {
                 probe.contended.inc();
                 let blocked = Instant::now();
-                let guard = shard.cache.lock().expect("shard mutex poisoned");
+                let guard = shard.lock().expect("shard mutex poisoned");
                 probe.wait_us.observe(blocked.elapsed().as_micros() as u64);
                 guard
             }
@@ -457,105 +346,22 @@ impl ShardedEngine {
         probe.hold_us.observe(held.elapsed().as_micros() as u64);
         result
     }
-
-    /// One full request against the engine: look the document up in its
-    /// shard, fetch-and-insert on a miss, and account the outcome in the
-    /// shard's lock-free counters. Returns `true` on a hit.
-    pub fn request(&self, doc: DocId, doc_type: DocumentType, size: ByteSize) -> bool {
-        let index = self.shard_of(doc);
-        let hit = self.locked(index, |cache| {
-            let hit = cache.access(doc);
-            if !hit {
-                cache.insert(doc, doc_type, size);
-            }
-            hit
-        });
-        self.shards[index].counters.record(size, hit);
-        hit
-    }
-
-    /// Drops `doc`'s cached copy (origin-side modification), if any.
-    pub fn invalidate(&self, doc: DocId) -> bool {
-        self.locked(self.shard_of(doc), |cache| cache.invalidate(doc))
-    }
-
-    /// Runs `f` with shard `index`'s cache locked.
-    ///
-    /// This is the replay drivers' bulk path: a worker that owns a
-    /// shard's whole request subsequence takes the stripe lock once and
-    /// replays through it, instead of locking per request (so with
-    /// probes installed the cost is one timed acquisition per shard per
-    /// pass — nothing per request).
-    pub fn with_shard<R>(&self, index: usize, f: impl FnOnce(&mut Cache) -> R) -> R {
-        self.locked(index, f)
-    }
-
-    /// Snapshots every shard's counters, lock-free, in shard order.
-    pub fn snapshot(&self) -> Vec<ShardSnapshot> {
-        self.shards.iter().map(|s| s.counters.snapshot()).collect()
-    }
-
-    /// The engine-wide counter totals, lock-free.
-    pub fn totals(&self) -> ShardSnapshot {
-        let mut total = ShardSnapshot::default();
-        for shard in &self.shards {
-            total.merge(shard.counters.snapshot());
-        }
-        total
-    }
-
-    /// Request/byte spread across shards, from the lock-free counters.
-    pub fn balance(&self) -> ShardBalance {
-        let counts: Vec<(u64, u64)> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let snap = s.counters.snapshot();
-                (snap.requests, snap.bytes_requested)
-            })
-            .collect();
-        ShardBalance::from_counts(&counts)
-    }
-
-    /// Bytes resident across all shards (locks each shard briefly).
-    pub fn used_bytes(&self) -> ByteSize {
-        let mut total = 0u64;
-        for shard in &self.shards {
-            total += shard
-                .cache
-                .lock()
-                .expect("shard mutex poisoned")
-                .used_bytes()
-                .as_u64();
-        }
-        ByteSize::new(total)
-    }
-
-    /// Documents resident across all shards (locks each shard briefly).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.cache.lock().expect("shard mutex poisoned").len())
-            .sum()
-    }
-
-    /// Whether no shard holds a document.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
+    use webcache_trace::DocumentType;
 
-    fn engine(shards: usize) -> ShardedEngine {
-        ShardedEngine::new(
-            ByteSize::new(8_000),
+    /// An LRU engine of `shards` dense shards of 16 documents each.
+    fn engine(capacity: u64, shards: usize) -> ShardedEngine {
+        ShardedEngine::with_dense_shards(
+            ByteSize::new(capacity),
             PolicyKind::Lru,
             AdmissionRule::All,
-            shards,
+            &vec![16; shards],
+            None,
         )
         .expect("valid shard count")
     }
@@ -606,137 +412,56 @@ mod tests {
 
     #[test]
     fn capacity_splits_evenly_with_a_floor_of_one() {
-        let e = engine(4);
+        let e = engine(8_000, 4);
+        assert_eq!(e.shard_count(), 4);
         assert_eq!(e.capacity().as_u64(), 8_000);
         assert_eq!(e.shard_capacity().as_u64(), 2_000);
-        let tiny =
-            ShardedEngine::new(ByteSize::new(3), PolicyKind::Lru, AdmissionRule::All, 8).unwrap();
-        assert_eq!(tiny.shard_capacity().as_u64(), 1);
-    }
-
-    #[test]
-    fn requests_hit_their_own_shard_and_count_lock_free() {
-        let e = engine(4);
-        let doc = DocId::new(42);
-        assert!(!e.request(doc, DocumentType::Html, ByteSize::new(100)));
-        assert!(e.request(doc, DocumentType::Html, ByteSize::new(100)));
-        let totals = e.totals();
-        assert_eq!(totals.requests, 2);
-        assert_eq!(totals.hits, 1);
-        assert_eq!(totals.bytes_requested, 200);
-        assert_eq!(totals.bytes_hit, 100);
-        assert!((totals.hit_rate() - 0.5).abs() < 1e-12);
-        assert!((totals.byte_hit_rate() - 0.5).abs() < 1e-12);
-        // Exactly one shard saw the traffic.
-        let busy: Vec<_> = e
-            .snapshot()
-            .into_iter()
-            .filter(|s| s.requests > 0)
-            .collect();
-        assert_eq!(busy.len(), 1);
-        assert_eq!(e.len(), 1);
-        assert!(!e.is_empty());
-        assert_eq!(e.used_bytes().as_u64(), 100);
-    }
-
-    #[test]
-    fn invalidate_reaches_the_owning_shard() {
-        let e = engine(8);
-        let doc = DocId::new(7);
-        e.request(doc, DocumentType::Image, ByteSize::new(50));
-        assert!(e.invalidate(doc));
-        assert!(!e.invalidate(doc), "second invalidate finds nothing");
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn single_shard_engine_behaves_like_a_plain_cache() {
-        let e = engine(1);
-        let mut plain = Cache::new(ByteSize::new(8_000), PolicyKind::Lru.build());
-        for id in 0..200u64 {
-            let doc = DocId::new(id % 37);
-            let size = ByteSize::new(64 + id % 5);
-            let expected = {
-                let hit = plain.access(doc);
-                if !hit {
-                    plain.insert(doc, DocumentType::Html, size);
-                }
-                hit
-            };
-            assert_eq!(e.request(doc, DocumentType::Html, size), expected);
+        for shard in 0..4 {
+            e.with_shard(shard, |cache| assert_eq!(cache.capacity().as_u64(), 2_000));
         }
-        assert_eq!(e.len(), plain.len());
-        assert_eq!(e.used_bytes(), plain.used_bytes());
+        assert_eq!(engine(3, 8).shard_capacity().as_u64(), 1);
+        let odd = ShardedEngine::with_dense_shards(
+            ByteSize::new(8_000),
+            PolicyKind::Lru,
+            AdmissionRule::All,
+            &[16, 16, 16],
+            None,
+        );
+        assert_eq!(odd.unwrap_err(), ShardConfigError::NotPowerOfTwo(3));
     }
 
     #[test]
-    fn concurrent_requests_from_many_threads_account_exactly() {
-        let e = engine(4);
-        let threads = 8;
-        let per_thread = 500u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let e = &e;
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let doc = DocId::new((t * per_thread + i) % 61);
-                        e.request(doc, DocumentType::Html, ByteSize::new(10));
-                    }
-                });
+    fn reason_channels_reach_each_shards_policy_and_cache() {
+        let reasons: Vec<ShardReasons> = (0..2).map(|_| ShardReasons::default()).collect();
+        let e = ShardedEngine::with_dense_shards(
+            ByteSize::new(200),
+            PolicyKind::Gds(crate::CostModel::Constant),
+            AdmissionRule::All,
+            &[4, 4],
+            Some(&reasons),
+        )
+        .unwrap();
+        // Three 100-byte documents through shard 1's 100-byte cache: three
+        // admissions, two evictions, nothing on shard 0.
+        e.with_shard(1, |cache| {
+            for slot in 0..3 {
+                cache.insert(DocId::new(slot), DocumentType::Html, ByteSize::new(100));
             }
         });
-        let totals = e.totals();
-        assert_eq!(totals.requests, threads * per_thread);
-        assert_eq!(totals.bytes_requested, threads * per_thread * 10);
-        let balance = e.balance();
-        assert!(balance.request_imbalance >= 1.0);
-        assert_eq!(
-            e.snapshot().iter().map(|s| s.requests).sum::<u64>(),
-            totals.requests
-        );
-    }
-
-    #[test]
-    fn lock_probes_do_not_change_behavior() {
-        let mut probed = engine(4);
-        probed.set_lock_probes((0..4).map(|_| ShardLockProbe::new()).collect());
-        let plain = engine(4);
-        for id in 0..500u64 {
-            let doc = DocId::new(id % 93);
-            let size = ByteSize::new(40 + id % 7);
-            assert_eq!(
-                probed.request(doc, DocumentType::Html, size),
-                plain.request(doc, DocumentType::Html, size)
-            );
-        }
-        assert_eq!(
-            probed.invalidate(DocId::new(1)),
-            plain.invalidate(DocId::new(1))
-        );
-        assert_eq!(probed.len(), plain.len());
-        assert_eq!(probed.used_bytes(), plain.used_bytes());
-        assert_eq!(probed.totals(), plain.totals());
-        // Every acquisition was observed, single-threaded ones uncontended.
-        let probes = probed.lock_probes().unwrap();
-        let acquisitions: u64 = probes.iter().map(|p| p.acquisitions.get()).sum();
-        assert_eq!(acquisitions, 501);
-        for p in probes {
-            assert_eq!(p.contended.get(), 0);
-            assert_eq!(p.contention_ratio(), 0.0);
-            assert_eq!(p.wait_us.count(), p.acquisitions.get());
-            assert_eq!(p.hold_us.count(), p.acquisitions.get());
-        }
-        assert!(plain.lock_probes().is_none());
+        assert_eq!(reasons[1].admissions.len(), 3);
+        assert_eq!(reasons[1].evictions.len(), 2);
+        assert!(reasons[0].admissions.is_empty() && reasons[0].evictions.is_empty());
     }
 
     #[test]
     fn contended_lock_registers_wait_time() {
-        let mut e = engine(1);
+        let mut e = engine(8_000, 1);
         e.set_lock_probes(vec![ShardLockProbe::new()]);
+        let probe = e.lock_probes.as_ref().unwrap()[0].clone();
         std::thread::scope(|scope| {
             // One holder pins the single shard's lock while another
-            // thread requests through it — the request must block and
-            // the probe must see the contention.
+            // thread asks for it — the second must block and the probe
+            // must see the contention.
             let engine = &e;
             let holder = scope.spawn(move || {
                 engine.with_shard(0, |_cache| {
@@ -744,14 +469,16 @@ mod tests {
                 });
             });
             std::thread::sleep(std::time::Duration::from_millis(5));
-            engine.request(DocId::new(1), DocumentType::Html, ByteSize::new(10));
+            let waiter = scope.spawn(move || engine.with_shard(0, |_cache| ()));
             holder.join().unwrap();
+            waiter.join().unwrap();
         });
-        let probe = &e.lock_probes().unwrap()[0];
         assert_eq!(probe.acquisitions.get(), 2);
         assert_eq!(probe.contended.get(), 1);
         assert!((probe.contention_ratio() - 0.5).abs() < 1e-12);
-        // The blocked request waited most of the 30ms hold.
+        assert_eq!(probe.wait_us.count(), 2);
+        assert_eq!(probe.hold_us.count(), 2);
+        // The blocked acquisition waited most of the 30ms hold.
         assert!(probe.wait_us.sum() >= 10_000, "{}", probe.wait_us.sum());
         assert!(probe.hold_us.sum() >= 20_000, "{}", probe.hold_us.sum());
     }
@@ -759,7 +486,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one lock probe per shard")]
     fn probe_count_must_match_shards() {
-        engine(4).set_lock_probes(vec![ShardLockProbe::new()]);
+        engine(8_000, 4).set_lock_probes(vec![ShardLockProbe::new()]);
     }
 
     #[test]

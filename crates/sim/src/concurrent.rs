@@ -1,14 +1,21 @@
 //! Multi-threaded replay against the sharded engine.
 //!
 //! [`ConcurrentSimulator::run`] replays a [`DenseTrace`] through a
-//! [`ShardedEngine`] with `M` client threads. The trace is first split
-//! into per-shard request subsequences by a [`ShardedTrace`] view
-//! (fx-hash routing, identical to [`ShardedEngine::route`]); clients
-//! then take shards round-robin (client `c` owns shards `c`, `c + M`,
-//! `c + 2M`, …) and replay each owned shard's subsequence through the
-//! serial simulator's per-request step, holding that shard's stripe
-//! lock for the duration. Only the slot mapping differs: each shard's
-//! cache addresses its documents by shard-local slot.
+//! [`ShardedEngine`] with `M` clients. The trace is first split into
+//! per-shard request subsequences by a [`ShardedTrace`] view (fx-hash
+//! routing, identical to [`ShardedEngine::route`]); clients then take
+//! shards round-robin (client `c` owns shards `c`, `c + M`, `c + 2M`,
+//! …) and replay each owned shard's subsequence through the serial
+//! simulator's per-request step, holding that shard's stripe lock for
+//! the duration. Client 0 runs on the calling thread and only clients
+//! `1..M` get threads of their own, so a one-shard, one-client replay
+//! spawns nothing. Only the slot mapping differs from the serial
+//! simulator: each shard's cache addresses its documents by
+//! shard-local slot.
+//!
+//! Each shard has its own observer, borrowed for the replay, so
+//! observer state persists across the passes of the
+//! [`ReplayLoop`](crate::live::ReplayLoop) that drives `webcache serve`.
 //!
 //! ## Determinism
 //!
@@ -31,11 +38,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use webcache_core::{
-    Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardedEngine,
+    Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
+    ShardedEngine,
 };
 use webcache_trace::{DenseTrace, TypeMap};
 
-use crate::live::{LiveStatus, LiveSummary, TraceSource};
 use crate::metrics::HitStats;
 use crate::observe::{NoopObserver, Observer, RunMeta};
 use crate::simulator::{Replay, SimulationConfig, SimulationReport, SlotMap};
@@ -162,7 +169,7 @@ pub struct ConcurrentReport {
     pub config: SimulationConfig,
     /// Shard count of the engine.
     pub shards: usize,
-    /// Client threads that drove the replay.
+    /// Clients that drove the replay (client 0 on the calling thread).
     pub clients: usize,
     /// Requests replayed (equals the trace length when `completed`).
     pub requests: u64,
@@ -229,12 +236,16 @@ pub struct ConcurrentSimulator {
     /// across passes). `None` leaves the engine's lock path
     /// uninstrumented.
     pub lock_probes: Option<Vec<ShardLockProbe>>,
+    /// Optional per-shard flight-recorder reason channels, handed to
+    /// each pass's engine (see [`ShardedEngine::with_dense_shards`]).
+    /// `None` builds uninstrumented policies.
+    pub reasons: Option<Vec<ShardReasons>>,
 }
 
 impl ConcurrentSimulator {
-    /// A concurrent simulator without lock probes. Accepts a
-    /// bare [`PolicyKind`](webcache_core::PolicyKind) or a composed
-    /// spec; a spec-level admission filter overrides
+    /// A concurrent simulator without lock probes or reason channels.
+    /// Accepts a bare [`PolicyKind`](webcache_core::PolicyKind) or a
+    /// composed spec; a spec-level admission filter overrides
     /// [`SimulationConfig::admission_rule`], mirroring
     /// [`Simulator::from_spec`](crate::Simulator::from_spec).
     pub fn new(spec: impl Into<PolicySpec>, config: SimulationConfig) -> ConcurrentSimulator {
@@ -245,6 +256,7 @@ impl ConcurrentSimulator {
             spec,
             config,
             lock_probes: None,
+            reasons: None,
         }
     }
 
@@ -256,8 +268,16 @@ impl ConcurrentSimulator {
         self
     }
 
+    /// Installs per-shard reason channels (one per shard; see
+    /// [`ShardedEngine::with_dense_shards`]).
+    #[must_use]
+    pub fn with_reasons(mut self, reasons: Vec<ShardReasons>) -> ConcurrentSimulator {
+        self.reasons = Some(reasons);
+        self
+    }
+
     /// Splits `trace` for `shards` shards and replays it with `clients`
-    /// threads.
+    /// clients.
     ///
     /// # Errors
     ///
@@ -280,56 +300,42 @@ impl ConcurrentSimulator {
         sharded: &ShardedTrace,
         clients: usize,
     ) -> ConcurrentReport {
-        self.run_sharded_observed(trace, sharded, clients, |_| NoopObserver)
-            .0
+        let mut observers = vec![NoopObserver; sharded.shard_count()];
+        self.run_sharded_controlled(trace, sharded, clients, None, None, &mut observers)
     }
 
-    /// Like [`ConcurrentSimulator::run_sharded`], with one observer per
-    /// shard built by `factory(shard)`; observers are returned in shard
-    /// order. Events carry **global** request indices and **global**
-    /// document slots, so per-shard observers see the same event values
-    /// as a serial observer would — only partitioned, each shard's
-    /// stream in trace order.
-    pub fn run_sharded_observed<O, F>(
-        &self,
-        trace: &DenseTrace,
-        sharded: &ShardedTrace,
-        clients: usize,
-        factory: F,
-    ) -> (ConcurrentReport, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> O + Sync,
-    {
-        self.run_sharded_controlled(trace, sharded, clients, None, None, factory)
-    }
-
-    /// The full-control variant: an optional aggregate request-rate
-    /// throttle (split across clients in proportion to their share of
-    /// the trace) and an optional shutdown flag, both checked every 128
-    /// requests of a shard (a raised flag abandons the rest of the
-    /// replay and marks the report `completed: false`).
-    pub fn run_sharded_controlled<O, F>(
+    /// The full-control variant. `observers[s]` sees shard `s`'s events,
+    /// which carry **global** request indices and **global** document
+    /// slots, so per-shard observers see the same event values as a
+    /// serial observer would — only partitioned, each shard's stream in
+    /// trace order. An optional aggregate request-rate throttle (split
+    /// across clients in proportion to their share of the trace) and an
+    /// optional shutdown flag are both checked every 128 requests of a
+    /// shard (a raised flag abandons the rest of the replay and marks
+    /// the report `completed: false`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `observers` does not hold one observer per shard.
+    pub fn run_sharded_controlled<O: Observer + Send>(
         &self,
         trace: &DenseTrace,
         sharded: &ShardedTrace,
         clients: usize,
         rate: Option<f64>,
         shutdown: Option<&AtomicBool>,
-        factory: F,
-    ) -> (ConcurrentReport, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> O + Sync,
-    {
+        observers: &mut [O],
+    ) -> ConcurrentReport {
         let shards = sharded.shard_count();
-        let clients = clients.max(1).min(shards.max(1));
+        assert_eq!(observers.len(), shards, "one observer per shard");
+        let clients = clients.clamp(1, shards);
         let started = Instant::now();
         let mut engine = ShardedEngine::with_dense_shards(
             self.config.capacity,
             self.spec,
             self.config.admission_rule,
             sharded.per_shard_distinct(),
+            self.reasons.as_deref(),
         )
         .expect("ShardedTrace shard count is validated");
         if let Some(probes) = &self.lock_probes {
@@ -338,92 +344,82 @@ impl ConcurrentSimulator {
         let engine = engine;
         let warmup_end = ((trace.len() as f64) * self.config.warmup_fraction).floor() as usize;
 
-        let mut outcomes: Vec<Option<(ShardOutcome, O)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let engine = &engine;
-                    let factory = &factory;
-                    scope.spawn(move || {
-                        let owned: Vec<usize> = (client..shards).step_by(clients).collect();
-                        let client_requests: usize =
-                            owned.iter().map(|&s| sharded.shard_len(s)).sum();
-                        let mut throttle = rate.filter(|_| client_requests > 0).map(|r| {
-                            Throttle::new(r * client_requests as f64 / trace.len().max(1) as f64)
-                        });
-                        let mut results = Vec::with_capacity(owned.len());
-                        for shard in owned {
-                            let mut observer = factory(shard);
-                            let outcome = engine.with_shard(shard, |cache| {
-                                replay_shard(
-                                    cache,
-                                    trace,
-                                    sharded,
-                                    shard,
-                                    RunMeta {
-                                        total_requests: sharded.shard_len(shard),
-                                        warmup_end,
-                                        capacity: engine.shard_capacity(),
-                                    },
-                                    self.config,
-                                    &mut observer,
-                                    throttle.as_mut(),
-                                    shutdown,
-                                )
-                            });
-                            let completed = outcome.completed;
-                            results.push((shard, outcome, observer));
-                            if !completed {
-                                break;
-                            }
-                        }
-                        results
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<(ShardOutcome, O)>> = (0..shards).map(|_| None).collect();
-            for handle in handles {
-                for (shard, outcome, observer) in handle.join().expect("client thread") {
-                    slots[shard] = Some((outcome, observer));
+        // Client `c` owns shards `c, c + M, c + 2M, …` and their observers.
+        let mut owned: Vec<Vec<(usize, &mut O)>> = (0..clients).map(|_| Vec::new()).collect();
+        for (shard, observer) in observers.iter_mut().enumerate() {
+            owned[shard % clients].push((shard, observer));
+        }
+        let client = |owned: Vec<(usize, &mut O)>| {
+            let client_requests: usize = owned.iter().map(|&(s, _)| sharded.shard_len(s)).sum();
+            let mut throttle = rate
+                .filter(|_| client_requests > 0)
+                .map(|r| Throttle::new(r * client_requests as f64 / trace.len().max(1) as f64));
+            let mut results = Vec::with_capacity(owned.len());
+            for (shard, observer) in owned {
+                let meta = RunMeta {
+                    total_requests: sharded.shard_len(shard),
+                    warmup_end,
+                    capacity: engine.shard_capacity(),
+                };
+                let outcome = engine.with_shard(shard, |cache| {
+                    replay_shard(
+                        cache,
+                        trace,
+                        sharded,
+                        shard,
+                        meta,
+                        self.config,
+                        observer,
+                        throttle.as_mut(),
+                        shutdown,
+                    )
+                });
+                let completed = outcome.completed;
+                results.push(outcome);
+                if !completed {
+                    break;
                 }
             }
-            slots
+            results
+        };
+        let mut outcomes = std::thread::scope(|scope| {
+            let client = &client;
+            let mut owned = owned.into_iter();
+            let first = owned.next().expect("at least one client");
+            let handles: Vec<_> = owned.map(|o| scope.spawn(move || client(o))).collect();
+            let mut outcomes = client(first);
+            for handle in handles {
+                outcomes.extend(handle.join().expect("client thread"));
+            }
+            outcomes
         });
+        outcomes.sort_unstable_by_key(|o| o.summary.shard);
 
+        // A client abandons its remaining shards on shutdown.
+        let mut completed = outcomes.len() == shards;
         let mut by_type: TypeMap<HitStats> = TypeMap::default();
-        let mut per_shard = Vec::with_capacity(shards);
-        let mut observers = Vec::with_capacity(shards);
         let mut requests = 0u64;
-        let mut completed = true;
-        for (shard, slot) in outcomes.iter_mut().enumerate() {
-            let Some((outcome, observer)) = slot.take() else {
-                // A client abandoned its remaining shards on shutdown.
-                completed = false;
-                continue;
-            };
+        let mut per_shard = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
             completed &= outcome.completed;
             requests += outcome.summary.requests;
             for (ty, stats) in outcome.summary.by_type.iter() {
                 by_type[ty] += *stats;
             }
-            debug_assert_eq!(outcome.summary.shard, shard);
             per_shard.push(outcome.summary);
-            observers.push(observer);
         }
 
-        (
-            ConcurrentReport {
-                policy: engine.policy_label(),
-                config: self.config,
-                shards,
-                clients,
-                requests,
-                elapsed: started.elapsed(),
-                completed,
-                per_shard,
-                by_type,
-            },
-            observers,
-        )
+        ConcurrentReport {
+            policy: engine.policy_label(),
+            config: self.config,
+            shards,
+            clients,
+            requests,
+            elapsed: started.elapsed(),
+            completed,
+            per_shard,
+            by_type,
+        }
     }
 }
 
@@ -557,139 +553,9 @@ impl Throttle {
     }
 }
 
-/// One completed pass of a [`ShardedReplayLoop`].
-#[derive(Debug)]
-pub struct ConcurrentPassSummary {
-    /// 0-based pass index.
-    pub pass: u64,
-    /// Requests replayed in this pass.
-    pub requests: u64,
-    /// Wall-clock duration of the pass.
-    pub elapsed: Duration,
-    /// Aggregate requests per second achieved.
-    pub req_per_sec: f64,
-    /// The pass's report (per-shard summaries included).
-    pub report: ConcurrentReport,
-}
-
-/// The continuous replay driver against the sharded engine — the
-/// `webcache serve --shards N --clients M` engine. Mirrors
-/// [`ReplayLoop`](crate::live::ReplayLoop): one fresh engine per pass,
-/// shutdown honored between passes *and* every 128 requests of a shard
-/// within a pass (an interrupted pass is discarded, not reported).
-#[derive(Debug, Clone)]
-pub struct ShardedReplayLoop {
-    /// Cache/simulation parameters, applied to every pass.
-    pub config: SimulationConfig,
-    /// The policy spec, freshly instantiated per shard per pass.
-    pub spec: PolicySpec,
-    /// Target aggregate request rate; `None` replays flat out.
-    pub rate: Option<f64>,
-    /// Pass budget; `None` loops until shutdown.
-    pub max_passes: Option<u64>,
-    /// Shard count of the engine.
-    pub shards: usize,
-    /// Client threads per pass.
-    pub clients: usize,
-    /// Optional per-shard lock probes, shared across every pass's
-    /// engine (handles share cells, so contention stats accumulate).
-    pub lock_probes: Option<Vec<ShardLockProbe>>,
-}
-
-impl ShardedReplayLoop {
-    /// Runs passes until `shutdown` rises, `max_passes` is reached, or
-    /// `source` runs dry. `on_pass` fires after each completed pass.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardConfigError`] for an invalid shard count.
-    pub fn run<S, F>(
-        &self,
-        source: &mut S,
-        status: &LiveStatus,
-        shutdown: &AtomicBool,
-        on_pass: F,
-    ) -> Result<LiveSummary, ShardConfigError>
-    where
-        S: TraceSource,
-        F: FnMut(&ConcurrentPassSummary),
-    {
-        self.run_observed(source, status, shutdown, |_| NoopObserver, on_pass)
-    }
-
-    /// Like [`ShardedReplayLoop::run`], with one observer per shard per
-    /// pass built by `factory(shard)`. Observers see global request
-    /// indices (see [`ConcurrentSimulator::run_sharded_observed`]); a
-    /// factory handing each shard a clone of a shared flight-recorder
-    /// ring is how the serve path keeps a decision trail in concurrent
-    /// mode. Per-pass observer state is discarded at pass end — durable
-    /// state must live behind the factory's shared handles.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardConfigError`] for an invalid shard count.
-    pub fn run_observed<S, O, OF, F>(
-        &self,
-        source: &mut S,
-        status: &LiveStatus,
-        shutdown: &AtomicBool,
-        factory: OF,
-        mut on_pass: F,
-    ) -> Result<LiveSummary, ShardConfigError>
-    where
-        S: TraceSource,
-        O: Observer + Send,
-        OF: Fn(usize) -> O + Sync,
-        F: FnMut(&ConcurrentPassSummary),
-    {
-        webcache_core::validate_shard_count(self.shards)?;
-        let mut simulator = ConcurrentSimulator::new(self.spec, self.config);
-        simulator.lock_probes = self.lock_probes.clone();
-        status.set_replaying(true);
-        let mut passes = 0u64;
-        let mut requests = 0u64;
-        while !shutdown.load(Ordering::Relaxed) && self.max_passes.is_none_or(|max| passes < max) {
-            let Some(dense) = source.next_pass(passes) else {
-                break;
-            };
-            // Rebuilt per pass: stream sources hand out a new trace each
-            // epoch, and the split is one O(n) sweep — noise next to the
-            // replay itself.
-            let sharded = ShardedTrace::build(dense, self.shards)?;
-            let (report, _) = simulator.run_sharded_controlled(
-                dense,
-                &sharded,
-                self.clients,
-                self.rate,
-                Some(shutdown),
-                &factory,
-            );
-            if !report.completed {
-                break;
-            }
-            let elapsed = report.elapsed;
-            let pass_requests = report.requests;
-            let req_per_sec = report.requests_per_sec();
-            requests += pass_requests;
-            passes += 1;
-            status.record_pass(passes, requests, req_per_sec);
-            on_pass(&ConcurrentPassSummary {
-                pass: passes - 1,
-                requests: pass_requests,
-                elapsed,
-                req_per_sec,
-                report,
-            });
-        }
-        status.set_replaying(false);
-        Ok(LiveSummary { passes, requests })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::FixedSource;
     use webcache_core::PolicyKind;
     use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
 
@@ -829,58 +695,17 @@ mod tests {
         let dense = DenseTrace::build(&mixed_trace(4_000, 211));
         let sharded = ShardedTrace::build(&dense, 4).unwrap();
         let flag = AtomicBool::new(true);
-        let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
-            .run_sharded_controlled(&dense, &sharded, 2, None, Some(&flag), |_| NoopObserver);
+        let report = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
+            .run_sharded_controlled(
+                &dense,
+                &sharded,
+                2,
+                None,
+                Some(&flag),
+                &mut [NoopObserver; 4],
+            );
         assert!(!report.completed);
         assert_eq!(report.requests, 0, "flag was up before the first request");
-    }
-
-    #[test]
-    fn sharded_loop_runs_passes_and_reports_status() {
-        let trace = mixed_trace(800, 67);
-        let mut source = FixedSource::from_dense(DenseTrace::build(&trace));
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let mut seen = Vec::new();
-        let summary = ShardedReplayLoop {
-            config: config(8_000),
-            spec: PolicyKind::Lru.into(),
-            rate: None,
-            max_passes: Some(3),
-            shards: 4,
-            clients: 4,
-            lock_probes: None,
-        }
-        .run(&mut source, &status, &shutdown, |pass| {
-            seen.push((pass.pass, pass.report.shards));
-        })
-        .unwrap();
-        assert_eq!(summary.passes, 3);
-        assert_eq!(summary.requests, 2_400);
-        assert_eq!(seen, vec![(0, 4), (1, 4), (2, 4)]);
-        assert_eq!(status.passes(), 3);
-        assert!(!status.replaying());
-        assert!(status.last_pass_req_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn sharded_loop_rejects_bad_shard_counts() {
-        let trace = mixed_trace(100, 11);
-        let mut source = FixedSource::from_dense(DenseTrace::build(&trace));
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let err = ShardedReplayLoop {
-            config: config(1_000),
-            spec: PolicyKind::Lru.into(),
-            rate: None,
-            max_passes: Some(1),
-            shards: 6,
-            clients: 2,
-            lock_probes: None,
-        }
-        .run(&mut source, &status, &shutdown, |_| {})
-        .unwrap_err();
-        assert_eq!(err, ShardConfigError::NotPowerOfTwo(6));
     }
 
     #[test]
@@ -912,8 +737,15 @@ mod tests {
         let dense = DenseTrace::build(&mixed_trace(600, 31));
         let sharded = ShardedTrace::build(&dense, 2).unwrap();
         let started = Instant::now();
-        let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
-            .run_sharded_controlled(&dense, &sharded, 2, Some(20_000.0), None, |_| NoopObserver);
+        let report = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
+            .run_sharded_controlled(
+                &dense,
+                &sharded,
+                2,
+                Some(20_000.0),
+                None,
+                &mut [NoopObserver; 2],
+            );
         // 600 requests at 20k req/s aggregate ≈ 30 ms; allow wide slack.
         assert!(
             started.elapsed() >= Duration::from_millis(15),

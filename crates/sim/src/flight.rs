@@ -36,9 +36,10 @@ pub struct FlightObserver {
 }
 
 impl FlightObserver {
-    /// An observer recording plain events (no reason channels — every
-    /// record carries the none-kind reason). This is what concurrent
-    /// per-shard replay uses, where caches are not sink-instrumented.
+    /// An observer recording plain events, without reason channels:
+    /// every record carries the none-kind reason. `webcache serve`
+    /// instead gives each shard [`FlightObserver::with_reasons`] over
+    /// that shard's own channels.
     pub fn new(recorder: SharedRecorder) -> FlightObserver {
         FlightObserver {
             recorder,

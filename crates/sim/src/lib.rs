@@ -62,10 +62,7 @@ pub mod slo;
 pub mod windowed;
 
 pub use anomaly::{AnomalyConfig, AnomalyKind, AnomalyObserver, AnomalyTrigger};
-pub use concurrent::{
-    ConcurrentPassSummary, ConcurrentReport, ConcurrentSimulator, ShardSummary, ShardedReplayLoop,
-    ShardedTrace,
-};
+pub use concurrent::{ConcurrentReport, ConcurrentSimulator, ShardSummary, ShardedTrace};
 pub use experiment::{CacheSizeSweep, SweepPoint, SweepProgress, SweepReport};
 pub use flight::FlightObserver;
 pub use hierarchy::{simulate_hierarchy, HierarchyConfig, HierarchyReport};

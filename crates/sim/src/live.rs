@@ -1,11 +1,14 @@
 //! Continuous replay: the engine behind `webcache serve`.
 //!
-//! A [`ReplayLoop`] drives the instrumented simulator pass after pass —
-//! each pass replays one trace from a [`TraceSource`] through a fresh
-//! cache — until a shared shutdown flag is raised, the configured pass
-//! budget is exhausted, or the source runs dry. Observers (profiling,
-//! anomaly detection, logging) persist across passes, so windowed
-//! baselines keep their history while the cache itself restarts cold.
+//! A [`ReplayLoop`] drives the sharded replay pass after pass — each
+//! pass replays one trace from a [`TraceSource`] through a fresh
+//! [`ShardedEngine`](webcache_core::ShardedEngine) — until a shared
+//! shutdown flag is raised, the configured pass budget is exhausted, or
+//! the source runs dry. A plain daemon is the one-shard, one-client case
+//! of the same loop, replayed on the calling thread. Observers (one per
+//! shard: profiling, anomaly detection, logging, flight recording)
+//! persist across passes, so windowed baselines keep their history while
+//! the cache itself restarts cold.
 //!
 //! Liveness is published through a [`LiveStatus`] — a handful of atomics
 //! (passes, requests, replaying, last pass throughput) that an HTTP
@@ -14,17 +17,19 @@
 //! An optional request-rate throttle turns the flat-out replay into a
 //! paced, wall-clock workload (useful for watching windowed metrics
 //! evolve on a live dashboard instead of finishing a pass in
-//! milliseconds). The pacer stops sleeping the moment the shutdown flag
-//! rises, so Ctrl-C never waits on a throttled pass.
+//! milliseconds). The shutdown flag and the throttle are checked every
+//! 128 requests of a shard: the throttle stops sleeping the moment the
+//! flag rises, and an interrupted pass is discarded, not reported.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use webcache_core::PolicySpec;
+use webcache_core::{PolicySpec, ShardConfigError, ShardLockProbe, ShardReasons};
 use webcache_trace::DenseTrace;
 
-use crate::observe::{AccessEvent, AccessKind, Observer};
-use crate::simulator::{SimulationConfig, SimulationReport, Simulator};
+use crate::concurrent::{ConcurrentReport, ConcurrentSimulator, ShardedTrace};
+use crate::observe::Observer;
+use crate::simulator::SimulationConfig;
 
 /// Supplies the trace for each pass of a [`ReplayLoop`].
 pub trait TraceSource {
@@ -88,8 +93,8 @@ impl LiveStatus {
         f64::from_bits(self.last_pass_rps.load(Ordering::Relaxed))
     }
 
-    /// Flags the replay loop as running / stopped. The drivers set it
-    /// around their loops; a daemon that answers `/healthz` before its
+    /// Flags the replay loop as running / stopped. The loop sets it
+    /// around its passes; a daemon that answers `/healthz` before its
     /// replay thread starts sets it first, so the endpoint never reads
     /// "not replaying" before the first pass.
     pub fn set_replaying(&self, on: bool) {
@@ -113,12 +118,12 @@ pub struct PassSummary {
     pub pass: u64,
     /// Requests replayed in this pass.
     pub requests: u64,
-    /// Wall-clock duration of the pass.
+    /// Wall-clock duration of the pass (engine build included).
     pub elapsed: Duration,
-    /// Requests per second achieved (post-throttle, if any).
+    /// Aggregate requests per second achieved (post-throttle, if any).
     pub req_per_sec: f64,
-    /// The pass's end-of-run report.
-    pub report: SimulationReport,
+    /// The pass's report (per-shard summaries included).
+    pub report: ConcurrentReport,
 }
 
 /// Totals for a finished loop.
@@ -131,185 +136,106 @@ pub struct LiveSummary {
 }
 
 /// The continuous replay driver. See the [module docs](self).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ReplayLoop {
     /// Cache/simulation parameters, applied to every pass.
     pub config: SimulationConfig,
-    /// The policy spec, freshly instantiated per pass.
+    /// The policy spec, freshly instantiated per shard per pass.
     pub spec: PolicySpec,
-    /// Target request rate (requests/second); `None` replays flat out.
+    /// Target aggregate request rate; `None` replays flat out.
     pub rate: Option<f64>,
     /// Pass budget; `None` loops until shutdown.
     pub max_passes: Option<u64>,
+    /// Shard count of the engine.
+    pub shards: usize,
+    /// Clients per pass (clamped to the shard count; client 0 runs on
+    /// the calling thread).
+    pub clients: usize,
+    /// Optional per-shard lock probes, shared across every pass's
+    /// engine (handles share cells, so contention stats accumulate).
+    pub lock_probes: Option<Vec<ShardLockProbe>>,
+    /// Optional per-shard reason channels, handed to every pass's
+    /// engine so the policies and caches push the reasons that
+    /// [`FlightObserver::with_reasons`](crate::FlightObserver::with_reasons)
+    /// drains.
+    pub reasons: Option<Vec<ShardReasons>>,
 }
 
 impl ReplayLoop {
     /// Runs passes until `shutdown` rises, `max_passes` is reached, or
-    /// `source` returns `None`. `observer` sees every pass's events;
-    /// `on_pass` fires after each pass with its summary. The shutdown
-    /// flag is honored **between** passes (and by the pacer's sleeps);
-    /// a flat-out pass in flight runs to completion.
+    /// `source` runs dry. `observers[s]` sees shard `s`'s events of
+    /// every pass (global request indices and document slots; see
+    /// [`ConcurrentSimulator::run_sharded_controlled`]); `on_pass` fires
+    /// after each completed pass with its summary.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardConfigError`] for an invalid shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `observers` does not hold one observer per shard.
     pub fn run<S, O, F>(
         &self,
         source: &mut S,
-        observer: &mut O,
+        observers: &mut [O],
         status: &LiveStatus,
         shutdown: &AtomicBool,
-        on_pass: F,
-    ) -> LiveSummary
-    where
-        S: TraceSource,
-        O: Observer,
-        F: FnMut(&PassSummary),
-    {
-        let (spec, config) = (self.spec, self.config);
-        self.run_with(
-            source,
-            observer,
-            status,
-            shutdown,
-            move || Simulator::from_spec(spec, config),
-            on_pass,
-        )
-    }
-
-    /// Like [`ReplayLoop::run`], but each pass's simulator comes from
-    /// `make_simulator` instead of `Simulator::from_spec(spec, config)`.
-    /// This is the seam for instrumented replay: a factory can build the
-    /// policy with a metrics sink and attach admission-reason channels
-    /// (see `Simulator::from_spec_instrumented`), while the pass loop,
-    /// pacing and status plumbing stay identical.
-    pub fn run_with<S, O, F, M>(
-        &self,
-        source: &mut S,
-        observer: &mut O,
-        status: &LiveStatus,
-        shutdown: &AtomicBool,
-        mut make_simulator: M,
         mut on_pass: F,
-    ) -> LiveSummary
+    ) -> Result<LiveSummary, ShardConfigError>
     where
         S: TraceSource,
-        O: Observer,
+        O: Observer + Send,
         F: FnMut(&PassSummary),
-        M: FnMut() -> Simulator,
     {
-        status.replaying.store(true, Ordering::Relaxed);
+        webcache_core::validate_shard_count(self.shards)?;
+        let mut simulator = ConcurrentSimulator::new(self.spec, self.config);
+        simulator.lock_probes = self.lock_probes.clone();
+        simulator.reasons = self.reasons.clone();
+        status.set_replaying(true);
         let mut passes = 0u64;
         let mut requests = 0u64;
         while !shutdown.load(Ordering::Relaxed) && self.max_passes.is_none_or(|max| passes < max) {
             let Some(dense) = source.next_pass(passes) else {
                 break;
             };
-            let pass_start = Instant::now();
-            let simulator = make_simulator();
-            let report = match self.rate {
-                Some(rate) => {
-                    let mut paced = Pacer::new(&mut *observer, rate, shutdown);
-                    simulator.run_dense_observed(dense, &mut paced)
-                }
-                None => simulator.run_dense_observed(dense, observer),
-            };
-            let elapsed = pass_start.elapsed();
-            let pass_requests = dense.len() as u64;
-            let req_per_sec = pass_requests as f64 / elapsed.as_secs_f64().max(1e-9);
-            requests += pass_requests;
+            // Rebuilt per pass: stream sources hand out a new trace each
+            // epoch, and the split is one O(n) sweep — noise next to the
+            // replay itself.
+            let sharded = ShardedTrace::build(dense, self.shards)?;
+            let report = simulator.run_sharded_controlled(
+                dense,
+                &sharded,
+                self.clients,
+                self.rate,
+                Some(shutdown),
+                observers,
+            );
+            if !report.completed {
+                break;
+            }
+            let req_per_sec = report.requests_per_sec();
+            requests += report.requests;
             passes += 1;
-            status.passes.store(passes, Ordering::Relaxed);
-            status.requests.store(requests, Ordering::Relaxed);
-            status
-                .last_pass_rps
-                .store(req_per_sec.to_bits(), Ordering::Relaxed);
+            status.record_pass(passes, requests, req_per_sec);
             on_pass(&PassSummary {
                 pass: passes - 1,
-                requests: pass_requests,
-                elapsed,
+                requests: report.requests,
+                elapsed: report.elapsed,
                 req_per_sec,
                 report,
             });
         }
-        status.replaying.store(false, Ordering::Relaxed);
-        LiveSummary { passes, requests }
-    }
-}
-
-/// How many requests the pacer lets through between clock checks.
-const PACE_STRIDE: u64 = 128;
-
-/// Observer wrapper that sleeps as needed to hold a target request
-/// rate. Checks the clock every [`PACE_STRIDE`] requests; never sleeps
-/// once the shutdown flag is up, so a throttled pass drains quickly on
-/// Ctrl-C.
-struct Pacer<'a, O> {
-    inner: &'a mut O,
-    rate: f64,
-    started: Instant,
-    count: u64,
-    shutdown: &'a AtomicBool,
-}
-
-impl<'a, O: Observer> Pacer<'a, O> {
-    fn new(inner: &'a mut O, rate: f64, shutdown: &'a AtomicBool) -> Self {
-        Pacer {
-            inner,
-            rate: rate.max(1e-9),
-            started: Instant::now(),
-            count: 0,
-            shutdown,
-        }
-    }
-
-    #[inline]
-    fn pace(&mut self) {
-        self.count += 1;
-        if !self.count.is_multiple_of(PACE_STRIDE) {
-            return;
-        }
-        let due = Duration::from_secs_f64(self.count as f64 / self.rate);
-        let elapsed = self.started.elapsed();
-        if due > elapsed && !self.shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(due - elapsed);
-        }
-    }
-}
-
-impl<O: Observer> Observer for Pacer<'_, O> {
-    #[inline]
-    fn on_run_start(&mut self, meta: crate::observe::RunMeta) {
-        self.inner.on_run_start(meta);
-    }
-
-    #[inline]
-    fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
-        self.inner.on_access(event, kind);
-        self.pace();
-    }
-
-    #[inline]
-    fn on_insert(&mut self, event: AccessEvent) {
-        self.inner.on_insert(event);
-    }
-
-    #[inline]
-    fn on_admission_reject(&mut self, event: AccessEvent) {
-        self.inner.on_admission_reject(event);
-    }
-
-    #[inline]
-    fn on_evict(&mut self, at: AccessEvent, evicted: webcache_core::Eviction) {
-        self.inner.on_evict(at, evicted);
-    }
-
-    #[inline]
-    fn on_run_end(&mut self) {
-        self.inner.on_run_end();
+        status.set_replaying(false);
+        Ok(LiveSummary { passes, requests })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::NoopObserver;
+    use crate::observe::{AccessEvent, AccessKind, NoopObserver};
+    use std::time::Instant;
     use webcache_core::PolicyKind;
     use webcache_trace::{ByteSize, DocumentType};
 
@@ -317,7 +243,7 @@ mod tests {
         DenseTrace::from_requests((0..requests).map(|i| (i as u64 % 16, 700, DocumentType::Html)))
     }
 
-    fn replay_loop(max_passes: Option<u64>, rate: Option<f64>) -> ReplayLoop {
+    fn replay_loop(shards: usize, max_passes: Option<u64>, rate: Option<f64>) -> ReplayLoop {
         ReplayLoop {
             config: SimulationConfig::builder()
                 .capacity(ByteSize::from_kib(8))
@@ -326,29 +252,49 @@ mod tests {
             spec: PolicyKind::Lru.into(),
             rate,
             max_passes,
+            shards,
+            clients: shards,
+            lock_probes: None,
+            reasons: None,
         }
+    }
+
+    /// Runs `replay_loop(shards, ..)` with no-op observers.
+    fn run_bare(
+        replay: &ReplayLoop,
+        source: &mut impl TraceSource,
+        status: &LiveStatus,
+        shutdown: &AtomicBool,
+        on_pass: impl FnMut(&PassSummary),
+    ) -> LiveSummary {
+        let mut observers = vec![NoopObserver; replay.shards];
+        replay
+            .run(source, &mut observers, status, shutdown, on_pass)
+            .expect("valid shard count")
     }
 
     #[test]
     fn bounded_loop_runs_exactly_max_passes() {
-        let mut source = FixedSource::from_dense(small_trace(200));
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let mut pass_indices = Vec::new();
-        let summary = replay_loop(Some(3), None).run(
-            &mut source,
-            &mut NoopObserver,
-            &status,
-            &shutdown,
-            |pass| pass_indices.push(pass.pass),
-        );
-        assert_eq!(summary.passes, 3);
-        assert_eq!(summary.requests, 600);
-        assert_eq!(pass_indices, vec![0, 1, 2]);
-        assert_eq!(status.passes(), 3);
-        assert_eq!(status.requests(), 600);
-        assert!(!status.replaying(), "cleared after the loop ends");
-        assert!(status.last_pass_req_per_sec() > 0.0);
+        for shards in [1, 4] {
+            let mut source = FixedSource::from_dense(small_trace(200));
+            let status = LiveStatus::new();
+            let shutdown = AtomicBool::new(false);
+            let mut seen = Vec::new();
+            let summary = run_bare(
+                &replay_loop(shards, Some(3), None),
+                &mut source,
+                &status,
+                &shutdown,
+                |pass| seen.push((pass.pass, pass.report.shards)),
+            );
+            assert_eq!(summary.passes, 3);
+            assert_eq!(summary.requests, 600);
+            assert_eq!(seen, vec![(0, shards), (1, shards), (2, shards)]);
+            assert_eq!(status.passes(), 3);
+            assert_eq!(status.requests(), 600);
+            assert!(!status.replaying(), "cleared after the loop ends");
+            assert!(status.last_pass_req_per_sec() > 0.0);
+        }
     }
 
     #[test]
@@ -366,13 +312,20 @@ mod tests {
                 self.accesses += 1;
             }
         }
-        let mut source = FixedSource::from_dense(small_trace(100));
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let mut obs = CountRuns::default();
-        replay_loop(Some(4), None).run(&mut source, &mut obs, &status, &shutdown, |_| {});
-        assert_eq!(obs.starts, 4, "one run start per pass");
-        assert_eq!(obs.accesses, 400, "state accumulated across passes");
+        for shards in [1, 4] {
+            let mut source = FixedSource::from_dense(small_trace(100));
+            let status = LiveStatus::new();
+            let shutdown = AtomicBool::new(false);
+            let mut observers: Vec<CountRuns> = (0..shards).map(|_| CountRuns::default()).collect();
+            replay_loop(shards, Some(4), None)
+                .run(&mut source, &mut observers, &status, &shutdown, |_| {})
+                .unwrap();
+            for obs in &observers {
+                assert_eq!(obs.starts, 4, "one run start per shard per pass");
+            }
+            let accesses: u64 = observers.iter().map(|o| o.accesses).sum();
+            assert_eq!(accesses, 400, "state accumulated across passes");
+        }
     }
 
     #[test]
@@ -380,29 +333,36 @@ mod tests {
         let mut source = FixedSource::from_dense(small_trace(100));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(true);
-        let summary =
-            replay_loop(None, None).run(&mut source, &mut NoopObserver, &status, &shutdown, |_| {});
+        let summary = run_bare(
+            &replay_loop(1, None, None),
+            &mut source,
+            &status,
+            &shutdown,
+            |_| {},
+        );
         assert_eq!(summary.passes, 0);
         assert!(!status.replaying());
     }
 
     #[test]
     fn shutdown_from_the_pass_callback_ends_an_unbounded_loop() {
-        let mut source = FixedSource::from_dense(small_trace(50));
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let summary = replay_loop(None, None).run(
-            &mut source,
-            &mut NoopObserver,
-            &status,
-            &shutdown,
-            |pass| {
-                if pass.pass == 1 {
-                    shutdown.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        assert_eq!(summary.passes, 2, "flag honored between passes");
+        for shards in [1, 4] {
+            let mut source = FixedSource::from_dense(small_trace(50));
+            let status = LiveStatus::new();
+            let shutdown = AtomicBool::new(false);
+            let summary = run_bare(
+                &replay_loop(shards, None, None),
+                &mut source,
+                &status,
+                &shutdown,
+                |pass| {
+                    if pass.pass == 1 {
+                        shutdown.store(true, Ordering::Relaxed);
+                    }
+                },
+            );
+            assert_eq!(summary.passes, 2, "flag honored between passes");
+        }
     }
 
     #[test]
@@ -416,32 +376,57 @@ mod tests {
         let mut source = TwoPasses(Some(small_trace(30)));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
-        let summary =
-            replay_loop(None, None).run(&mut source, &mut NoopObserver, &status, &shutdown, |_| {});
+        let summary = run_bare(
+            &replay_loop(1, None, None),
+            &mut source,
+            &status,
+            &shutdown,
+            |_| {},
+        );
         assert_eq!(summary.passes, 2);
         assert_eq!(summary.requests, 60);
     }
 
     #[test]
     fn rate_throttle_slows_the_pass() {
-        let mut source = FixedSource::from_dense(small_trace(512));
+        for shards in [1, 4] {
+            let mut source = FixedSource::from_dense(small_trace(512));
+            let status = LiveStatus::new();
+            let shutdown = AtomicBool::new(false);
+            let started = Instant::now();
+            // 512 requests at 10k req/s should take ~51 ms; allow wide
+            // slack under CI load but require clearly-throttled behavior.
+            run_bare(
+                &replay_loop(shards, Some(1), Some(10_000.0)),
+                &mut source,
+                &status,
+                &shutdown,
+                |_| {},
+            );
+            assert!(
+                started.elapsed() >= Duration::from_millis(30),
+                "throttle had no effect at {shards} shards: {:?}",
+                started.elapsed()
+            );
+            assert!(status.last_pass_req_per_sec() < 20_000.0);
+        }
+    }
+
+    #[test]
+    fn bad_shard_counts_are_rejected() {
+        let mut source = FixedSource::from_dense(small_trace(100));
         let status = LiveStatus::new();
         let shutdown = AtomicBool::new(false);
-        let started = Instant::now();
-        // 512 requests at 10k req/s should take ~51 ms; allow wide slack
-        // under CI load but require clearly-throttled behavior.
-        replay_loop(Some(1), Some(10_000.0)).run(
-            &mut source,
-            &mut NoopObserver,
-            &status,
-            &shutdown,
-            |_| {},
-        );
-        assert!(
-            started.elapsed() >= Duration::from_millis(30),
-            "throttle had no effect: {:?}",
-            started.elapsed()
-        );
-        assert!(status.last_pass_req_per_sec() < 20_000.0);
+        let err = replay_loop(6, Some(1), None)
+            .run(
+                &mut source,
+                &mut [NoopObserver; 6],
+                &status,
+                &shutdown,
+                |_| {},
+            )
+            .unwrap_err();
+        assert_eq!(err, ShardConfigError::NotPowerOfTwo(6));
+        assert!(!status.replaying());
     }
 }

@@ -193,6 +193,53 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 }
 
+/// An optional observer: `Some` forwards every event, `None` ignores
+/// them. Lets one observer type switch a stage of a composed stack on or
+/// off at run time (e.g. single-stream observers on one shard only).
+impl<O: Observer> Observer for Option<O> {
+    #[inline(always)]
+    fn on_run_start(&mut self, meta: RunMeta) {
+        if let Some(o) = self {
+            o.on_run_start(meta);
+        }
+    }
+
+    #[inline(always)]
+    fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
+        if let Some(o) = self {
+            o.on_access(event, kind);
+        }
+    }
+
+    #[inline(always)]
+    fn on_insert(&mut self, event: AccessEvent) {
+        if let Some(o) = self {
+            o.on_insert(event);
+        }
+    }
+
+    #[inline(always)]
+    fn on_admission_reject(&mut self, event: AccessEvent) {
+        if let Some(o) = self {
+            o.on_admission_reject(event);
+        }
+    }
+
+    #[inline(always)]
+    fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
+        if let Some(o) = self {
+            o.on_evict(at, evicted);
+        }
+    }
+
+    #[inline(always)]
+    fn on_run_end(&mut self) {
+        if let Some(o) = self {
+            o.on_run_end();
+        }
+    }
+}
+
 /// Pair composition: both observers receive every event, `A` first. Lets
 /// callers stack independent observers (e.g. profiling + anomaly +
 /// logging as `(profile, (anomaly, log))`) without a trait object.
@@ -344,6 +391,30 @@ mod tests {
         Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut rec);
         assert_eq!(rec.rejects.len(), 1, "first offer is filtered");
         assert_eq!(rec.inserts.len(), 1, "second offer is admitted");
+    }
+
+    #[test]
+    fn optional_observer_forwards_only_when_present() {
+        let trace: Trace = vec![req(1, 80), req(1, 80), req(2, 80)].into();
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(100))
+            .warmup_fraction(0.0)
+            .build();
+        let mut bare = Recorder::default();
+        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut bare);
+        let mut some = Some(Recorder::default());
+        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut some);
+        let some = some.expect("still present");
+        assert_eq!(some.started, bare.started);
+        assert_eq!(some.accesses, bare.accesses);
+        assert_eq!(some.inserts, bare.inserts);
+        assert_eq!(some.evictions, bare.evictions);
+        assert!(some.ended);
+        let mut none: Option<Recorder> = None;
+        let report =
+            Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut none);
+        assert!(none.is_none());
+        assert_eq!(report.overall().hits, 1);
     }
 
     #[test]

@@ -5,16 +5,21 @@
 //! 1. **N = 1 equivalence** — a single-shard engine is the serial cache
 //!    with an extra layer of indirection, so its merged report must be
 //!    *identical* (every counter, every type) to `Simulator::run_dense`
-//!    for any trace, policy, capacity and warm-up.
+//!    for any trace, policy, capacity and warm-up — and, with reason
+//!    channels, its flight records (reasons included) must equal the
+//!    instrumented serial simulator's. `webcache serve` replays every
+//!    plain pass this way.
 //! 2. **Client-count independence** — the shard split fixes each
 //!    shard's subsequence, so the merged report for a given shard count
 //!    must not depend on how many client threads replayed it.
 
 use proptest::prelude::*;
 
-use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
+use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec, ShardReasons};
+use webcache_obs::{FlightSink, ReasonChannel, SharedRecorder};
 use webcache_sim::{
-    ConcurrentSimulator, ShardedTrace, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
+    ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig, Simulator, WindowSpec,
+    WindowedMetrics,
 };
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
@@ -73,6 +78,43 @@ proptest! {
         prop_assert_eq!(concurrent.by_type(), serial.by_type());
         prop_assert_eq!(concurrent.requests, dense.len() as u64);
         prop_assert!(concurrent.completed);
+
+        // With reason channels, the one-shard pass records exactly what
+        // the instrumented serial simulator records, reasons included.
+        // Every request adds at most three records, so nothing wraps.
+        let ring_capacity = dense.len() * 3;
+        let serial_ring = SharedRecorder::new(ring_capacity);
+        let (evictions, admissions) = (ReasonChannel::new(), ReasonChannel::new());
+        let mut serial_sim =
+            Simulator::from_spec_instrumented(spec, config, FlightSink::new(evictions.clone()));
+        serial_sim.set_admit_reasons(admissions.clone());
+        let serial_flight = serial_sim.run_dense_observed(
+            &dense,
+            &mut FlightObserver::with_reasons(serial_ring.clone(), evictions, admissions),
+        );
+        let reasons = ShardReasons::default();
+        let shard_ring = SharedRecorder::new(ring_capacity);
+        let mut observers = [FlightObserver::with_reasons(
+            shard_ring.clone(),
+            reasons.evictions.clone(),
+            reasons.admissions.clone(),
+        )];
+        let sharded = ShardedTrace::build(&dense, 1).unwrap();
+        let recorded = ConcurrentSimulator::new(spec, config)
+            .with_reasons(vec![reasons])
+            .run_sharded_controlled(&dense, &sharded, 1, None, None, &mut observers);
+        prop_assert_eq!(&recorded.policy, &serial_flight.policy);
+        prop_assert_eq!(recorded.by_type(), serial_flight.by_type());
+        prop_assert_eq!(recorded.by_type(), serial.by_type());
+        // Reason payloads compare as raw bits.
+        let records = |ring: &SharedRecorder| -> Vec<_> {
+            ring.snapshot()
+                .iter()
+                .map(|r| (r.to_json(), r.reason.a.to_bits(), r.reason.b.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(serial_ring.total(), serial_ring.snapshot().len() as u64, "ring wrapped");
+        prop_assert_eq!(records(&shard_ring), records(&serial_ring));
     }
 
     /// Law 2: for a fixed shard count, the merged report and every
@@ -137,12 +179,12 @@ fn single_shard_windowed_series_matches_serial() {
     .run_dense_observed(&dense, &mut serial_obs);
 
     let sharded = ShardedTrace::build(&dense, 1).unwrap();
-    let (report, observers) =
+    let mut observers = [WindowedMetrics::new(spec)];
+    let report =
         ConcurrentSimulator::new(PolicyKind::GdStar(webcache_core::CostModel::Packet), config)
-            .run_sharded_observed(&dense, &sharded, 1, |_| WindowedMetrics::new(spec));
+            .run_sharded_controlled(&dense, &sharded, 1, None, None, &mut observers);
 
     assert_eq!(report.by_type(), serial.by_type());
-    assert_eq!(observers.len(), 1);
     let serial_windows = serial_obs.windows();
     let sharded_windows = observers[0].windows();
     assert_eq!(serial_windows.len(), sharded_windows.len());

@@ -8,15 +8,18 @@
 //! The concurrent law pins the per-shard recording path of `webcache
 //! serve --shards N`: records merged across shard rings must all be
 //! internally consistent with the replayed trace (no torn or invented
-//! records under client-thread parallelism).
+//! records under client-thread parallelism), and — reasons included —
+//! must not depend on the client count.
 
 use proptest::prelude::*;
 
-use webcache_core::PolicyKind;
+use webcache_core::{PolicyKind, ShardReasons};
 use webcache_obs::{
     merge_sorted, DecisionRecord, EventKind, FlightRecorder, Reason, SharedRecorder,
 };
-use webcache_sim::{ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig};
+use webcache_sim::{
+    ConcurrentReport, ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig,
+};
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
 /// A deterministic but varied record for stress-filling rings.
@@ -101,6 +104,40 @@ mod concurrent_no_tearing {
         })
     }
 
+    /// Replays `dense` with `clients` clients, one flight ring and one
+    /// pair of reason channels per shard; returns the report and the
+    /// merged records.
+    fn record(
+        kind: PolicyKind,
+        config: SimulationConfig,
+        dense: &DenseTrace,
+        sharded: &ShardedTrace,
+        clients: usize,
+    ) -> (ConcurrentReport, Vec<DecisionRecord>) {
+        let shards = sharded.shard_count();
+        // Generous rings: nothing wraps, so the merged view is the
+        // complete event history.
+        let recorders: Vec<SharedRecorder> = (0..shards)
+            .map(|_| SharedRecorder::new(dense.len() * 3 + 8))
+            .collect();
+        let reasons: Vec<ShardReasons> = (0..shards).map(|_| ShardReasons::default()).collect();
+        let mut observers: Vec<FlightObserver> = recorders
+            .iter()
+            .zip(&reasons)
+            .map(|(recorder, r)| {
+                FlightObserver::with_reasons(
+                    recorder.clone(),
+                    r.evictions.clone(),
+                    r.admissions.clone(),
+                )
+            })
+            .collect();
+        let report = ConcurrentSimulator::new(kind, config)
+            .with_reasons(reasons)
+            .run_sharded_controlled(dense, sharded, clients, None, None, &mut observers);
+        (report, merge_sorted(&recorders))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -109,6 +146,8 @@ mod concurrent_no_tearing {
         /// its index (access events) or a validly resident victim
         /// (evictions — insert before evict, never evicted twice), and
         /// the access records reproduce the replay's hit accounting.
+        /// The merged records, reasons included, are the same for one
+        /// client as for the drawn client count.
         #[test]
         fn sharded_recording_is_consistent_with_the_trace(
             trace in arb_trace(),
@@ -123,16 +162,15 @@ mod concurrent_no_tearing {
                 .capacity(ByteSize::new(capacity))
                 .warmup_fraction(0.0)
                 .build();
-            // Generous rings: nothing wraps, so the merged view is the
-            // complete event history.
-            let recorders: Vec<SharedRecorder> = (0..shards)
-                .map(|_| SharedRecorder::new(trace.len() * 3 + 8))
-                .collect();
-            let (report, _) = ConcurrentSimulator::new(kind, config)
-                .run_sharded_observed(&dense, &sharded, clients, |shard| {
-                    FlightObserver::new(recorders[shard].clone())
-                });
-            let merged = merge_sorted(&recorders);
+            let (report, merged) = record(kind, config, &dense, &sharded, clients);
+            let (_, single_client) = record(kind, config, &dense, &sharded, 1);
+            let bits = |records: &[DecisionRecord]| -> Vec<_> {
+                records
+                    .iter()
+                    .map(|r| (r.to_json(), r.reason.a.to_bits(), r.reason.b.to_bits()))
+                    .collect()
+            };
+            prop_assert_eq!(bits(&merged), bits(&single_client), "client count changed the records");
 
             let mut accesses = 0u64;
             let mut hits = 0u64;
