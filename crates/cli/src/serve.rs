@@ -1,8 +1,9 @@
 //! `webcache serve` — the live observability daemon.
 //!
 //! Runs a continuous replay ([`ReplayLoop`]) on a background thread
-//! while the calling thread answers HTTP requests. Every endpoint lives
-//! in one routing table ([`route_paths`] lists them):
+//! while the calling thread answers HTTP requests (each accepted as
+//! soon as it arrives; see [`HttpServer`]). Every endpoint lives in one
+//! routing table ([`route_paths`] lists them):
 //!
 //! * `GET /metrics` — Prometheus text exposition of the live registry
 //!   (simulator counters, anomaly totals, regret gauges, serve-loop
@@ -30,7 +31,12 @@
 //!
 //! The replay is fed either by one fixed trace file replayed pass after
 //! pass, or by the endless [`WorkloadStream`] generator (one epoch per
-//! pass). There is one replay driver: without `--shards`, every pass is
+//! pass). In generator mode a producer thread generates and interns
+//! each epoch in order and hands it to the replay thread over a
+//! rendezvous channel, so epoch k+1 is built while pass k replays and a
+//! pass costs the longer of the two stages rather than their sum; the
+//! daemon holds one extra epoch for it. A `--trace` daemon starts no
+//! producer. There is one replay driver: without `--shards`, every pass is
 //! the one-shard, one-client pass of the sharded loop, replayed on the
 //! replay thread itself; `--shards N --clients M` runs the same loop,
 //! pass callback and pacer. Each shard has one observer chain: its
@@ -48,12 +54,17 @@
 //! Shutdown is cooperative: SIGINT (or anything else raising the shared
 //! flag) stops the HTTP accept loop within one poll interval and the
 //! replay within 128 requests of a shard (the interrupted pass is
-//! discarded); [`serve_with`] then joins both and returns a summary.
+//! discarded). The replay thread then drops its end of the epoch
+//! channel, which stops the producer after at most the epoch it is
+//! building, and [`serve_with`] joins every thread and returns a
+//! summary.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use webcache_core::{PolicySpec, ShardLockProbe, ShardReasons};
@@ -124,37 +135,71 @@ pub fn sigint_flag() -> &'static AtomicBool {
 enum Source {
     /// One trace file, replayed on every pass.
     Fixed(FixedSource),
-    /// The endless workload generator, one epoch per pass. The stream
-    /// is boxed to keep the two variants comparably sized.
+    /// The endless workload generator, one epoch per pass, built on a
+    /// producer thread (see [`feed`]). The stream is boxed to keep the
+    /// two variants comparably sized.
     Stream {
         stream: Box<WorkloadStream>,
         per_pass: usize,
         /// Epoch 0, pre-generated to resolve the cache capacity.
-        pending: Option<Trace>,
-        dense: Option<DenseTrace>,
+        first: Trace,
     },
 }
 
-impl TraceSource for Source {
+/// The replay thread's [`TraceSource`]: the fixed trace, or the epochs
+/// the producer hands over.
+enum Feed {
+    Fixed(FixedSource),
+    Epochs {
+        epochs: Receiver<DenseTrace>,
+        current: Option<DenseTrace>,
+    },
+}
+
+impl TraceSource for Feed {
     fn next_pass(&mut self, pass: u64) -> Option<&DenseTrace> {
         match self {
-            Source::Fixed(fixed) => fixed.next_pass(pass),
-            Source::Stream {
-                stream,
-                per_pass,
-                pending,
-                dense,
-            } => {
-                let trace = pending
-                    .take()
-                    .unwrap_or_else(|| stream.take_trace(*per_pass));
-                if trace.is_empty() {
-                    return None;
-                }
-                *dense = Some(DenseTrace::build(&trace));
-                dense.as_ref()
+            Feed::Fixed(fixed) => fixed.next_pass(pass),
+            Feed::Epochs { epochs, current } => {
+                // Free the replayed epoch before taking the next.
+                *current = None;
+                *current = epochs.recv().ok();
+                current.as_ref()
             }
         }
+    }
+}
+
+/// Starts `source` on `scope`. A stream source gets a producer thread
+/// that generates and interns each epoch in order — epoch 0 first —
+/// and hands it over a rendezvous channel, so epoch k+1 is built while
+/// pass k replays and at most one finished epoch waits. When the replay
+/// thread drops the returned [`Feed`], the producer's next send fails
+/// and it exits, after at most one epoch's generation.
+fn feed<'scope>(scope: &'scope Scope<'scope, '_>, source: Source) -> Feed {
+    let (mut stream, per_pass, first) = match source {
+        Source::Fixed(fixed) => return Feed::Fixed(fixed),
+        Source::Stream {
+            stream,
+            per_pass,
+            first,
+        } => (stream, per_pass, first),
+    };
+    let (sender, epochs) = sync_channel(0);
+    scope.spawn(move || {
+        let mut trace = first;
+        while !trace.is_empty() {
+            let dense = DenseTrace::build(&trace);
+            drop(trace);
+            if sender.send(dense).is_err() {
+                return;
+            }
+            trace = stream.take_trace(per_pass);
+        }
+    });
+    Feed::Epochs {
+        epochs,
+        current: None,
     }
 }
 
@@ -243,8 +288,7 @@ impl ServeOptions {
                     Source::Stream {
                         stream: Box::new(stream),
                         per_pass,
-                        pending: Some(first),
-                        dense: None,
+                        first,
                     },
                     bytes,
                 )
@@ -708,7 +752,8 @@ fn respond(req: &HttpRequest, ctx: &RouteContext<'_>, http_counters: &[Counter])
 ///
 /// Returns after the flag rises (or the HTTP listener fails): the HTTP
 /// loop stops within one poll interval, the replay within 128 requests
-/// of a shard, and both are joined.
+/// of a shard, a generator's producer after at most the epoch it is
+/// building, and all are joined.
 ///
 /// # Errors
 ///
@@ -719,7 +764,7 @@ pub fn serve_with(
     on_ready: impl FnOnce(SocketAddr),
 ) -> Result<String, CliError> {
     let ServeOptions {
-        mut source,
+        source,
         spec,
         config,
         rate,
@@ -961,7 +1006,11 @@ pub fn serve_with(
     replaying_gauge.set(1.0);
 
     let (summary, http_served) = std::thread::scope(|scope| {
+        let source = feed(scope, source);
         let replay_handle = scope.spawn(|| {
+            // Owned by this thread, so the producer stops as soon as the
+            // loop returns.
+            let mut source = source;
             // The pass callback publishes the pass's counters and
             // gauges before its `pass complete` record, then does the
             // pass-boundary bookkeeping: rotate the latency windows,

@@ -16,8 +16,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use webcache_cli::capacity::CapacitySpec;
 use webcache_cli::{serve_with, Args, ServeOptions};
-use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+use webcache_core::PolicyKind;
+use webcache_sim::{SimulationConfig, Simulator};
+use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
+use webcache_workload::{WorkloadProfile, WorkloadStream};
 
 fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_owned).collect()
@@ -525,8 +529,15 @@ fn sharded_daemon_exports_per_shard_balance_metrics() {
 
 #[test]
 fn workload_mode_replays_the_endless_generator() {
+    const PASSES: usize = 3;
+    let log_path = temp_path("workload.log");
+    fs::remove_file(&log_path).ok();
     let args = Args::parse(
-        &argv("--workload dfn --quick --passes 2 --port 0 --log-level error"),
+        &argv(&format!(
+            "--workload dfn --quick --seed 5 --passes {PASSES} --port 0 --log-level info \
+             --log-file {}",
+            log_path.display()
+        )),
         &["quick"],
     )
     .unwrap();
@@ -540,12 +551,15 @@ fn workload_mode_replays_the_endless_generator() {
     let addr = rx.recv_timeout(Duration::from_secs(10)).expect("ready");
 
     let health = await_replay_done(addr, Duration::from_secs(60));
-    assert!(health.contains("\"passes\": 2"), "{health}");
+    assert!(
+        health.contains(&format!("\"passes\": {PASSES}")),
+        "{health}"
+    );
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(
-        metrics.contains("webcache_serve_passes_total 2"),
+        metrics.contains(&format!("webcache_serve_passes_total {PASSES}")),
         "{metrics}"
     );
     assert!(
@@ -560,11 +574,89 @@ fn workload_mode_replays_the_endless_generator() {
     );
     assert_eq!(
         sample(&metrics, "webcache_shard_lock_acquire_total{shard=\"0\"}"),
-        2.0
+        PASSES as f64
     );
 
     SHUTDOWN.store(true, Ordering::SeqCst);
     daemon.join().expect("daemon thread");
+
+    // Pass k replays epoch k of the stream, in order: a bare replay of a
+    // fresh stream with the same seed, capacity (5% of epoch 0) and
+    // warm-up gives every pass's hit rate, bit for bit.
+    let mut stream = WorkloadStream::new(WorkloadProfile::dfn().scaled(1.0 / 4096.0), 5);
+    let per_pass = stream.epoch_len();
+    let epochs: Vec<Trace> = (0..PASSES).map(|_| stream.take_trace(per_pass)).collect();
+    let config = SimulationConfig::builder()
+        .capacity(CapacitySpec::FractionOfTrace(0.05).resolve(epochs[0].overall_size()))
+        .warmup_fraction(0.10)
+        .build();
+    let want: Vec<u64> = epochs
+        .iter()
+        .map(|epoch| {
+            let report =
+                Simulator::from_spec(PolicyKind::Lru, config).run_dense(&DenseTrace::build(epoch));
+            report.overall().hit_rate().to_bits()
+        })
+        .collect();
+    let log = fs::read_to_string(&log_path).unwrap();
+    let got: Vec<u64> = log
+        .lines()
+        .map(|line| webcache_obs::json::parse(line).expect("log record parses"))
+        .filter(|record| record.get("msg").and_then(|m| m.as_str()) == Some("pass complete"))
+        .map(|record| {
+            record
+                .get("hit_rate")
+                .and_then(|v| v.as_f64())
+                .expect("hit_rate")
+                .to_bits()
+        })
+        .collect();
+    assert_eq!(got, want, "{log}");
+    fs::remove_file(log_path).ok();
+}
+
+#[test]
+fn unbounded_workload_daemon_shuts_down_promptly() {
+    let args = Args::parse(
+        &argv("--workload dfn --quick --port 0 --log-level error"),
+        &["quick"],
+    )
+    .unwrap();
+    let opts = ServeOptions::from_args(&args).unwrap();
+
+    static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let summary = serve_with(opts, &SHUTDOWN, move |addr| ready_tx.send(addr).unwrap());
+        done_tx.send(()).unwrap();
+        summary.unwrap()
+    });
+    let addr = ready_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("ready");
+
+    let started = Instant::now();
+    loop {
+        let (status, body) = http_get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+        if !body.contains("\"passes\": 0,") && !body.contains("\"passes\": 1,") {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no second pass: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The producer is blocked handing over the next epoch (or building
+    // it); raising the flag must still end serve_with.
+    SHUTDOWN.store(true, Ordering::SeqCst);
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_with returned within 10 s of the flag");
+    let summary = daemon.join().expect("daemon thread");
+    assert!(summary.contains("passes"), "{summary}");
 }
 
 /// All-cold traffic: every request misses, so the hit rate is flat at

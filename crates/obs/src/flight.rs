@@ -43,6 +43,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::{self, Value};
@@ -574,6 +575,15 @@ impl SharedRecorder {
         self.0.lock().expect("flight recorder lock").record(record);
     }
 
+    /// Appends `records` in order under one lock, so a reader sees all
+    /// of them or none.
+    pub fn record_all(&self, records: &[DecisionRecord]) {
+        let mut ring = self.0.lock().expect("flight recorder lock");
+        for &record in records {
+            ring.record(record);
+        }
+    }
+
     /// Copies the retained records, oldest → newest.
     pub fn snapshot(&self) -> Vec<DecisionRecord> {
         self.0.lock().expect("flight recorder lock").snapshot()
@@ -625,8 +635,24 @@ pub fn merge_sorted(recorders: &[SharedRecorder]) -> Vec<DecisionRecord> {
 /// the observer that stamps them onto events. Push and pop orders match
 /// because the cache emits reasons in the same order the simulator
 /// delivers the corresponding observer events.
+///
+/// The queue length is mirrored in an atomic, updated under the lock, so
+/// [`ReasonChannel::pop`], [`ReasonChannel::len`] and
+/// [`ReasonChannel::is_empty`] return without locking while the channel
+/// is empty — the common case for policies that push no eviction reasons.
 #[derive(Debug, Clone, Default)]
-pub struct ReasonChannel(Arc<Mutex<VecDeque<Reason>>>);
+pub struct ReasonChannel(Arc<ReasonQueue>);
+
+#[derive(Debug, Default)]
+struct ReasonQueue {
+    queue: Mutex<VecDeque<Reason>>,
+    /// `queue.len()`, stored (Release) after every change while the lock
+    /// is held and loaded (Acquire) by the lock-free readers. Only the
+    /// length is read without the lock: a pop that loads a nonzero
+    /// length takes the lock before touching the queue, and one that
+    /// loads 0 behaves as if it ran before the push it missed.
+    len: AtomicUsize,
+}
 
 impl ReasonChannel {
     /// An empty channel.
@@ -634,27 +660,35 @@ impl ReasonChannel {
         ReasonChannel::default()
     }
 
+    /// Runs `f` on the locked queue and republishes its length.
+    fn with_queue<T>(&self, f: impl FnOnce(&mut VecDeque<Reason>) -> T) -> T {
+        let mut queue = self.0.queue.lock().expect("reason channel lock");
+        let out = f(&mut queue);
+        self.0.len.store(queue.len(), Ordering::Release);
+        out
+    }
+
     /// Enqueues a reason.
     pub fn push(&self, reason: Reason) {
-        self.0
-            .lock()
-            .expect("reason channel lock")
-            .push_back(reason);
+        self.with_queue(|queue| queue.push_back(reason));
     }
 
     /// Dequeues the oldest reason, if any.
     pub fn pop(&self) -> Option<Reason> {
-        self.0.lock().expect("reason channel lock").pop_front()
+        if self.is_empty() {
+            return None;
+        }
+        self.with_queue(VecDeque::pop_front)
     }
 
     /// Drops any queued reasons.
     pub fn clear(&self) {
-        self.0.lock().expect("reason channel lock").clear();
+        self.with_queue(VecDeque::clear);
     }
 
     /// Queued reason count.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("reason channel lock").len()
+        self.0.len.load(Ordering::Acquire)
     }
 
     /// Whether the channel is empty.
@@ -779,12 +813,41 @@ mod tests {
     #[test]
     fn reason_channel_is_fifo() {
         let ch = ReasonChannel::new();
+        assert_eq!((ch.len(), ch.is_empty()), (0, true));
+        assert!(ch.pop().is_none());
         ch.push(Reason::frequency(1.0));
         ch.push(Reason::frequency(2.0));
-        assert_eq!(ch.len(), 2);
+        assert_eq!((ch.len(), ch.is_empty()), (2, false));
         assert_eq!(ch.pop().unwrap().a, 1.0);
+        assert_eq!((ch.len(), ch.is_empty()), (1, false));
         assert_eq!(ch.pop().unwrap().a, 2.0);
+        assert_eq!((ch.len(), ch.is_empty()), (0, true));
         assert!(ch.pop().is_none());
+
+        // A clone shares the queue and its length; clear empties both.
+        let other = ch.clone();
+        other.push(Reason::frequency(3.0));
+        assert_eq!((ch.len(), ch.is_empty()), (1, false));
+        ch.push(Reason::frequency(4.0));
+        other.clear();
+        assert_eq!((ch.len(), ch.is_empty()), (0, true));
+        assert!(ch.pop().is_none());
+        ch.push(Reason::frequency(5.0));
+        assert_eq!(other.pop().unwrap().a, 5.0);
+        assert!(other.is_empty());
+    }
+
+    #[test]
+    fn record_all_appends_in_order_under_one_lock() {
+        let shared = SharedRecorder::new(3);
+        let batch: Vec<DecisionRecord> = (0..4)
+            .map(|i| rec(i, EventKind::Insert, Reason::none()))
+            .collect();
+        shared.record_all(&batch[..1]);
+        shared.record_all(&[]);
+        shared.record_all(&batch[1..]);
+        assert_eq!(shared.total(), 4);
+        assert_eq!(shared.snapshot(), batch[1..].to_vec());
     }
 
     #[test]

@@ -20,6 +20,16 @@
 //! a reason. Un-instrumented policies (LRU, FIFO, SLRU, LRU-2, or any
 //! policy built without a sink) simply leave the channel empty and the
 //! records carry the none-kind reason.
+//!
+//! The ring is locked once per request, not once per event: the
+//! observer stages a request's insert, reject and evict records and
+//! appends them together with the next request's access record in one
+//! [`SharedRecorder::record_all`] call, and flushes what is left at
+//! [`Observer::on_run_end`] (which interrupted passes reach too). So
+//! when a later observer in the same chain sees `on_access`, the ring
+//! already holds every event up to and including that access; a reader
+//! on another thread can lag by at most one request's insert and evict
+//! records.
 
 use webcache_core::Eviction;
 use webcache_obs::flight::{DecisionRecord, EventKind, Reason, ReasonChannel, SharedRecorder};
@@ -33,6 +43,8 @@ pub struct FlightObserver {
     recorder: SharedRecorder,
     evictions: Option<ReasonChannel>,
     admissions: Option<ReasonChannel>,
+    /// The current request's records not yet in the ring.
+    staged: Vec<DecisionRecord>,
 }
 
 impl FlightObserver {
@@ -45,6 +57,7 @@ impl FlightObserver {
             recorder,
             evictions: None,
             admissions: None,
+            staged: Vec::new(),
         }
     }
 
@@ -60,6 +73,7 @@ impl FlightObserver {
             recorder,
             evictions: Some(evictions),
             admissions: Some(admissions),
+            staged: Vec::new(),
         }
     }
 
@@ -75,15 +89,23 @@ impl FlightObserver {
             .unwrap_or_default()
     }
 
-    fn record(&self, event: AccessEvent, kind: EventKind, reason: Reason) {
-        self.recorder.record(DecisionRecord {
+    fn record(event: AccessEvent, kind: EventKind, reason: Reason) -> DecisionRecord {
+        DecisionRecord {
             index: event.index,
             doc: event.doc.as_u64(),
             doc_type: event.doc_type.index() as u8,
             size: event.size.as_u64(),
             event: kind,
             reason,
-        });
+        }
+    }
+
+    /// Appends the staged records to the ring under one lock.
+    fn flush(&mut self) {
+        if !self.staged.is_empty() {
+            self.recorder.record_all(&self.staged);
+            self.staged.clear();
+        }
     }
 }
 
@@ -94,22 +116,25 @@ impl Observer for FlightObserver {
             AccessKind::Miss => EventKind::Miss,
             AccessKind::ModificationMiss => EventKind::ModificationMiss,
         };
-        self.record(event, kind, Reason::none());
+        self.staged.push(Self::record(event, kind, Reason::none()));
+        self.flush();
     }
 
     fn on_insert(&mut self, event: AccessEvent) {
         let reason = Self::pop(&self.admissions);
-        self.record(event, EventKind::Insert, reason);
+        self.staged
+            .push(Self::record(event, EventKind::Insert, reason));
     }
 
     fn on_admission_reject(&mut self, event: AccessEvent) {
         let reason = Self::pop(&self.admissions);
-        self.record(event, EventKind::AdmissionReject, reason);
+        self.staged
+            .push(Self::record(event, EventKind::AdmissionReject, reason));
     }
 
     fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
         let reason = Self::pop(&self.evictions);
-        self.recorder.record(DecisionRecord {
+        self.staged.push(DecisionRecord {
             index: at.index,
             doc: evicted.doc.as_u64(),
             doc_type: evicted.doc_type.index() as u8,
@@ -120,6 +145,7 @@ impl Observer for FlightObserver {
     }
 
     fn on_run_end(&mut self) {
+        self.flush();
         // Defensive: a policy that emitted reasons nobody paired (e.g.
         // evictions driven outside the replay loop) must not poison the
         // next pass's pairing.
@@ -199,6 +225,130 @@ mod tests {
         assert!(evict.reason.a > 0.0, "victim H must be positive");
         // Channels fully drained: pairing was exact.
         assert!(obs.recorder().total() == 6);
+    }
+
+    /// The unstaged reference: one `SharedRecorder::record` call per
+    /// event, reasons popped from its own channels.
+    struct PerEvent {
+        ring: SharedRecorder,
+        evictions: ReasonChannel,
+        admissions: ReasonChannel,
+    }
+
+    impl Observer for PerEvent {
+        fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
+            let kind = match kind {
+                AccessKind::Hit => EventKind::Hit,
+                AccessKind::Miss => EventKind::Miss,
+                AccessKind::ModificationMiss => EventKind::ModificationMiss,
+            };
+            let record = FlightObserver::record(event, kind, Reason::none());
+            self.ring.record(record);
+        }
+
+        fn on_insert(&mut self, event: AccessEvent) {
+            let reason = self.admissions.pop().unwrap_or_default();
+            let record = FlightObserver::record(event, EventKind::Insert, reason);
+            self.ring.record(record);
+        }
+
+        fn on_admission_reject(&mut self, event: AccessEvent) {
+            let reason = self.admissions.pop().unwrap_or_default();
+            let record = FlightObserver::record(event, EventKind::AdmissionReject, reason);
+            self.ring.record(record);
+        }
+
+        fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
+            self.ring.record(DecisionRecord {
+                index: at.index,
+                doc: evicted.doc.as_u64(),
+                doc_type: evicted.doc_type.index() as u8,
+                size: evicted.size.as_u64(),
+                event: EventKind::Evict,
+                reason: self.evictions.pop().unwrap_or_default(),
+            });
+        }
+    }
+
+    /// Asserts at every access that the ring's newest record is that
+    /// access, as the anomaly trigger's snapshot needs.
+    struct NewestIsCurrent {
+        ring: SharedRecorder,
+        accesses: usize,
+    }
+
+    impl Observer for NewestIsCurrent {
+        fn on_access(&mut self, event: AccessEvent, _kind: AccessKind) {
+            let newest = self.ring.last(1);
+            let newest = newest.first().expect("the access is recorded");
+            assert_eq!(
+                (newest.index, newest.doc),
+                (event.index, event.doc.as_u64())
+            );
+            assert!(matches!(
+                newest.event,
+                EventKind::Hit | EventKind::Miss | EventKind::ModificationMiss
+            ));
+            self.accesses += 1;
+        }
+    }
+
+    #[test]
+    fn staged_records_equal_the_per_event_stream() {
+        // Mixed sizes through a small cache: multi-victim evictions,
+        // TinyLFU rejections and a size change (modification miss).
+        let requests: Vec<(u64, u64)> = (0..600u64)
+            .map(|i| {
+                let doc = (i * 7) % 41;
+                let size = 40 + (doc % 9) * 30 + u64::from(i >= 300 && doc == 13) * 5;
+                (doc, size)
+            })
+            .collect();
+        let dense = webcache_trace::DenseTrace::build(&trace(&requests));
+        let spec: webcache_core::PolicySpec = "tinylfu+gds1".parse().unwrap();
+        let run = |staged: bool| -> Vec<DecisionRecord> {
+            let evictions = ReasonChannel::new();
+            let admissions = ReasonChannel::new();
+            let mut sim = Simulator::from_spec_instrumented(
+                spec,
+                config(900),
+                FlightSink::new(evictions.clone()),
+            );
+            sim.set_admit_reasons(admissions.clone());
+            let ring = SharedRecorder::new(8192);
+            if staged {
+                let mut chain = (
+                    FlightObserver::with_reasons(ring.clone(), evictions, admissions),
+                    NewestIsCurrent {
+                        ring: ring.clone(),
+                        accesses: 0,
+                    },
+                );
+                sim.run_dense_observed(&dense, &mut chain);
+                assert_eq!(chain.1.accesses, dense.len());
+            } else {
+                let mut reference = PerEvent {
+                    ring: ring.clone(),
+                    evictions,
+                    admissions,
+                };
+                sim.run_dense_observed(&dense, &mut reference);
+            }
+            ring.snapshot()
+        };
+        let staged = run(true);
+        let reference = run(false);
+        assert_eq!(staged, reference);
+        for kind in [
+            EventKind::ModificationMiss,
+            EventKind::AdmissionReject,
+            EventKind::Evict,
+        ] {
+            assert!(staged.iter().any(|r| r.event == kind), "{kind:?}");
+        }
+        assert!(staged
+            .iter()
+            .any(|r| r.event == EventKind::Evict && r.reason.kind == ReasonKind::GreedyDual));
     }
 
     #[test]

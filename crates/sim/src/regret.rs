@@ -14,6 +14,13 @@
 //!   points) is the online analogue of the offline "fraction of
 //!   clairvoyant" comparisons in EXPERIMENTS.md.
 //!
+//! Both measures are per pass: each run start drops the pending victims
+//! and the trailing window, because every pass starts a cold cache,
+//! restarts request indices at 0 and (on `serve --workload`) re-interns
+//! its document slots, so nothing pairs across a pass boundary. The
+//! counters and gauges below keep accumulating for the tracker's
+//! lifetime.
+//!
 //! [`RegretTracker`] is an [`Observer`], so it composes with the other
 //! serve-path observers via tuple nesting, and exports through a
 //! [`Registry`] when one is attached:
@@ -23,11 +30,11 @@
 //! * `webcache_regret_gap_to_clairvoyant` (gauge, hit-rate points)
 //! * `webcache_regret_window_hit_rate` / `webcache_regret_oracle_hit_rate`
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use webcache_core::Eviction;
 use webcache_obs::{Counter, Gauge, Registry};
-use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
+use webcache_trace::{ByteSize, DenseTrace, DocumentType, FxHashMap, TypeMap};
 
 use crate::observe::{AccessEvent, AccessKind, Observer, RunMeta};
 use crate::oracle;
@@ -72,7 +79,8 @@ pub struct RegretTracker {
     config: RegretConfig,
     capacity: ByteSize,
     /// Victims awaiting (possible) re-request: doc → eviction index.
-    pending: HashMap<u64, u64>,
+    /// Keyed by trusted document slots, so fx-hashed.
+    pending: FxHashMap<u64, u64>,
     /// Eviction order, for lazy expiry of `pending` past `window`.
     order: VecDeque<(u64, u64)>,
     evictions: TypeMap<u64>,
@@ -90,7 +98,7 @@ impl RegretTracker {
         RegretTracker {
             config,
             capacity: ByteSize::new(1),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             order: VecDeque::new(),
             evictions: TypeMap::default(),
             wasted: TypeMap::default(),
@@ -197,9 +205,14 @@ impl RegretTracker {
 impl Observer for RegretTracker {
     fn on_run_start(&mut self, meta: RunMeta) {
         self.capacity = meta.capacity;
-        // Cross-pass state (pending victims, trailing window) persists:
-        // the serve loop replays the same stream, so regret across a
-        // pass boundary is still regret.
+        // A pass starts a cold cache at request index 0, and a stream
+        // epoch re-interns its slots: a victim or window entry from the
+        // previous pass names another document at another time, and its
+        // eviction index would never expire. Track each pass afresh.
+        self.pending.clear();
+        self.order.clear();
+        self.recent.clear();
+        self.seen = 0;
     }
 
     fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
@@ -317,6 +330,49 @@ mod tests {
         let gap = t.last_gap().expect("gap computed");
         assert!(gap > 0.0, "oracle must beat LRU on a cycling trace: {gap}");
         assert!(gap <= 1.0);
+    }
+
+    #[test]
+    fn each_pass_is_tracked_as_by_a_fresh_tracker() {
+        use webcache_workload::{WorkloadProfile, WorkloadStream};
+
+        let mut stream = WorkloadStream::new(WorkloadProfile::dfn().scaled(1.0 / 1024.0), 3);
+        let per_pass = stream.epoch_len();
+        let epochs: Vec<DenseTrace> = (0..3)
+            .map(|_| DenseTrace::build(&stream.take_trace(per_pass)))
+            .collect();
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(epochs[0].overall_size().as_u64() / 20))
+            .warmup_fraction(0.1)
+            .build();
+        let replay = |epoch: &DenseTrace, tracker: &mut RegretTracker| {
+            Simulator::from_spec(PolicyKind::Lru, config).run_dense_observed(epoch, tracker);
+        };
+        let counts =
+            |t: &RegretTracker| DocumentType::ALL.map(|ty| (t.wasted(ty), t.evictions(ty)));
+
+        let mut reused = RegretTracker::new(RegretConfig::default());
+        for (pass, epoch) in epochs.iter().enumerate() {
+            let before = counts(&reused);
+            replay(epoch, &mut reused);
+            let after = counts(&reused);
+            let delta: Vec<(u64, u64)> = before
+                .iter()
+                .zip(&after)
+                .map(|(b, a)| (a.0 - b.0, a.1 - b.1))
+                .collect();
+            let mut fresh = RegretTracker::new(RegretConfig::default());
+            replay(epoch, &mut fresh);
+            assert_eq!(delta, counts(&fresh), "pass {pass}");
+            assert_eq!(reused.last_gap(), fresh.last_gap(), "pass {pass}");
+            let evictions: u64 = delta.iter().map(|&(_, e)| e).sum();
+            assert!(evictions > 0, "pass {pass} evicts");
+            assert!(
+                reused.order.len() as u64 <= evictions,
+                "pass {pass}: {} pending victims, {evictions} evictions",
+                reused.order.len()
+            );
+        }
     }
 
     #[test]
