@@ -50,6 +50,7 @@ pub mod cost;
 pub mod float;
 pub mod policy;
 pub mod pqueue;
+pub mod prefetch;
 pub mod sharded;
 pub mod sketch;
 pub mod spec;
@@ -62,6 +63,7 @@ pub use cache::{Cache, Eviction, EvictionOutcome, InsertDisposition, Occupancy};
 pub use cost::CostModel;
 pub use float::OrderedF64;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
+pub use prefetch::prefetch_read;
 pub use sharded::{
     validate_shard_count, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
     ShardedEngine,

@@ -30,6 +30,7 @@ use webcache_obs::{MetricsSink, Reason};
 use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, ReplacementPolicy};
+use crate::prefetch::prefetch_read;
 
 /// Per-slot location codes.
 const NONE: u8 = 0;
@@ -268,6 +269,10 @@ impl<M: MetricsSink> ReplacementPolicy for Arc<M> {
 
     fn len(&self) -> usize {
         self.t1_count + self.t2_count
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        prefetch_read(&self.state, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

@@ -131,6 +131,10 @@ impl<M: MetricsSink> ReplacementPolicy for Gds<M> {
         self.heap.len()
     }
 
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+    }
+
     fn reserve_slots(&mut self, n: usize) {
         self.heap.reserve(n);
     }

@@ -18,6 +18,7 @@ use webcache_trace::{ByteSize, DocId};
 use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
 use crate::cost::CostModel;
 use crate::pqueue::DenseIndexedHeap;
+use crate::prefetch::prefetch_read;
 
 /// GDSF replacement state. See the module-level documentation above.
 ///
@@ -127,6 +128,11 @@ impl<M: MetricsSink> ReplacementPolicy for Gdsf<M> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+        prefetch_read(&self.docs, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

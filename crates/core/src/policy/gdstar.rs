@@ -30,6 +30,7 @@ use webcache_trace::{ByteSize, DocId, DocumentType, TypeMap};
 use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
 use crate::cost::CostModel;
 use crate::pqueue::DenseIndexedHeap;
+use crate::prefetch::prefetch_read;
 
 /// How GD\* obtains the temporal-correlation exponent β.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -171,9 +172,10 @@ impl BetaEstimator {
     }
 }
 
+/// Per-document state. The size is not kept: the cache passes it into
+/// every hook.
 #[derive(Debug, Clone, Copy)]
 struct DocState {
-    size: ByteSize,
     /// Document class (drives per-type β when enabled).
     ty: DocumentType,
     /// In-cache reference count `f(p)`.
@@ -304,11 +306,15 @@ impl<M: MetricsSink> GdStar<M> {
             .map(|d| d.freq)
     }
 
-    fn maybe_refresh_beta(&mut self, ty: DocumentType) {
+    /// Feeds one inter-reference gap to the estimator the β mode reads
+    /// (none in [`BetaMode::Fixed`]) and re-fits β once its refresh
+    /// interval has passed.
+    fn sample_gap(&mut self, gap: u64, ty: DocumentType) {
         match self.mode {
             BetaMode::Adaptive {
                 refresh_interval, ..
             } => {
+                self.estimator.sample(gap);
                 if self.estimator.samples() >= self.last_refresh + refresh_interval {
                     if let Some(beta) = self.estimator.estimate() {
                         self.beta = beta;
@@ -319,7 +325,8 @@ impl<M: MetricsSink> GdStar<M> {
             BetaMode::AdaptivePerType {
                 refresh_interval, ..
             } => {
-                let est = &self.per_type_estimators[ty];
+                let est = &mut self.per_type_estimators[ty];
+                est.sample(gap);
                 if est.samples() >= self.per_type_last_refresh[ty] + refresh_interval {
                     if let Some(beta) = est.estimate() {
                         self.per_type_beta[ty] = beta;
@@ -378,7 +385,6 @@ impl<M: MetricsSink> ReplacementPolicy for GdStar<M> {
         let state = slot_entry(&mut self.docs, slot_of(doc), None);
         debug_assert!(state.is_none(), "double insert of {doc}");
         *state = Some(DocState {
-            size,
             ty: doc_type,
             freq: 1,
             last_access: self.clock,
@@ -392,14 +398,11 @@ impl<M: MetricsSink> ReplacementPolicy for GdStar<M> {
             return;
         };
         state.freq += 1;
-        state.size = size;
         state.ty = doc_type;
         let gap = self.clock - state.last_access;
         state.last_access = self.clock;
-        let (freq, size) = (state.freq, state.size);
-        self.estimator.sample(gap);
-        self.per_type_estimators[doc_type].sample(gap);
-        self.maybe_refresh_beta(doc_type);
+        let freq = state.freq;
+        self.sample_gap(gap, doc_type);
         self.push_key(doc, freq, size, doc_type, HeapOp::Update);
     }
 
@@ -427,6 +430,11 @@ impl<M: MetricsSink> ReplacementPolicy for GdStar<M> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+        prefetch_read(&self.docs, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

@@ -11,6 +11,7 @@ use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
 use crate::pqueue::DenseIndexedHeap;
+use crate::prefetch::prefetch_read;
 
 /// LFU replacement state. See the module-level documentation above.
 ///
@@ -103,6 +104,11 @@ impl<M: MetricsSink> ReplacementPolicy for Lfu<M> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+        prefetch_read(&self.counts, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

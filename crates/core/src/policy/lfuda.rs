@@ -20,6 +20,7 @@ use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
 use crate::pqueue::DenseIndexedHeap;
+use crate::prefetch::prefetch_read;
 
 /// LFU-DA replacement state. See the module-level documentation above.
 ///
@@ -121,6 +122,11 @@ impl<M: MetricsSink> ReplacementPolicy for LfuDa<M> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+        prefetch_read(&self.counts, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

@@ -13,6 +13,7 @@
 use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, ReplacementPolicy};
+use crate::prefetch::prefetch_read;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -140,6 +141,10 @@ impl ReplacementPolicy for Lru {
 
     fn len(&self) -> usize {
         self.live
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        prefetch_read(&self.map, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

@@ -12,6 +12,7 @@ use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_of, PriorityKey, ReplacementPolicy};
 use crate::pqueue::DenseIndexedHeap;
+use crate::prefetch::prefetch_read;
 
 /// LRU-K replacement state. See the module-level documentation above.
 ///
@@ -132,6 +133,12 @@ impl ReplacementPolicy for LruK {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        self.heap.prefetch(doc);
+        prefetch_read(&self.lens, slot_of(doc));
+        prefetch_read(&self.history, slot_of(doc).saturating_mul(self.k));
     }
 
     fn reserve_slots(&mut self, n: usize) {

@@ -27,6 +27,7 @@ use webcache_obs::{MetricsSink, Reason};
 use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, ReplacementPolicy};
+use crate::prefetch::prefetch_read;
 
 /// Per-slot location codes.
 const NONE: u8 = 0;
@@ -246,6 +247,10 @@ impl<M: MetricsSink> ReplacementPolicy for S3Fifo<M> {
 
     fn len(&self) -> usize {
         self.small_count + self.main_count
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        prefetch_read(&self.state, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

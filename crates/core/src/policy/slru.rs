@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_entry, slot_of, ReplacementPolicy};
+use crate::prefetch::prefetch_read;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -197,6 +198,10 @@ impl ReplacementPolicy for Slru {
 
     fn len(&self) -> usize {
         self.live
+    }
+
+    fn prefetch(&self, doc: DocId) {
+        prefetch_read(&self.state, slot_of(doc));
     }
 
     fn reserve_slots(&mut self, n: usize) {

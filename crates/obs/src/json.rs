@@ -104,6 +104,7 @@ impl std::error::Error for JsonError {}
 /// input.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -116,7 +117,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     Ok(value)
 }
 
+/// Scans `bytes` (the input's bytes) and decodes non-ASCII scalars from
+/// `input` itself. `pos` only ever advances past ASCII bytes or whole
+/// scalars, so it always sits on a char boundary of `input`.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,11 +266,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar of the input.
+                    let c = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("string cut inside a character"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

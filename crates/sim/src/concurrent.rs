@@ -45,7 +45,7 @@ use webcache_trace::{DenseTrace, TypeMap};
 
 use crate::metrics::HitStats;
 use crate::observe::{NoopObserver, Observer, RunMeta};
-use crate::simulator::{Replay, SimulationConfig, SimulationReport, SlotMap};
+use crate::simulator::{Replay, SimulationConfig, SimulationReport, SlotMap, LOOKAHEAD};
 
 /// A [`DenseTrace`] pre-split for an `N`-shard engine.
 ///
@@ -498,12 +498,18 @@ fn replay_shard<O: Observer>(
     };
     let mut completed = true;
 
-    for stride in sharded.shard_requests[shard].chunks(CONTROL_STRIDE) {
+    let requests = &sharded.shard_requests[shard];
+    for (stride_index, stride) in requests.chunks(CONTROL_STRIDE).enumerate() {
         if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             completed = false;
             break;
         }
-        for &index in stride {
+        let start = stride_index * CONTROL_STRIDE;
+        for (offset, &index) in stride.iter().enumerate() {
+            // Look ahead in this shard's own order, across strides.
+            if let Some(&later) = requests.get(start + offset + LOOKAHEAD) {
+                replay.prefetch(cache, later as usize);
+            }
             let index = index as usize;
             let hit = replay.step(cache, index, observer);
             let bytes = sizes[index];

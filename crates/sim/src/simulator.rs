@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use webcache_core::{AdmissionRule, Cache, Eviction, PolicySpec, ReplacementPolicy};
+use webcache_core::{prefetch_read, AdmissionRule, Cache, Eviction, PolicySpec, ReplacementPolicy};
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
 
 use crate::metrics::HitStats;
@@ -372,6 +372,7 @@ impl Simulator {
         );
         let mut occupancy = OccupancySeries::new();
         for index in 0..trace.len() {
+            replay.prefetch(&cache, index + LOOKAHEAD);
             replay.step(&mut cache, index, observer);
             if index >= warmup_end {
                 let measured_index = index - warmup_end;
@@ -501,6 +502,14 @@ impl SlotMap for TraceSlots {
     fn trace_victims(&self, _evicted: &mut [Eviction]) {}
 }
 
+/// How many requests ahead of [`Replay::step`] its driver calls
+/// [`Replay::prefetch`], counted in the driver's own iteration order.
+/// Far enough that the hinted lines arrive before the step needs them,
+/// near enough that they are still cached when it does. On a 1/4-scale
+/// DFN replay, whose per-document state outgrows L2, 4, 8 and 16
+/// measured alike and 32 a little slower, so the distance is fixed.
+pub(crate) const LOOKAHEAD: usize = 8;
+
 /// The state of one dense replay and its per-request [`Replay::step`]:
 /// the single replay kernel behind both [`Simulator::run_dense_observed`]
 /// (over the whole trace) and the concurrent per-shard driver (over one
@@ -541,6 +550,20 @@ impl<'t, M: SlotMap> Replay<'t, M> {
             last_transfer: vec![NO_TRANSFER; cache_slots],
             evicted: Vec::new(),
             by_type: TypeMap::default(),
+        }
+    }
+
+    /// Hints the CPU to load the per-document state request `index` will
+    /// touch: its last-transfer entry, its slab entry and its policy
+    /// state. Drivers call it [`LOOKAHEAD`] requests before the step, so
+    /// the cache misses of a trace larger than the CPU caches overlap.
+    /// An `index` past the trace does nothing.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, cache: &Cache, index: usize) {
+        if let Some(&slot) = self.docs.get(index) {
+            let cache_slot = self.map.cache_slot(slot);
+            prefetch_read(&self.last_transfer, cache_slot as usize);
+            cache.prefetch(cache_slot);
         }
     }
 
