@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use webcache_core::{Cache, PolicyKind, PolicySpec};
-use webcache_trace::{ByteSize, DocId, Trace};
+use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Trace};
 
 use crate::metrics::HitStats;
 use crate::simulator::ModificationRule;
@@ -129,6 +129,58 @@ impl HierarchyReport {
     }
 }
 
+/// One cache of the hierarchy, addressed by the trace's dense document
+/// slots so no request hashes an id. Each level numbers the slots it
+/// stores in its own first-insert-attempt order, the numbering a
+/// sparse-id [`Cache`] interns, so its policy and admission rule see
+/// the same handles (and make the same decisions) as a
+/// [`Cache::with_spec`] fed the trace's ids.
+struct Level {
+    cache: Cache,
+    /// Per trace slot: this cache's slot + 1, or 0 before the first
+    /// insert attempt.
+    local: Vec<u32>,
+    assigned: u32,
+}
+
+impl Level {
+    /// A level over a trace of `documents` slots. Its cache starts empty
+    /// and grows to the slots it numbers, as a sparse-id cache would.
+    fn new(capacity: ByteSize, spec: PolicySpec, documents: usize) -> Self {
+        Level {
+            cache: Cache::with_dense_spec(capacity, spec, 0),
+            local: vec![0; documents],
+            assigned: 0,
+        }
+    }
+
+    /// This cache's handle for trace `slot`, once it tried to store it.
+    fn handle(&self, slot: u32) -> Option<DocId> {
+        let local = self.local[slot as usize].checked_sub(1)?;
+        Some(DocId::new(u64::from(local)))
+    }
+
+    fn access(&mut self, slot: u32) -> bool {
+        self.handle(slot).is_some_and(|doc| self.cache.access(doc))
+    }
+
+    fn invalidate(&mut self, slot: u32) {
+        if let Some(doc) = self.handle(slot) {
+            self.cache.invalidate(doc);
+        }
+    }
+
+    fn insert(&mut self, slot: u32, doc_type: DocumentType, size: ByteSize) {
+        let local = &mut self.local[slot as usize];
+        if *local == 0 {
+            self.assigned += 1;
+            *local = self.assigned;
+        }
+        let doc = DocId::new(u64::from(*local - 1));
+        self.cache.insert(doc, doc_type, size);
+    }
+}
+
 /// Runs a trace through a two-level hierarchy.
 ///
 /// # Panics
@@ -136,40 +188,41 @@ impl HierarchyReport {
 /// Panics on an invalid configuration (zero leaves or capacities).
 pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyReport {
     config.validate();
-    let mut leaves: Vec<Cache> = (0..config.leaf_count)
-        .map(|_| Cache::with_spec(config.leaf_capacity, config.leaf_policy))
+    let dense = DenseTrace::build(trace);
+    let documents = dense.distinct_documents();
+    let mut leaves: Vec<Level> = (0..config.leaf_count)
+        .map(|_| Level::new(config.leaf_capacity, config.leaf_policy, documents))
         .collect();
-    let mut parent = Cache::with_spec(config.parent_capacity, config.parent_policy);
+    let mut parent = Level::new(config.parent_capacity, config.parent_policy, documents);
 
     let warmup_end = trace.warmup_boundary(config.warmup_fraction);
     let mut leaf_stats = HitStats::default();
     let mut parent_stats = HitStats::default();
-    let mut last_transfer: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut last_transfer: Vec<Option<u64>> = vec![None; documents];
 
-    for (index, request) in trace.iter().enumerate() {
-        let doc: DocId = request.doc;
+    for (index, (request, &slot)) in trace.iter().zip(dense.docs()).enumerate() {
         let transfer = request.size.as_u64();
-        let prev = last_transfer.insert(doc.as_u64(), transfer);
+        let prev = last_transfer[slot as usize].replace(transfer);
         let modified = prev.is_some_and(|p| config.modification_rule.is_modification(p, transfer));
 
         let (leaf_hit, parent_hit) = if modified {
             // Invalidate the stale copies everywhere.
             for l in leaves.iter_mut() {
-                l.invalidate(doc);
+                l.invalidate(slot);
             }
-            parent.invalidate(doc);
+            parent.invalidate(slot);
             (false, false)
-        } else if leaves[index % config.leaf_count].access(doc) {
+        } else if leaves[index % config.leaf_count].access(slot) {
             (true, false)
         } else {
-            (false, parent.access(doc))
+            (false, parent.access(slot))
         };
 
         let leaf = &mut leaves[index % config.leaf_count];
         if !leaf_hit {
-            leaf.insert(doc, request.doc_type, request.size);
+            leaf.insert(slot, request.doc_type, request.size);
             if !parent_hit {
-                parent.insert(doc, request.doc_type, request.size);
+                parent.insert(slot, request.doc_type, request.size);
             }
         }
 
@@ -194,7 +247,7 @@ pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{DocumentType, Request, Timestamp};
+    use webcache_trace::{Request, Timestamp};
 
     fn trace(reqs: &[(u64, u64)]) -> Trace {
         reqs.iter()
@@ -293,5 +346,97 @@ mod tests {
     #[should_panic(expected = "at least one leaf")]
     fn zero_leaves_rejected() {
         let _ = simulate_hierarchy(&Trace::new(), config(0, 100, 100));
+    }
+
+    /// The hierarchy loop over sparse-id caches fed the trace's own ids:
+    /// the reference the dense levels must reproduce exactly.
+    fn sparse_reference(trace: &Trace, config: HierarchyConfig) -> HierarchyReport {
+        let mut leaves: Vec<Cache> = (0..config.leaf_count)
+            .map(|_| Cache::with_spec(config.leaf_capacity, config.leaf_policy))
+            .collect();
+        let mut parent = Cache::with_spec(config.parent_capacity, config.parent_policy);
+        let warmup_end = trace.warmup_boundary(config.warmup_fraction);
+        let (mut leaf_stats, mut parent_stats) = (HitStats::default(), HitStats::default());
+        let mut last_transfer = std::collections::HashMap::new();
+        for (index, request) in trace.iter().enumerate() {
+            let (doc, transfer) = (request.doc, request.size.as_u64());
+            let prev = last_transfer.insert(doc, transfer);
+            let modified =
+                prev.is_some_and(|p| config.modification_rule.is_modification(p, transfer));
+            let leaf = index % config.leaf_count;
+            let (leaf_hit, parent_hit) = if modified {
+                for l in leaves.iter_mut() {
+                    l.invalidate(doc);
+                }
+                parent.invalidate(doc);
+                (false, false)
+            } else if leaves[leaf].access(doc) {
+                (true, false)
+            } else {
+                (false, parent.access(doc))
+            };
+            if !leaf_hit {
+                leaves[leaf].insert(doc, request.doc_type, request.size);
+                if !parent_hit {
+                    parent.insert(doc, request.doc_type, request.size);
+                }
+            }
+            if index >= warmup_end {
+                leaf_stats.record(request.size, leaf_hit);
+                leaf_stats.modification_misses += u64::from(modified);
+                if !leaf_hit {
+                    parent_stats.record(request.size, parent_hit);
+                }
+            }
+        }
+        HierarchyReport {
+            config,
+            leaf: leaf_stats,
+            parent: parent_stats,
+        }
+    }
+
+    /// Every policy at both levels, with admission rules whose sketch or
+    /// window reads the handle numbering, spread ids and modifications:
+    /// the dense levels report exactly what sparse-id caches do.
+    #[test]
+    fn dense_levels_match_sparse_id_caches() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let t: Trace = (0..4_000u64)
+            .map(|i| {
+                let d = next() % 300;
+                // One request in eight grows 2 bytes: a modification.
+                let size = 100 + (d * 37) % 3_000 + 2 * u64::from(next() % 8 == 0);
+                Request::new(
+                    Timestamp::from_millis(i),
+                    DocId::new((d + 1) << 40),
+                    DocumentType::ALL[d as usize % DocumentType::ALL.len()],
+                    ByteSize::new(size),
+                )
+            })
+            .collect();
+        let kinds = PolicyKind::ALL;
+        let mut specs: Vec<PolicySpec> = kinds.iter().map(|&k| k.into()).collect();
+        for spec in ["tinylfu+lru-2", "2hit:64+gds(1)", "tinylfu+arc"] {
+            specs.push(PolicySpec::parse(spec).expect(spec));
+        }
+        for (i, &leaf) in specs.iter().enumerate() {
+            let parent = specs[(i + 5) % specs.len()];
+            let config = HierarchyConfig::new(3, ByteSize::new(40_000), ByteSize::new(150_000))
+                .with_leaf_policy(leaf)
+                .with_parent_policy(parent);
+            let dense = simulate_hierarchy(&t, config);
+            assert_eq!(dense, sparse_reference(&t, config), "{leaf} -> {parent}");
+            assert!(
+                dense.leaf.hits > 0 && dense.parent.hits > 0,
+                "{leaf} -> {parent}"
+            );
+        }
     }
 }
