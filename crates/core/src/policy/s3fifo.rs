@@ -135,8 +135,9 @@ impl<M: MetricsSink> S3Fifo<M> {
     /// Whether the next eviction should scan the small queue: small is
     /// above its 10%-of-resident-bytes target, or main is empty.
     fn evict_from_small(&self) -> bool {
-        self.small_count > 0
-            && (self.small_bytes * 10 > self.small_bytes + self.main_bytes || self.main_count == 0)
+        // Widened: a near-`u64::MAX` resident byte count must not wrap.
+        let (small, main) = (u128::from(self.small_bytes), u128::from(self.main_bytes));
+        self.small_count > 0 && (small * 10 > small + main || self.main_count == 0)
     }
 
     /// Drops ghost tail entries beyond the resident-count bound.
