@@ -1,10 +1,10 @@
 //! Bench: simulator throughput per replacement policy (requests per
 //! second of simulated trace), hashed vs dense replay, plus raw
-//! priority-queue operations over both position-index variants.
+//! priority-queue operations.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use webcache_bench::dfn_trace;
-use webcache_core::pqueue::{DenseIndexedHeap, IndexedHeap};
+use webcache_core::pqueue::IndexedHeap;
 use webcache_core::PolicyKind;
 use webcache_sim::{SimulationConfig, Simulator};
 use webcache_trace::{ByteSize, DenseTrace};
@@ -42,22 +42,9 @@ fn policies(c: &mut Criterion) {
 fn pqueue(c: &mut Criterion) {
     let mut g = c.benchmark_group("indexed_heap");
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("hash_positions/insert_update_pop_10k", |b| {
+    g.bench_function("insert_update_pop_10k", |b| {
         b.iter(|| {
             let mut h: IndexedHeap<u64, (u64, u64)> = IndexedHeap::new();
-            for i in 0..10_000u64 {
-                h.insert(i, ((i * 2_654_435_761) % 65_536, i));
-            }
-            for i in 0..10_000u64 {
-                h.update(i, ((i * 40_503) % 65_536, i));
-            }
-            while h.pop_min().is_some() {}
-            h
-        })
-    });
-    g.bench_function("dense_positions/insert_update_pop_10k", |b| {
-        b.iter(|| {
-            let mut h: DenseIndexedHeap<u64, (u64, u64)> = DenseIndexedHeap::new();
             h.reserve(10_000);
             for i in 0..10_000u64 {
                 h.insert(i, ((i * 2_654_435_761) % 65_536, i));

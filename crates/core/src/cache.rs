@@ -523,7 +523,7 @@ mod tests {
     }
 
     fn lru_cache(capacity: u64) -> Cache {
-        Cache::new(ByteSize::new(capacity), PolicyKind::Lru.instantiate())
+        Cache::new(ByteSize::new(capacity), PolicyKind::Lru.build())
     }
 
     #[test]
@@ -616,7 +616,7 @@ mod tests {
         use crate::admission::AdmissionRule;
         let mut c = Cache::with_admission(
             ByteSize::new(10_000),
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             AdmissionRule::MaxSize(ByteSize::new(100)),
         );
         assert!(c
@@ -636,7 +636,7 @@ mod tests {
         use crate::admission::AdmissionRule;
         let mut c = Cache::with_admission(
             ByteSize::new(10_000),
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             AdmissionRule::SecondHit(64),
         );
         assert!(!c
@@ -792,7 +792,7 @@ mod tests {
     fn capacity_invariant_under_random_workload_all_policies() {
         // Deterministic pseudo-random workload over every policy kind.
         for kind in PolicyKind::ALL {
-            let mut c = Cache::new(ByteSize::new(10_000), kind.instantiate());
+            let mut c = Cache::new(ByteSize::new(10_000), kind.build());
             let mut state = 987654321u64;
             let mut next = || {
                 state = state

@@ -10,10 +10,10 @@
 //!
 //! * **LRU** ([`policy::Lru`]) — recency-based; evicts the document unused
 //!   for the longest time.
-//! * **LFU-DA** ([`policy::LfuDa`]) — frequency-based with dynamic aging:
-//!   `K(p) = f(p) + L`, where `L` is the cache age (the key of the last
-//!   victim).
-//! * **GreedyDual-Size** ([`policy::Gds`]) — cost/size aware:
+//! * **LFU-DA** ([`policy::LfuDaRule`]) — frequency-based with dynamic
+//!   aging: `K(p) = f(p) + L`, where `L` is the cache age (the key of the
+//!   last victim).
+//! * **GreedyDual-Size** ([`policy::GdsRule`]) — cost/size aware:
 //!   `H(p) = L + c(p)/s(p)`.
 //! * **GreedyDual\*** ([`policy::GdStar`]) — adds long-term popularity and
 //!   temporal correlation: `H(p) = L + (f(p)·c(p)/s(p))^(1/β)`, with β
@@ -21,7 +21,9 @@
 //!   distribution.
 //!
 //! Plus the classic baselines **FIFO**, plain **LFU** and **SIZE** used in
-//! the comparative literature (Arlitt et al.).
+//! the comparative literature (Arlitt et al.). LFU, SIZE, LFU-DA, GDS,
+//! GDSF and GD\* are each one [`policy::KeyedPolicy`] under its own
+//! [`policy::KeyRule`].
 //!
 //! Both GreedyDual variants take a [`CostModel`]: `Constant` (`c = 1`,
 //! written GDS(1)/GD\*(1) in the paper) or `Packet`
@@ -33,7 +35,7 @@
 //! use webcache_core::{Cache, PolicyKind};
 //! use webcache_trace::{ByteSize, DocId, DocumentType};
 //!
-//! let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.instantiate());
+//! let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.build());
 //! let a = DocId::new(1);
 //! assert!(!cache.access(a));                       // cold miss
 //! cache.insert(a, DocumentType::Html, ByteSize::new(400));

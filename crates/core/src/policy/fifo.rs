@@ -7,12 +7,12 @@
 use webcache_trace::{ByteSize, DocId};
 
 use super::{PriorityKey, ReplacementPolicy};
-use crate::pqueue::DenseIndexedHeap;
+use crate::pqueue::IndexedHeap;
 
 /// FIFO replacement state. See the module-level documentation above.
 #[derive(Debug, Default)]
 pub struct Fifo {
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
+    heap: IndexedHeap<DocId, PriorityKey>,
     seq: u64,
 }
 

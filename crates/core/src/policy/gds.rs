@@ -17,132 +17,56 @@
 //! GDS is online-optimal with respect to its cost function but ignores how
 //! *often* a document was used — the gap GreedyDual\* fills.
 
-use webcache_obs::{HeapOp, MetricsSink};
-use webcache_trace::{ByteSize, DocId};
+use webcache_obs::Reason;
+use webcache_trace::{ByteSize, DocumentType};
 
-use super::{PriorityKey, ReplacementPolicy};
+use super::KeyRule;
 use crate::cost::CostModel;
-use crate::pqueue::DenseIndexedHeap;
 
-/// GreedyDual-Size replacement state. See the module-level documentation above.
+/// GreedyDual-Size's key rule under the given cost model:
+/// `H(p) = L + c(p)/s(p)`. See the module-level documentation above.
 ///
-/// GDS recomputes `H` from the request's size on every touch, so the heap
-/// itself is the only per-document state — membership doubles as the
-/// presence check.
-///
-/// `M` is the [`MetricsSink`] receiving heap-cost and inflation events;
-/// the default `()` compiles the instrumentation away entirely.
-#[derive(Debug)]
-pub struct Gds<M: MetricsSink = ()> {
-    cost_model: CostModel,
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
-    /// Inflation value `L`.
-    inflation: f64,
-    seq: u64,
-    sink: M,
-}
+/// GDS recomputes `H` from the request's size on every touch, so it
+/// keeps no per-document state.
+#[derive(Debug, Clone, Copy)]
+pub struct GdsRule(pub CostModel);
 
-impl Default for Gds {
-    /// GDS(1): the constant cost model, as in the paper's notation.
-    fn default() -> Self {
-        Gds::new(CostModel::Constant)
-    }
-}
-
-impl Gds {
-    /// Creates an empty GDS tracker under the given cost model.
-    pub fn new(cost_model: CostModel) -> Self {
-        Gds::with_sink(cost_model, ())
-    }
-}
-
-impl<M: MetricsSink> Gds<M> {
-    /// Like [`Gds::new`], but routing internal events into `sink`.
-    pub fn with_sink(cost_model: CostModel, sink: M) -> Self {
-        Gds {
-            cost_model,
-            heap: DenseIndexedHeap::new(),
-            inflation: 0.0,
-            seq: 0,
-            sink,
-        }
-    }
-
-    /// The current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    /// The `H` value currently assigned to `doc`.
-    pub fn h_value(&self, doc: DocId) -> Option<f64> {
-        self.heap.key_of(doc).map(|k| k.value.get())
-    }
-
-    /// `c(p)/s(p)` — the utility density of a document.
-    fn value(&self, size: ByteSize) -> f64 {
+impl GdsRule {
+    /// `c(p)/s(p)` — the utility density of a document of `size` bytes.
+    fn value(self, size: ByteSize) -> f64 {
         // Degenerate zero-size documents get the best possible density so
         // they are never the reason for an eviction (they occupy no space).
         let s = size.as_f64().max(1.0);
-        self.cost_model.cost(size) / s
-    }
-
-    fn touch(&mut self, doc: DocId, size: ByteSize, op: HeapOp) {
-        self.seq += 1;
-        let key = PriorityKey::new(self.inflation + self.value(size), self.seq);
-        let cost = self.heap.upsert(doc, key);
-        self.sink.heap_op(op, cost);
+        self.0.cost(size) / s
     }
 }
 
-impl<M: MetricsSink> ReplacementPolicy for Gds<M> {
+impl KeyRule for GdsRule {
+    type State = ();
+    const AGES: bool = true;
+
     fn label(&self) -> String {
-        format!("GDS({})", self.cost_model.tag())
+        format!("GDS({})", self.0.tag())
     }
 
-    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
-        debug_assert!(!self.heap.contains(doc), "double insert of {doc}");
-        self.touch(doc, size, HeapOp::Insert);
+    fn insert(&mut self, size: ByteSize, _doc_type: DocumentType) -> ((), f64) {
+        ((), self.value(size))
     }
 
-    fn on_hit(&mut self, doc: DocId, size: ByteSize) {
-        if self.heap.contains(doc) {
-            self.touch(doc, size, HeapOp::Update);
-        }
+    fn hit(&mut self, _: &mut (), size: ByteSize, _doc_type: Option<DocumentType>) -> f64 {
+        self.value(size)
     }
 
-    fn evict(&mut self) -> Option<DocId> {
-        let (doc, key, cost) = self.heap.pop_min_counted()?;
-        self.sink.heap_op(HeapOp::PopMin, cost);
-        let h = key.value.get();
-        self.sink
-            .evict_reason(webcache_obs::Reason::greedy_dual(h, self.inflation));
-        self.inflation = h;
-        self.sink.inflation(self.inflation);
-        Some(doc)
-    }
-
-    fn remove(&mut self, doc: DocId) {
-        if let Some((_, cost)) = self.heap.remove_counted(doc) {
-            self.sink.heap_op(HeapOp::Remove, cost);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn prefetch(&self, doc: DocId) {
-        self.heap.prefetch(doc);
-    }
-
-    fn reserve_slots(&mut self, n: usize) {
-        self.heap.reserve(n);
+    fn reason(&self, _: &(), h: f64, inflation: f64) -> Reason {
+        Reason::greedy_dual(h, inflation)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{KeyedPolicy, ReplacementPolicy};
+    use webcache_trace::DocId;
 
     fn doc(i: u64) -> DocId {
         DocId::new(i)
@@ -150,7 +74,7 @@ mod tests {
 
     #[test]
     fn constant_cost_prefers_small_documents() {
-        let mut p = Gds::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(100)); // H = 1/100
         p.on_insert(doc(2), ByteSize::new(10)); // H = 1/10
         assert_eq!(p.evict(), Some(doc(1)), "larger doc has smaller H");
@@ -169,17 +93,17 @@ mod tests {
 
     #[test]
     fn inflation_advances_and_lifts_new_entries() {
-        let mut p = Gds::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(2)); // H = 0.5
         assert_eq!(p.evict(), Some(doc(1)));
         assert_eq!(p.inflation(), 0.5);
         p.on_insert(doc(2), ByteSize::new(2));
-        assert_eq!(p.h_value(doc(2)), Some(1.0), "H = L + c/s = 0.5 + 0.5");
+        assert_eq!(p.key_of(doc(2)), Some(1.0), "H = L + c/s = 0.5 + 0.5");
     }
 
     #[test]
     fn reference_restores_h_from_current_inflation() {
-        let mut p = Gds::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(4)); // H = 0.25
         p.on_insert(doc(2), ByteSize::new(2)); // H = 0.5
         assert_eq!(p.evict(), Some(doc(1))); // L = 0.25
@@ -190,7 +114,7 @@ mod tests {
 
     #[test]
     fn equal_h_ties_break_towards_older_touch() {
-        let mut p = Gds::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(10));
         p.on_insert(doc(2), ByteSize::new(10));
         assert_eq!(p.evict(), Some(doc(1)));
@@ -198,7 +122,7 @@ mod tests {
 
     #[test]
     fn zero_size_documents_are_not_preferred_victims() {
-        let mut p = Gds::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::ZERO);
         p.on_insert(doc(2), ByteSize::new(1_000_000));
         assert_eq!(p.evict(), Some(doc(2)));
@@ -206,7 +130,7 @@ mod tests {
 
     #[test]
     fn inflation_is_monotone() {
-        let mut p = Gds::new(CostModel::Packet);
+        let mut p = KeyedPolicy::from(GdsRule(CostModel::Packet));
         let mut last = 0.0;
         for i in 0..50 {
             p.on_insert(doc(i), ByteSize::new(100 + i * 37));

@@ -12,141 +12,53 @@
 //! both as a baseline in its own right and as the anchor point of the β
 //! ablation (`GdStar::with_fixed_beta(cost, 1.0)` must agree with it).
 
-use webcache_obs::{HeapOp, MetricsSink};
-use webcache_trace::{ByteSize, DocId};
+use webcache_obs::Reason;
+use webcache_trace::{ByteSize, DocumentType};
 
-use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
+use super::KeyRule;
 use crate::cost::CostModel;
-use crate::pqueue::DenseIndexedHeap;
-use crate::prefetch::prefetch_read;
 
-/// GDSF replacement state. See the module-level documentation above.
-///
-/// `M` is the [`MetricsSink`] receiving heap-cost and inflation events;
-/// the default `()` compiles the instrumentation away entirely.
-#[derive(Debug)]
-pub struct Gdsf<M: MetricsSink = ()> {
-    cost_model: CostModel,
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
-    /// Per-slot `(size, frequency)`; frequency 0 = not tracked.
-    docs: Vec<(ByteSize, u64)>,
-    inflation: f64,
-    seq: u64,
-    sink: M,
-}
+/// GDSF's key rule under the given cost model:
+/// `H(p) = L + f(p)·c(p)/s(p)`. See the module-level documentation above.
+#[derive(Debug, Clone, Copy)]
+pub struct GdsfRule(pub CostModel);
 
-impl Default for Gdsf {
-    /// GDSF(1): the constant cost model, as in the paper's notation.
-    fn default() -> Self {
-        Gdsf::new(CostModel::Constant)
-    }
-}
-
-impl Gdsf {
-    /// Creates an empty GDSF tracker under the given cost model.
-    pub fn new(cost_model: CostModel) -> Self {
-        Gdsf::with_sink(cost_model, ())
-    }
-}
-
-impl<M: MetricsSink> Gdsf<M> {
-    /// Like [`Gdsf::new`], but routing internal events into `sink`.
-    pub fn with_sink(cost_model: CostModel, sink: M) -> Self {
-        Gdsf {
-            cost_model,
-            heap: DenseIndexedHeap::new(),
-            docs: Vec::new(),
-            inflation: 0.0,
-            seq: 0,
-            sink,
-        }
-    }
-
-    /// The current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    /// The `H` value currently assigned to `doc`.
-    pub fn h_value(&self, doc: DocId) -> Option<f64> {
-        self.heap.key_of(doc).map(|k| k.value.get())
-    }
-
-    fn push_key(&mut self, doc: DocId, freq: u64, size: ByteSize, op: HeapOp) {
+impl GdsfRule {
+    /// `f(p)·c(p)/s(p)` for a document referenced `freq` times.
+    pub(super) fn value(self, freq: u64, size: ByteSize) -> f64 {
         let s = size.as_f64().max(1.0);
-        let value = freq as f64 * self.cost_model.cost(size) / s;
-        self.seq += 1;
-        let cost = self
-            .heap
-            .upsert(doc, PriorityKey::new(self.inflation + value, self.seq));
-        self.sink.heap_op(op, cost);
+        freq as f64 * self.0.cost(size) / s
     }
 }
 
-impl<M: MetricsSink> ReplacementPolicy for Gdsf<M> {
+impl KeyRule for GdsfRule {
+    /// The in-cache reference count `f(p)`.
+    type State = u64;
+    const AGES: bool = true;
+
     fn label(&self) -> String {
-        format!("GDSF({})", self.cost_model.tag())
+        format!("GDSF({})", self.0.tag())
     }
 
-    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
-        let state = slot_entry(&mut self.docs, slot_of(doc), (ByteSize::ZERO, 0));
-        debug_assert!(state.1 == 0, "double insert of {doc}");
-        *state = (size, 1);
-        self.push_key(doc, 1, size, HeapOp::Insert);
+    fn insert(&mut self, size: ByteSize, _doc_type: DocumentType) -> (u64, f64) {
+        (1, self.value(1, size))
     }
 
-    fn on_hit(&mut self, doc: DocId, size: ByteSize) {
-        let Some(state) = self.docs.get_mut(slot_of(doc)).filter(|s| s.1 > 0) else {
-            return;
-        };
-        state.0 = size;
-        state.1 += 1;
-        let (size, freq) = *state;
-        self.push_key(doc, freq, size, HeapOp::Update);
+    fn hit(&mut self, freq: &mut u64, size: ByteSize, _doc_type: Option<DocumentType>) -> f64 {
+        *freq += 1;
+        self.value(*freq, size)
     }
 
-    fn evict(&mut self) -> Option<DocId> {
-        let (doc, key, cost) = self.heap.pop_min_counted()?;
-        self.sink.heap_op(HeapOp::PopMin, cost);
-        self.docs[slot_of(doc)] = (ByteSize::ZERO, 0);
-        let h = key.value.get();
-        self.sink
-            .evict_reason(webcache_obs::Reason::greedy_dual(h, self.inflation));
-        self.inflation = h;
-        self.sink.inflation(self.inflation);
-        Some(doc)
-    }
-
-    fn remove(&mut self, doc: DocId) {
-        if let Some(state) = self.docs.get_mut(slot_of(doc)).filter(|s| s.1 > 0) {
-            *state = (ByteSize::ZERO, 0);
-            if let Some((_, cost)) = self.heap.remove_counted(doc) {
-                self.sink.heap_op(HeapOp::Remove, cost);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn prefetch(&self, doc: DocId) {
-        self.heap.prefetch(doc);
-        prefetch_read(&self.docs, slot_of(doc));
-    }
-
-    fn reserve_slots(&mut self, n: usize) {
-        self.heap.reserve(n);
-        if self.docs.len() < n {
-            self.docs.resize(n, (ByteSize::ZERO, 0));
-        }
+    fn reason(&self, _: &u64, h: f64, inflation: f64) -> Reason {
+        Reason::greedy_dual(h, inflation)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GdStar;
+    use crate::policy::{GdStar, KeyedPolicy, ReplacementPolicy};
+    use webcache_trace::DocId;
 
     fn doc(i: u64) -> DocId {
         DocId::new(i)
@@ -154,13 +66,13 @@ mod tests {
 
     #[test]
     fn frequency_and_size_both_matter() {
-        let mut p = Gdsf::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsfRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(100)); // H = 1/100
         p.on_insert(doc(2), ByteSize::new(100)); // H = 1/100
         p.on_hit(doc(1), ByteSize::new(100)); // H = 2/100
         assert_eq!(p.evict(), Some(doc(2)), "less frequent doc goes first");
 
-        let mut p = Gdsf::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsfRule(CostModel::Constant));
         p.on_insert(doc(1), ByteSize::new(1_000));
         p.on_insert(doc(2), ByteSize::new(10));
         assert_eq!(p.evict(), Some(doc(1)), "larger doc goes first");
@@ -170,8 +82,7 @@ mod tests {
     fn agrees_with_gdstar_beta_one() {
         // GDSF must produce the same eviction sequence as GD* with β = 1
         // on any shared input (same tie-breaking discipline).
-        use crate::policy::ReplacementPolicy;
-        let mut gdsf = Gdsf::new(CostModel::Packet);
+        let mut gdsf = KeyedPolicy::from(GdsfRule(CostModel::Packet));
         let mut gdstar = GdStar::with_fixed_beta(CostModel::Packet, 1.0);
 
         let mut state = 42u64;
@@ -213,7 +124,7 @@ mod tests {
 
     #[test]
     fn inflation_monotone_and_label() {
-        let mut p = Gdsf::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsfRule(CostModel::Constant));
         assert_eq!(p.label(), "GDSF(1)");
         p.on_insert(doc(1), ByteSize::new(4));
         p.on_insert(doc(2), ByteSize::new(2));
@@ -225,9 +136,9 @@ mod tests {
 
     #[test]
     fn hit_on_untracked_doc_is_ignored() {
-        let mut p = Gdsf::new(CostModel::Constant);
+        let mut p = KeyedPolicy::from(GdsfRule(CostModel::Constant));
         p.on_hit(doc(9), ByteSize::new(10));
         assert!(p.is_empty());
-        assert_eq!(p.h_value(doc(9)), None);
+        assert_eq!(p.key_of(doc(9)), None);
     }
 }

@@ -24,13 +24,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use webcache_obs::{HeapOp, MetricsSink};
-use webcache_trace::{ByteSize, DocId, DocumentType, TypeMap};
+use webcache_obs::Reason;
+use webcache_trace::{ByteSize, DocumentType, TypeMap};
 
-use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
+use super::{GdsfRule, KeyRule, KeyedPolicy};
 use crate::cost::CostModel;
-use crate::pqueue::DenseIndexedHeap;
-use crate::prefetch::prefetch_read;
 
 /// How GD\* obtains the temporal-correlation exponent β.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -172,10 +170,10 @@ impl BetaEstimator {
     }
 }
 
-/// Per-document state. The size is not kept: the cache passes it into
-/// every hook.
-#[derive(Debug, Clone, Copy)]
-struct DocState {
+/// Per-document GD\* state. The size is not kept: the cache passes it
+/// into every hook.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DocState {
     /// Document class (drives per-type β when enabled).
     ty: DocumentType,
     /// In-cache reference count `f(p)`.
@@ -184,12 +182,10 @@ struct DocState {
     last_access: u64,
 }
 
-/// GreedyDual\* replacement state. See the module-level documentation above.
-///
-/// `M` is the [`MetricsSink`] receiving heap-cost and inflation events;
-/// the default `()` compiles the instrumentation away entirely.
+/// GreedyDual\*'s key rule and its β machinery. See the module-level
+/// documentation above.
 #[derive(Debug)]
-pub struct GdStar<M: MetricsSink = ()> {
+pub struct GdStarRule {
     cost_model: CostModel,
     mode: BetaMode,
     beta: f64,
@@ -198,16 +194,13 @@ pub struct GdStar<M: MetricsSink = ()> {
     per_type_beta: TypeMap<f64>,
     per_type_estimators: TypeMap<BetaEstimator>,
     per_type_last_refresh: TypeMap<u64>,
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
-    /// Per-slot document state; `None` = not tracked.
-    docs: Vec<Option<DocState>>,
-    inflation: f64,
     /// Counts policy events (inserts + hits) as a proxy for the request
     /// clock; gaps are measured in these units.
     clock: u64,
-    seq: u64,
-    sink: M,
 }
+
+/// GreedyDual\*: the [`KeyedPolicy`] ranking by [`GdStarRule`].
+pub type GdStar<M = ()> = KeyedPolicy<GdStarRule, M>;
 
 impl Default for GdStar {
     /// GD*(1) with the default adaptive β estimation.
@@ -219,7 +212,7 @@ impl Default for GdStar {
 impl GdStar {
     /// Creates an empty GD\* tracker under the given cost model and β mode.
     pub fn new(cost_model: CostModel, mode: BetaMode) -> Self {
-        GdStar::with_sink(cost_model, mode, ())
+        KeyedPolicy::from(GdStarRule::new(cost_model, mode))
     }
 
     /// Convenience constructor for a fixed β.
@@ -240,9 +233,13 @@ impl GdStar {
     }
 }
 
-impl<M: MetricsSink> GdStar<M> {
-    /// Like [`GdStar::new`], but routing internal events into `sink`.
-    pub fn with_sink(cost_model: CostModel, mode: BetaMode, sink: M) -> Self {
+impl GdStarRule {
+    /// The GD\* rule under the given cost model and β mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the mode's (initial) β is positive and finite.
+    pub fn new(cost_model: CostModel, mode: BetaMode) -> Self {
         let beta = match mode {
             BetaMode::Fixed(beta) => beta,
             BetaMode::Adaptive { initial, .. } | BetaMode::AdaptivePerType { initial, .. } => {
@@ -253,7 +250,7 @@ impl<M: MetricsSink> GdStar<M> {
             beta.is_finite() && beta > 0.0,
             "β must be positive and finite, got {beta}"
         );
-        GdStar {
+        GdStarRule {
             cost_model,
             mode,
             beta,
@@ -262,48 +259,24 @@ impl<M: MetricsSink> GdStar<M> {
             per_type_beta: TypeMap::splat(beta),
             per_type_estimators: TypeMap::from_fn(|_| BetaEstimator::new()),
             per_type_last_refresh: TypeMap::default(),
-            heap: DenseIndexedHeap::new(),
-            docs: Vec::new(),
-            inflation: 0.0,
             clock: 0,
-            seq: 0,
-            sink,
         }
     }
 
     /// The β currently in effect (the global estimate; per-type mode
-    /// additionally maintains [`GdStar::beta_for`]).
+    /// additionally maintains [`GdStarRule::beta_for`]).
     pub fn beta(&self) -> f64 {
         self.beta
     }
 
     /// The β currently in effect for documents of the given type.
     /// Outside [`BetaMode::AdaptivePerType`] this equals
-    /// [`GdStar::beta`].
+    /// [`GdStarRule::beta`].
     pub fn beta_for(&self, ty: DocumentType) -> f64 {
         match self.mode {
             BetaMode::AdaptivePerType { .. } => self.per_type_beta[ty],
             _ => self.beta,
         }
-    }
-
-    /// The current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    /// The `H` value currently assigned to `doc`.
-    pub fn h_value(&self, doc: DocId) -> Option<f64> {
-        self.heap.key_of(doc).map(|k| k.value.get())
-    }
-
-    /// The in-cache reference count of `doc`.
-    pub fn frequency(&self, doc: DocId) -> Option<u64> {
-        self.docs
-            .get(slot_of(doc))
-            .copied()
-            .flatten()
-            .map(|d| d.freq)
     }
 
     /// Feeds one inter-reference gap to the estimator the β mode reads
@@ -339,8 +312,7 @@ impl<M: MetricsSink> GdStar<M> {
     }
 
     fn h_base(&self, freq: u64, size: ByteSize, ty: DocumentType) -> f64 {
-        let s = size.as_f64().max(1.0);
-        let value = freq as f64 * self.cost_model.cost(size) / s;
+        let value = GdsfRule(self.cost_model).value(freq, size);
         let exponent = 1.0 / self.beta_for(ty);
         // IEEE 754 pins pow(x, 1) = x exactly, so bypassing the (slow)
         // powf while β sits at its initial 1.0 — the entire run until
@@ -351,103 +323,48 @@ impl<M: MetricsSink> GdStar<M> {
             value.powf(exponent)
         }
     }
-
-    fn push_key(&mut self, doc: DocId, freq: u64, size: ByteSize, ty: DocumentType, op: HeapOp) {
-        self.seq += 1;
-        let key = PriorityKey::new(self.inflation + self.h_base(freq, size, ty), self.seq);
-        let cost = self.heap.upsert(doc, key);
-        self.sink.heap_op(op, cost);
-    }
 }
 
-impl<M: MetricsSink> ReplacementPolicy for GdStar<M> {
+impl KeyRule for GdStarRule {
+    type State = DocState;
+    const AGES: bool = true;
+
     fn label(&self) -> String {
         format!("GD*({})", self.cost_model.tag())
     }
 
-    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
-        self.on_insert_typed(doc, size, DocumentType::Other);
-    }
-
-    fn on_hit(&mut self, doc: DocId, size: ByteSize) {
-        let ty = self
-            .docs
-            .get(slot_of(doc))
-            .copied()
-            .flatten()
-            .map(|d| d.ty)
-            .unwrap_or(DocumentType::Other);
-        self.on_hit_typed(doc, size, ty);
-    }
-
-    fn on_insert_typed(&mut self, doc: DocId, size: ByteSize, doc_type: DocumentType) {
+    fn insert(&mut self, size: ByteSize, doc_type: DocumentType) -> (DocState, f64) {
         self.clock += 1;
-        let state = slot_entry(&mut self.docs, slot_of(doc), None);
-        debug_assert!(state.is_none(), "double insert of {doc}");
-        *state = Some(DocState {
+        let state = DocState {
             ty: doc_type,
             freq: 1,
             last_access: self.clock,
-        });
-        self.push_key(doc, 1, size, doc_type, HeapOp::Insert);
+        };
+        (state, self.h_base(1, size, doc_type))
     }
 
-    fn on_hit_typed(&mut self, doc: DocId, size: ByteSize, doc_type: DocumentType) {
+    /// An untyped hit keeps the type the document was last seen with.
+    fn hit(&mut self, state: &mut DocState, size: ByteSize, doc_type: Option<DocumentType>) -> f64 {
         self.clock += 1;
-        let Some(state) = self.docs.get_mut(slot_of(doc)).and_then(Option::as_mut) else {
-            return;
-        };
+        let ty = doc_type.unwrap_or(state.ty);
         state.freq += 1;
-        state.ty = doc_type;
+        state.ty = ty;
         let gap = self.clock - state.last_access;
         state.last_access = self.clock;
-        let freq = state.freq;
-        self.sample_gap(gap, doc_type);
-        self.push_key(doc, freq, size, doc_type, HeapOp::Update);
+        self.sample_gap(gap, ty);
+        self.h_base(state.freq, size, ty)
     }
 
-    fn evict(&mut self) -> Option<DocId> {
-        let (doc, key, cost) = self.heap.pop_min_counted()?;
-        self.sink.heap_op(HeapOp::PopMin, cost);
-        self.docs[slot_of(doc)] = None;
-        let h = key.value.get();
-        self.sink
-            .evict_reason(webcache_obs::Reason::greedy_dual(h, self.inflation));
-        self.inflation = h;
-        self.sink.inflation(self.inflation);
-        Some(doc)
-    }
-
-    fn remove(&mut self, doc: DocId) {
-        if let Some(state) = self.docs.get_mut(slot_of(doc)) {
-            if state.take().is_some() {
-                if let Some((_, cost)) = self.heap.remove_counted(doc) {
-                    self.sink.heap_op(HeapOp::Remove, cost);
-                }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn prefetch(&self, doc: DocId) {
-        self.heap.prefetch(doc);
-        prefetch_read(&self.docs, slot_of(doc));
-    }
-
-    fn reserve_slots(&mut self, n: usize) {
-        self.heap.reserve(n);
-        if self.docs.len() < n {
-            self.docs.resize(n, None);
-        }
+    fn reason(&self, _: &DocState, h: f64, inflation: f64) -> Reason {
+        Reason::greedy_dual(h, inflation)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ReplacementPolicy;
+    use webcache_trace::DocId;
 
     fn doc(i: u64) -> DocId {
         DocId::new(i)
@@ -467,9 +384,9 @@ mod tests {
     fn beta_one_matches_gdsf_value() {
         let mut p = GdStar::with_fixed_beta(CostModel::Constant, 1.0);
         p.on_insert(doc(1), ByteSize::new(4));
-        assert_eq!(p.h_value(doc(1)), Some(0.25), "H = (1·1/4)^(1/1)");
+        assert_eq!(p.key_of(doc(1)), Some(0.25), "H = (1·1/4)^(1/1)");
         p.on_hit(doc(1), ByteSize::new(4));
-        assert_eq!(p.h_value(doc(1)), Some(0.5), "H = (2·1/4)^(1/1)");
+        assert_eq!(p.key_of(doc(1)), Some(0.5), "H = (2·1/4)^(1/1)");
     }
 
     #[test]
@@ -481,7 +398,7 @@ mod tests {
         for p in [&mut half, &mut one] {
             p.on_insert(doc(1), ByteSize::new(1_000_000));
         }
-        assert!(half.h_value(doc(1)).unwrap() < one.h_value(doc(1)).unwrap());
+        assert!(half.key_of(doc(1)).unwrap() < one.key_of(doc(1)).unwrap());
     }
 
     #[test]
@@ -491,7 +408,7 @@ mod tests {
         assert_eq!(p.evict(), Some(doc(1)));
         assert_eq!(p.inflation(), 0.5);
         p.on_insert(doc(2), ByteSize::new(2));
-        assert_eq!(p.h_value(doc(2)), Some(1.0));
+        assert_eq!(p.key_of(doc(2)), Some(1.0));
     }
 
     #[test]
@@ -499,10 +416,14 @@ mod tests {
         let mut p = GdStar::with_fixed_beta(CostModel::Constant, 1.0);
         p.on_insert(doc(1), ByteSize::new(2));
         p.on_hit(doc(1), ByteSize::new(2));
-        assert_eq!(p.frequency(doc(1)), Some(2));
+        assert_eq!(p.state(doc(1)).map(|s| s.freq), Some(2));
         assert_eq!(p.evict(), Some(doc(1)));
         p.on_insert(doc(1), ByteSize::new(2));
-        assert_eq!(p.frequency(doc(1)), Some(1), "f(p) is in-cache state");
+        assert_eq!(
+            p.state(doc(1)).map(|s| s.freq),
+            Some(1),
+            "f(p) is in-cache state"
+        );
     }
 
     #[test]
@@ -523,7 +444,7 @@ mod tests {
             p.on_hit(doc(1), ByteSize::new(10));
             p.on_hit(doc(2), ByteSize::new(10));
         }
-        let before = p.beta();
+        let before = p.rule().beta();
         // ...now mix in long gaps so two buckets populate and a refresh
         // fires.
         for i in 0..60 {
@@ -531,10 +452,10 @@ mod tests {
                 p.on_hit(doc(1 + (i + j) % 2), ByteSize::new(10));
             }
         }
-        assert!(p.estimator.samples() > 100);
+        assert!(p.rule().estimator.samples() > 100);
         let _ = before; // β may or may not move; the contract is "no panic,
                         // stays positive".
-        assert!(p.beta() > 0.0);
+        assert!(p.rule().beta() > 0.0);
     }
 
     #[test]
@@ -567,14 +488,14 @@ mod tests {
             }
             p.on_hit_typed(DocId::new(1), ByteSize::new(10), DocumentType::Image);
         }
-        let b_mm = p.beta_for(DocumentType::MultiMedia);
-        let b_img = p.beta_for(DocumentType::Image);
+        let b_mm = p.rule().beta_for(DocumentType::MultiMedia);
+        let b_img = p.rule().beta_for(DocumentType::Image);
         assert!(
             b_mm > b_img,
             "multimedia β {b_mm} must exceed image β {b_img}"
         );
         // Types without samples keep the initial β.
-        assert_eq!(p.beta_for(DocumentType::Application), 1.0);
+        assert_eq!(p.rule().beta_for(DocumentType::Application), 1.0);
     }
 
     #[test]
@@ -583,7 +504,7 @@ mod tests {
         let mut p = GdStar::with_per_type_beta(CostModel::Packet);
         p.on_insert_typed(DocId::new(1), ByteSize::new(100), DocumentType::Html);
         p.on_hit_typed(DocId::new(1), ByteSize::new(100), DocumentType::Html);
-        assert_eq!(p.frequency(DocId::new(1)), Some(2));
+        assert_eq!(p.state(DocId::new(1)).map(|s| s.freq), Some(2));
         assert_eq!(p.evict(), Some(DocId::new(1)));
     }
 

@@ -15,131 +15,44 @@
 //! pollution of plain LFU. LFU-DA achieves high byte hit rates because it
 //! does not discriminate against large documents.
 
-use webcache_obs::{HeapOp, MetricsSink};
-use webcache_trace::{ByteSize, DocId};
+use webcache_obs::Reason;
+use webcache_trace::{ByteSize, DocumentType};
 
-use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
-use crate::pqueue::DenseIndexedHeap;
-use crate::prefetch::prefetch_read;
+use super::KeyRule;
 
-/// LFU-DA replacement state. See the module-level documentation above.
-///
-/// `M` is the [`MetricsSink`] receiving heap-cost and aging events; the
-/// default `()` compiles the instrumentation away entirely.
-#[derive(Debug, Default)]
-pub struct LfuDa<M: MetricsSink = ()> {
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
-    /// Per-slot reference count; 0 = not tracked.
-    counts: Vec<u64>,
-    /// Cache age `L`: the key value of the last evicted document.
-    age: f64,
-    seq: u64,
-    sink: M,
-}
+/// LFU-DA's key rule: `K(p) = f(p) + L`, aged by the cache age `L`. See
+/// the module-level documentation above.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LfuDaRule;
 
-impl LfuDa {
-    /// Creates an empty LFU-DA tracker.
-    pub fn new() -> Self {
-        LfuDa::default()
-    }
-}
+impl KeyRule for LfuDaRule {
+    /// The in-cache reference count `f(p)`.
+    type State = u64;
+    const AGES: bool = true;
 
-impl<M: MetricsSink> LfuDa<M> {
-    /// Like [`LfuDa::new`], but routing internal events into `sink`.
-    pub fn with_sink(sink: M) -> Self {
-        LfuDa {
-            heap: DenseIndexedHeap::new(),
-            counts: Vec::new(),
-            age: 0.0,
-            seq: 0,
-            sink,
-        }
-    }
-
-    /// The current cache age `L`.
-    pub fn cache_age(&self) -> f64 {
-        self.age
-    }
-
-    /// The key `K(p) = f(p) + L` currently assigned to `doc`.
-    pub fn key_of(&self, doc: DocId) -> Option<f64> {
-        self.heap.key_of(doc).map(|k| k.value.get())
-    }
-
-    fn tracked(&self, doc: DocId) -> bool {
-        self.counts.get(slot_of(doc)).copied().unwrap_or(0) > 0
-    }
-
-    fn touch(&mut self, doc: DocId, op: HeapOp) {
-        let count = slot_entry(&mut self.counts, slot_of(doc), 0);
-        *count += 1;
-        let count = *count;
-        self.seq += 1;
-        let key = PriorityKey::new(count as f64 + self.age, self.seq);
-        let cost = self.heap.upsert(doc, key);
-        self.sink.heap_op(op, cost);
-    }
-}
-
-impl<M: MetricsSink> ReplacementPolicy for LfuDa<M> {
     fn label(&self) -> String {
         "LFU-DA".to_owned()
     }
 
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        debug_assert!(!self.tracked(doc), "double insert of {doc}");
-        self.touch(doc, HeapOp::Insert);
+    fn insert(&mut self, _size: ByteSize, _doc_type: DocumentType) -> (u64, f64) {
+        (1, 1.0)
     }
 
-    fn on_hit(&mut self, doc: DocId, _size: ByteSize) {
-        if self.tracked(doc) {
-            self.touch(doc, HeapOp::Update);
-        }
+    fn hit(&mut self, count: &mut u64, _size: ByteSize, _doc_type: Option<DocumentType>) -> f64 {
+        *count += 1;
+        *count as f64
     }
 
-    fn evict(&mut self) -> Option<DocId> {
-        let (doc, key, cost) = self.heap.pop_min_counted()?;
-        self.sink.heap_op(HeapOp::PopMin, cost);
-        let count = self.counts[slot_of(doc)];
-        self.counts[slot_of(doc)] = 0;
-        let key = key.value.get();
-        self.sink
-            .evict_reason(webcache_obs::Reason::lfu_da(key, count as f64));
-        // Dynamic aging: the cache age inflates to the victim's key.
-        self.age = key;
-        self.sink.inflation(self.age);
-        Some(doc)
-    }
-
-    fn remove(&mut self, doc: DocId) {
-        if self.tracked(doc) {
-            self.counts[slot_of(doc)] = 0;
-            if let Some((_, cost)) = self.heap.remove_counted(doc) {
-                self.sink.heap_op(HeapOp::Remove, cost);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn prefetch(&self, doc: DocId) {
-        self.heap.prefetch(doc);
-        prefetch_read(&self.counts, slot_of(doc));
-    }
-
-    fn reserve_slots(&mut self, n: usize) {
-        self.heap.reserve(n);
-        if self.counts.len() < n {
-            self.counts.resize(n, 0);
-        }
+    fn reason(&self, &count: &u64, key: f64, _inflation: f64) -> Reason {
+        Reason::lfu_da(key, count as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{KeyedPolicy, ReplacementPolicy};
+    use webcache_trace::DocId;
 
     fn doc(i: u64) -> DocId {
         DocId::new(i)
@@ -151,24 +64,24 @@ mod tests {
 
     #[test]
     fn evicts_least_frequent_when_age_is_zero() {
-        let mut p = LfuDa::new();
+        let mut p = KeyedPolicy::from(LfuDaRule);
         p.on_insert(doc(1), sz());
         p.on_insert(doc(2), sz());
         p.on_hit(doc(1), sz());
         assert_eq!(p.evict(), Some(doc(2)));
-        assert_eq!(p.cache_age(), 1.0);
+        assert_eq!(p.inflation(), 1.0);
     }
 
     #[test]
     fn age_advances_to_victim_key() {
-        let mut p = LfuDa::new();
+        let mut p = KeyedPolicy::from(LfuDaRule);
         p.on_insert(doc(1), sz());
         for _ in 0..4 {
             p.on_hit(doc(1), sz());
         }
         assert_eq!(p.key_of(doc(1)), Some(5.0));
         assert_eq!(p.evict(), Some(doc(1)));
-        assert_eq!(p.cache_age(), 5.0);
+        assert_eq!(p.inflation(), 5.0);
         // A new document now starts at K = 1 + 5.
         p.on_insert(doc(2), sz());
         assert_eq!(p.key_of(doc(2)), Some(6.0));
@@ -178,7 +91,7 @@ mod tests {
     fn aging_prevents_pollution() {
         // Build up a popular-but-stale document, then stream new ones
         // through a small cache; the stale document must eventually fall.
-        let mut p = LfuDa::new();
+        let mut p = KeyedPolicy::from(LfuDaRule);
         p.on_insert(doc(0), sz());
         for _ in 0..10 {
             p.on_hit(doc(0), sz());
@@ -200,7 +113,7 @@ mod tests {
 
     #[test]
     fn keys_are_monotone_for_repeated_hits() {
-        let mut p = LfuDa::new();
+        let mut p = KeyedPolicy::from(LfuDaRule);
         p.on_insert(doc(1), sz());
         let mut last = p.key_of(doc(1)).unwrap();
         for _ in 0..5 {
@@ -213,10 +126,10 @@ mod tests {
 
     #[test]
     fn remove_does_not_age() {
-        let mut p = LfuDa::new();
+        let mut p = KeyedPolicy::from(LfuDaRule);
         p.on_insert(doc(1), sz());
         p.on_hit(doc(1), sz());
         p.remove(doc(1));
-        assert_eq!(p.cache_age(), 0.0, "invalidation must not inflate the age");
+        assert_eq!(p.inflation(), 0.0, "invalidation must not inflate the age");
     }
 }

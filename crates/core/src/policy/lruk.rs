@@ -11,7 +11,7 @@
 use webcache_trace::{ByteSize, DocId};
 
 use super::{slot_of, PriorityKey, ReplacementPolicy};
-use crate::pqueue::DenseIndexedHeap;
+use crate::pqueue::IndexedHeap;
 use crate::prefetch::prefetch_read;
 
 /// LRU-K replacement state. See the module-level documentation above.
@@ -28,7 +28,7 @@ pub struct LruK {
     /// Valid entries per document row; 0 = not tracked.
     lens: Vec<u32>,
     /// Min-heap on the backward K-distance key.
-    heap: DenseIndexedHeap<DocId, PriorityKey>,
+    heap: IndexedHeap<DocId, PriorityKey>,
     clock: u64,
 }
 
@@ -51,7 +51,7 @@ impl LruK {
             k,
             history: Vec::new(),
             lens: Vec::new(),
-            heap: DenseIndexedHeap::new(),
+            heap: IndexedHeap::new(),
             clock: 0,
         }
     }

@@ -4,6 +4,11 @@
 //! frequency, GreedyDual `H` values) and answers eviction queries; the
 //! [`Cache`](crate::cache::Cache) owns the actual store and byte
 //! accounting and drives the policy through the trait's lifecycle hooks.
+//!
+//! The key-ranked schemes — LFU, SIZE, LFU-DA, GDS, GDSF and GD\* — are
+//! one [`KeyedPolicy`] each, differing only in their [`KeyRule`]. The
+//! recency and queue schemes (LRU, FIFO, SLRU, LRU-2, ARC, S3-FIFO) keep
+//! their own code.
 
 use std::fmt;
 
@@ -19,6 +24,7 @@ mod fifo;
 mod gds;
 mod gdsf;
 mod gdstar;
+mod keyed;
 mod lfu;
 mod lfuda;
 mod lru;
@@ -29,15 +35,16 @@ mod slru;
 
 pub use arc::Arc;
 pub use fifo::Fifo;
-pub use gds::Gds;
-pub use gdsf::Gdsf;
-pub use gdstar::{BetaEstimator, BetaMode, GdStar};
-pub use lfu::Lfu;
-pub use lfuda::LfuDa;
+pub use gds::GdsRule;
+pub use gdsf::GdsfRule;
+pub use gdstar::{BetaEstimator, BetaMode, GdStar, GdStarRule};
+pub use keyed::{KeyRule, KeyedPolicy};
+pub use lfu::LfuRule;
+pub use lfuda::LfuDaRule;
 pub use lru::Lru;
 pub use lruk::LruK;
 pub use s3fifo::S3Fifo;
-pub use size::SizeBased;
+pub use size::SizeRule;
 pub use slru::Slru;
 
 /// Bookkeeping interface implemented by every replacement scheme.
@@ -65,8 +72,8 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
 
     /// Type-aware insert hook. The cache calls this variant (it knows
     /// every document's [`DocumentType`]); the default forwards to
-    /// [`ReplacementPolicy::on_insert`]. Only type-aware schemes (GD\*
-    /// with per-type β) override it.
+    /// [`ReplacementPolicy::on_insert`]. [`KeyedPolicy`] overrides it to
+    /// hand the type to its rule; only GD\* (per-type β) reads it.
     fn on_insert_typed(&mut self, doc: DocId, size: ByteSize, doc_type: DocumentType) {
         let _ = doc_type;
         self.on_insert(doc, size);
@@ -108,8 +115,9 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// Hints the CPU to load `doc`'s per-slot state, a few requests
     /// before the cache touches it (see [`crate::prefetch`]). Purely a
     /// hint: it changes no state and accepts any handle, tracked or not,
-    /// in range or not. The default does nothing; policies whose replay
-    /// measured faster with their per-slot lines hinted override it.
+    /// in range or not. The default does nothing; [`KeyedPolicy`] hints
+    /// its heap position and rule state for all six key-ranked schemes,
+    /// and the other policies with per-slot vectors hint those.
     fn prefetch(&self, doc: DocId) {
         let _ = doc;
     }
@@ -160,8 +168,8 @@ impl PriorityKey {
 /// construct policies.
 ///
 /// [`PolicyKind::build`] is the single construction entry point — callers
-/// never juggle the per-scheme constructors (`Gds::new(cost_model)`,
-/// `GdStar::new(cost_model, mode)`, `LruK::two()`, …) directly.
+/// never juggle the per-scheme constructors (`GdStar::new(cost_model,
+/// mode)`, `LruK::two()`, …) directly.
 ///
 /// ```
 /// use webcache_core::{CostModel, PolicyKind};
@@ -269,12 +277,14 @@ impl PolicyKind {
     /// Constructs a fresh policy instance routing internal events
     /// (heap-operation costs, inflation steps) into `sink`.
     ///
-    /// The list-based schemes (LRU, FIFO, SLRU, LRU-2) maintain no
-    /// priority heap and report no events — the sink is dropped for
-    /// them. ARC and S3-FIFO are heap-free too but do report eviction
-    /// *reasons* (queue provenance) through the sink's `evict_reason`
-    /// channel. `build_instrumented(())` is exactly
-    /// [`PolicyKind::build`].
+    /// The six key-ranked schemes (LFU, SIZE, LFU-DA, GDS, GDSF, GD\*)
+    /// are all built as one [`KeyedPolicy`], which reports every heap
+    /// operation, inflation step and eviction reason. LRU, FIFO, SLRU and
+    /// LRU-2 take no sink and report no events — the sink is dropped for
+    /// them, although FIFO and LRU-2 keep an indexed heap. ARC and
+    /// S3-FIFO are heap-free but do report eviction *reasons* (queue
+    /// provenance) through the sink's `evict_reason` channel.
+    /// `build_instrumented(())` is exactly [`PolicyKind::build`].
     pub fn build_instrumented<M: webcache_obs::MetricsSink>(
         &self,
         sink: M,
@@ -282,27 +292,20 @@ impl PolicyKind {
         match *self {
             PolicyKind::Lru => Box::new(Lru::new()),
             PolicyKind::Fifo => Box::new(Fifo::new()),
-            PolicyKind::Lfu => Box::new(Lfu::with_sink(sink)),
-            PolicyKind::SizeBased => Box::new(SizeBased::with_sink(sink)),
-            PolicyKind::LfuDa => Box::new(LfuDa::with_sink(sink)),
+            PolicyKind::Lfu => Box::new(KeyedPolicy::with_sink(LfuRule, sink)),
+            PolicyKind::SizeBased => Box::new(KeyedPolicy::with_sink(SizeRule, sink)),
+            PolicyKind::LfuDa => Box::new(KeyedPolicy::with_sink(LfuDaRule, sink)),
             PolicyKind::Slru => Box::new(Slru::new()),
             PolicyKind::LruTwo => Box::new(LruK::two()),
-            PolicyKind::Gds(cost) => Box::new(Gds::with_sink(cost, sink)),
-            PolicyKind::Gdsf(cost) => Box::new(Gdsf::with_sink(cost, sink)),
-            PolicyKind::GdStar(cost) => {
-                Box::new(GdStar::with_sink(cost, BetaMode::default(), sink))
-            }
+            PolicyKind::Gds(cost) => Box::new(KeyedPolicy::with_sink(GdsRule(cost), sink)),
+            PolicyKind::Gdsf(cost) => Box::new(KeyedPolicy::with_sink(GdsfRule(cost), sink)),
+            PolicyKind::GdStar(cost) => Box::new(KeyedPolicy::with_sink(
+                GdStarRule::new(cost, BetaMode::default()),
+                sink,
+            )),
             PolicyKind::Arc => Box::new(Arc::with_sink(sink)),
             PolicyKind::S3Fifo => Box::new(S3Fifo::with_sink(sink)),
         }
-    }
-
-    /// Constructs a fresh policy instance of this kind.
-    ///
-    /// Alias of [`PolicyKind::build`], kept for source compatibility with
-    /// pre-observability callers.
-    pub fn instantiate(self) -> Box<dyn ReplacementPolicy> {
-        self.build()
     }
 
     /// Parses a policy name as used on command lines and in config
@@ -391,14 +394,11 @@ mod tests {
     fn build_labels_agree_with_kind() {
         for kind in PolicyKind::ALL {
             assert_eq!(kind.build().label(), kind.label());
-            assert_eq!(kind.instantiate().label(), kind.label());
         }
     }
 
     #[test]
     fn default_impls_match_the_paper_defaults() {
-        assert_eq!(Gds::default().label(), "GDS(1)");
-        assert_eq!(Gdsf::default().label(), "GDSF(1)");
         assert_eq!(GdStar::default().label(), "GD*(1)");
         assert_eq!(LruK::default().k(), 2);
         assert_eq!(Lru::default().label(), "LRU");
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn conformance_lifecycle() {
         for kind in PolicyKind::ALL {
-            let mut p = kind.instantiate();
+            let mut p = kind.build();
             assert!(p.is_empty(), "{kind}");
             assert_eq!(p.evict(), None, "{kind}");
 
@@ -551,9 +551,9 @@ mod tests {
                 }
                 assert_eq!(plain.len(), probed.len(), "{kind} at step {i}");
             }
-            // Heap-backed policies must have reported operations; the
-            // list-based ones drop the sink and report nothing.
-            let heap_backed = !matches!(
+            // The key-ranked policies must have reported operations; the
+            // others drop the sink or report only eviction reasons.
+            let key_ranked = !matches!(
                 kind,
                 PolicyKind::Lru
                     | PolicyKind::Fifo
@@ -568,7 +568,7 @@ mod tests {
                 .filter(|l| l.starts_with("webcache_heap_ops_total{"))
                 .any(|l| !l.ends_with(" 0"));
             assert_eq!(
-                ops_reported, heap_backed,
+                ops_reported, key_ranked,
                 "{kind}: heap-op metrics mismatch\n{text}"
             );
         }

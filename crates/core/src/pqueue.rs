@@ -1,17 +1,17 @@
 //! An indexed 4-ary min-heap with `O(log n)` key updates.
 //!
-//! The GreedyDual family and LFU-DA need a priority queue supporting
-//! *extract-min* and *arbitrary key change on hit*. [`IndexedHeap`] keeps a
-//! position index from item to heap slot, so updating or removing any item
-//! is `O(log n)` without lazy-deletion garbage.
+//! The key-ranked policies (LFU, SIZE, LFU-DA and the GreedyDual family)
+//! need a priority queue supporting *extract-min* and *arbitrary key
+//! change on hit*; FIFO, LRU-2 and the clairvoyant oracle use it too.
+//! [`IndexedHeap`] keeps a position index from item to heap slot, so
+//! updating or removing any item is `O(log n)` without lazy-deletion
+//! garbage.
 //!
-//! The position index is pluggable through [`PositionIndex`]: the default
-//! [`HashPositions`] works for any hashable item, while [`DensePositions`]
-//! backs the index with a plain `Vec<u32>` for items that are small dense
-//! integers (interned document slots). Every sift step updates the
-//! position of the swapped pair, so on the simulator hot path — millions
-//! of sift steps per run — replacing the two hash-map writes per swap
-//! with two vector stores is the single largest win of the dense layout.
+//! Heap items are small dense integers (interned document slots), so the
+//! position index is a plain `Vec<u32>` indexed by the item. Every sift
+//! step updates the position of the moved element, so on the simulator
+//! hot path — millions of sift steps per run — each update is one vector
+//! store, never a hash-map write.
 //!
 //! The heap is 4-ary rather than binary: extract-min dominates the
 //! simulator's heap traffic (every eviction pops), and a fan-out of four
@@ -21,11 +21,7 @@
 //! is the sorted key order regardless of arity, so the fan-out is purely
 //! a layout choice — it cannot change simulation results.
 
-use std::fmt::Debug;
-use std::hash::Hash;
-
 use webcache_obs::HeapCost;
-use webcache_trace::fxhash::FxHashMap;
 use webcache_trace::DocId;
 
 use crate::prefetch::prefetch_read;
@@ -33,71 +29,7 @@ use crate::prefetch::prefetch_read;
 /// Heap fan-out. See the module docs for why 4 beats 2 here.
 const ARITY: usize = 4;
 
-/// Reverse index from heap item to its current slot position.
-///
-/// Implementations must behave like a map from `I` to `usize`: `set`
-/// overwrites, `remove` is idempotent, `clear` empties while keeping
-/// allocations.
-pub trait PositionIndex<I>: Debug + Default {
-    /// The position of `item`, if tracked.
-    fn get(&self, item: I) -> Option<usize>;
-
-    /// Records `item` at `pos`.
-    fn set(&mut self, item: I, pos: usize);
-
-    /// Forgets `item`, returning its last position if it was tracked.
-    fn remove(&mut self, item: I) -> Option<usize>;
-
-    /// Forgets every item, keeping allocations.
-    fn clear(&mut self);
-
-    /// Pre-sizes the index for `n` distinct items. Optional.
-    fn reserve(&mut self, n: usize) {
-        let _ = n;
-    }
-}
-
-/// The general-purpose position index: a hash map (fx-hashed — heap items
-/// are trusted small keys, never attacker-controlled input).
-#[derive(Debug, Clone)]
-pub struct HashPositions<I> {
-    map: FxHashMap<I, usize>,
-}
-
-impl<I> Default for HashPositions<I> {
-    fn default() -> Self {
-        HashPositions {
-            map: FxHashMap::default(),
-        }
-    }
-}
-
-impl<I: Copy + Eq + Hash + Debug> PositionIndex<I> for HashPositions<I> {
-    #[inline]
-    fn get(&self, item: I) -> Option<usize> {
-        self.map.get(&item).copied()
-    }
-
-    #[inline]
-    fn set(&mut self, item: I, pos: usize) {
-        self.map.insert(item, pos);
-    }
-
-    #[inline]
-    fn remove(&mut self, item: I) -> Option<usize> {
-        self.map.remove(&item)
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    fn reserve(&mut self, n: usize) {
-        self.map.reserve(n);
-    }
-}
-
-/// Items usable with [`DensePositions`]: small dense non-negative integers.
+/// Heap items: small dense non-negative integers.
 pub trait DenseItem: Copy {
     /// The dense index of this item. Indices should be contiguous from 0;
     /// the position vector grows to the largest index seen.
@@ -118,13 +50,6 @@ impl DenseItem for u64 {
     }
 }
 
-impl DenseItem for usize {
-    #[inline]
-    fn dense_index(self) -> usize {
-        self
-    }
-}
-
 impl DenseItem for DocId {
     #[inline]
     fn dense_index(self) -> usize {
@@ -132,126 +57,67 @@ impl DenseItem for DocId {
     }
 }
 
-/// Sentinel marking an untracked slot in [`DensePositions`].
+/// Sentinel marking an untracked item in the position index.
 const ABSENT: u32 = u32::MAX;
 
-/// A `Vec<u32>`-backed position index for dense items.
+/// A 4-ary min-heap over `(key, item)` pairs with by-item addressing.
+///
+/// `I` is the item (e.g. a document slot), `K` the priority key. The
+/// heap orders by `K`; ties should be broken inside `K` itself (e.g.
+/// with a sequence number) if deterministic extraction order matters.
 ///
 /// Position lookups and updates are single vector accesses. Heap
 /// positions are stored as `u32` (a heap cannot meaningfully exceed
 /// 4 billion live entries); `u32::MAX` marks absence.
-#[derive(Debug, Clone, Default)]
-pub struct DensePositions {
-    positions: Vec<u32>,
-}
-
-impl DensePositions {
-    fn slot(&mut self, index: usize) -> &mut u32 {
-        if index >= self.positions.len() {
-            self.positions.resize(index + 1, ABSENT);
-        }
-        &mut self.positions[index]
-    }
-}
-
-impl<I: DenseItem + Debug> PositionIndex<I> for DensePositions {
-    #[inline]
-    fn get(&self, item: I) -> Option<usize> {
-        match self.positions.get(item.dense_index()) {
-            Some(&pos) if pos != ABSENT => Some(pos as usize),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, item: I, pos: usize) {
-        debug_assert!(pos < ABSENT as usize, "heap position overflows u32");
-        *self.slot(item.dense_index()) = pos as u32;
-    }
-
-    #[inline]
-    fn remove(&mut self, item: I) -> Option<usize> {
-        match self.positions.get_mut(item.dense_index()) {
-            Some(pos) if *pos != ABSENT => {
-                let old = *pos as usize;
-                *pos = ABSENT;
-                Some(old)
-            }
-            _ => None,
-        }
-    }
-
-    fn clear(&mut self) {
-        // Keep the allocation; the vector is reusable across runs.
-        self.positions.fill(ABSENT);
-    }
-
-    fn reserve(&mut self, n: usize) {
-        if n > self.positions.len() {
-            self.positions.resize(n, ABSENT);
-        }
-    }
-}
-
-/// A 4-ary min-heap over `(key, item)` pairs with by-item addressing.
-///
-/// `I` is the item (e.g. a document id), `K` the priority key, `X` the
-/// [`PositionIndex`] implementation. The heap orders by `K`; ties should
-/// be broken inside `K` itself (e.g. with a sequence number) if
-/// deterministic extraction order matters.
 ///
 /// ```
 /// use webcache_core::pqueue::IndexedHeap;
 ///
-/// let mut heap: IndexedHeap<&str, u64> = IndexedHeap::new();
-/// heap.insert("a", 5);
-/// heap.insert("b", 2);
-/// heap.update("a", 1);
-/// assert_eq!(heap.pop_min(), Some(("a", 1)));
-/// assert_eq!(heap.pop_min(), Some(("b", 2)));
+/// let mut heap: IndexedHeap<u32, u64> = IndexedHeap::new();
+/// heap.insert(7, 5);
+/// heap.insert(3, 2);
+/// heap.update(7, 1);
+/// assert_eq!(heap.pop_min(), Some((7, 1)));
+/// assert_eq!(heap.pop_min(), Some((3, 2)));
 /// assert!(heap.is_empty());
 /// ```
 #[derive(Debug, Clone)]
-pub struct IndexedHeap<I, K, X = HashPositions<I>> {
+pub struct IndexedHeap<I, K> {
     /// Heap-ordered `(key, item)` pairs.
     slots: Vec<(K, I)>,
-    /// Item -> index into `slots`.
-    positions: X,
+    /// Item's dense index -> index into `slots`, or [`ABSENT`].
+    positions: Vec<u32>,
 }
 
-/// An [`IndexedHeap`] whose position index is a plain vector — for items
-/// that are dense interned slots.
-pub type DenseIndexedHeap<I, K> = IndexedHeap<I, K, DensePositions>;
-
-impl<I, K, X> Default for IndexedHeap<I, K, X>
+impl<I, K> Default for IndexedHeap<I, K>
 where
-    I: Copy,
+    I: DenseItem,
     K: Ord + Copy,
-    X: PositionIndex<I>,
 {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<I, K, X> IndexedHeap<I, K, X>
+impl<I, K> IndexedHeap<I, K>
 where
-    I: Copy,
+    I: DenseItem,
     K: Ord + Copy,
-    X: PositionIndex<I>,
 {
     /// Creates an empty heap.
     pub fn new() -> Self {
         IndexedHeap {
             slots: Vec::new(),
-            positions: X::default(),
+            positions: Vec::new(),
         }
     }
 
-    /// Pre-sizes the heap for `n` items.
+    /// Pre-sizes the heap for items with dense indices `0..n`.
     pub fn reserve(&mut self, n: usize) {
         self.slots.reserve(n);
-        self.positions.reserve(n);
+        if n > self.positions.len() {
+            self.positions.resize(n, ABSENT);
+        }
     }
 
     /// Number of items in the heap.
@@ -266,12 +132,12 @@ where
 
     /// Whether `item` is present.
     pub fn contains(&self, item: I) -> bool {
-        self.positions.get(item).is_some()
+        self.position(item).is_some()
     }
 
     /// The key currently associated with `item`, if present.
     pub fn key_of(&self, item: I) -> Option<K> {
-        self.positions.get(item).map(|i| self.slots[i].0)
+        self.position(item).map(|i| self.slots[i].0)
     }
 
     /// Inserts a new item, returning the measured sift cost.
@@ -286,12 +152,12 @@ where
     /// unknown.
     pub fn insert(&mut self, item: I, key: K) -> HeapCost {
         assert!(
-            self.positions.get(item).is_none(),
+            self.position(item).is_none(),
             "item already present; use update/upsert"
         );
         let idx = self.slots.len();
         self.slots.push((key, item));
-        self.positions.set(item, idx);
+        self.set_position(item, idx);
         self.sift_up(idx)
     }
 
@@ -301,10 +167,7 @@ where
     ///
     /// Panics if `item` is not present.
     pub fn update(&mut self, item: I, key: K) -> HeapCost {
-        let idx = self
-            .positions
-            .get(item)
-            .expect("update of item not in heap");
+        let idx = self.position(item).expect("update of item not in heap");
         let old = self.slots[idx].0;
         self.slots[idx].0 = key;
         if key < old {
@@ -350,7 +213,7 @@ where
 
     /// [`IndexedHeap::remove`], also returning the measured sift cost.
     pub fn remove_counted(&mut self, item: I) -> Option<(K, HeapCost)> {
-        let idx = self.positions.get(item)?;
+        let idx = self.position(item)?;
         let key = self.slots[idx].0;
         let cost = self.remove_at(idx);
         Some((key, cost))
@@ -359,16 +222,45 @@ where
     /// Removes every item, keeping allocations.
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.positions.clear();
+        // Keep the allocation; the vector is reusable across runs.
+        self.positions.fill(ABSENT);
+    }
+
+    /// Hints the CPU to load `item`'s position entry ahead of an update
+    /// or removal (see [`prefetch_read`]). Untracked or out-of-range
+    /// items are fine: the hint never changes the heap.
+    #[inline]
+    pub fn prefetch(&self, item: I) {
+        prefetch_read(&self.positions, item.dense_index());
+    }
+
+    /// The slot index of `item`, if tracked.
+    #[inline]
+    fn position(&self, item: I) -> Option<usize> {
+        match self.positions.get(item.dense_index()) {
+            Some(&pos) if pos != ABSENT => Some(pos as usize),
+            _ => None,
+        }
+    }
+
+    /// Records `item` at slot index `pos`, growing the index to it.
+    #[inline]
+    fn set_position(&mut self, item: I, pos: usize) {
+        debug_assert!(pos < ABSENT as usize, "heap position overflows u32");
+        let index = item.dense_index();
+        if index >= self.positions.len() {
+            self.positions.resize(index + 1, ABSENT);
+        }
+        self.positions[index] = pos as u32;
     }
 
     fn remove_at(&mut self, idx: usize) -> HeapCost {
         let last = self.slots.len() - 1;
         self.slots.swap(idx, last);
         let (_, removed) = self.slots.pop().expect("slot exists");
-        self.positions.remove(removed);
+        self.positions[removed.dense_index()] = ABSENT;
         if idx < self.slots.len() {
-            self.positions.set(self.slots[idx].1, idx);
+            self.set_position(self.slots[idx].1, idx);
             // The swapped-in element may need to move either way.
             self.sift_up(idx) + self.sift_down(idx)
         } else {
@@ -392,13 +284,13 @@ where
                 break;
             }
             self.slots[idx] = self.slots[parent];
-            self.positions.set(self.slots[idx].1, idx);
+            self.set_position(self.slots[idx].1, idx);
             cost.sift_steps += 1;
             idx = parent;
         }
         if cost.sift_steps > 0 {
             self.slots[idx] = moving;
-            self.positions.set(moving.1, idx);
+            self.set_position(moving.1, idx);
         }
         cost
     }
@@ -425,13 +317,13 @@ where
                 break;
             }
             self.slots[idx] = self.slots[smallest];
-            self.positions.set(self.slots[idx].1, idx);
+            self.set_position(self.slots[idx].1, idx);
             cost.sift_steps += 1;
             idx = smallest;
         }
         if cost.sift_steps > 0 {
             self.slots[idx] = moving;
-            self.positions.set(moving.1, idx);
+            self.set_position(moving.1, idx);
         }
         cost
     }
@@ -447,18 +339,8 @@ where
             );
         }
         for (i, &(_, item)) in self.slots.iter().enumerate() {
-            assert_eq!(self.positions.get(item), Some(i), "position index stale");
+            assert_eq!(self.position(item), Some(i), "position index stale");
         }
-    }
-}
-
-impl<I: DenseItem, K> IndexedHeap<I, K, DensePositions> {
-    /// Hints the CPU to load `item`'s position entry ahead of an update
-    /// or removal (see [`prefetch_read`]). Untracked or out-of-range
-    /// items are fine: the hint never changes the heap.
-    #[inline]
-    pub fn prefetch(&self, item: I) {
-        prefetch_read(&self.positions.positions, item.dense_index());
     }
 }
 
@@ -481,17 +363,17 @@ mod tests {
 
     #[test]
     fn update_moves_items_both_ways() {
-        let mut h: IndexedHeap<&str, i32> = IndexedHeap::new();
-        h.insert("a", 10);
-        h.insert("b", 20);
-        h.insert("c", 30);
-        h.update("c", 5); // decrease-key
+        let mut h: IndexedHeap<u32, i32> = IndexedHeap::new();
+        h.insert(1, 10);
+        h.insert(2, 20);
+        h.insert(3, 30);
+        h.update(3, 5); // decrease-key
         h.check_invariants();
-        assert_eq!(h.peek_min(), Some(("c", 5)));
-        h.update("c", 25); // increase-key
+        assert_eq!(h.peek_min(), Some((3, 5)));
+        h.update(3, 25); // increase-key
         h.check_invariants();
-        assert_eq!(h.peek_min(), Some(("a", 10)));
-        assert_eq!(h.key_of("c"), Some(25));
+        assert_eq!(h.peek_min(), Some((1, 10)));
+        assert_eq!(h.key_of(3), Some(25));
     }
 
     #[test]
@@ -519,22 +401,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "already present")]
     fn double_insert_panics() {
-        let mut h: IndexedHeap<u8, u8> = IndexedHeap::new();
-        h.insert(1u8, 1u8);
+        let mut h: IndexedHeap<u32, u32> = IndexedHeap::new();
+        h.insert(1, 1);
         h.insert(1, 2);
     }
 
     #[test]
     #[should_panic(expected = "not in heap")]
     fn update_missing_panics() {
-        let mut h: IndexedHeap<u8, u8> = IndexedHeap::new();
+        let mut h: IndexedHeap<u32, u32> = IndexedHeap::new();
         h.update(1, 2);
     }
 
     #[test]
     fn clear_resets() {
-        let mut h: IndexedHeap<u8, u8> = IndexedHeap::new();
-        h.insert(1u8, 1u8);
+        let mut h: IndexedHeap<u32, u32> = IndexedHeap::new();
+        h.insert(1, 1);
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.pop_min(), None);
@@ -542,7 +424,7 @@ mod tests {
 
     #[test]
     fn dense_positions_grow_clear_and_reuse() {
-        let mut h: DenseIndexedHeap<u32, u32> = IndexedHeap::new();
+        let mut h: IndexedHeap<u32, u32> = IndexedHeap::new();
         h.reserve(8);
         for i in 0..8u32 {
             h.insert(i, 100 - i);
@@ -596,8 +478,8 @@ mod tests {
         h.check_invariants();
     }
 
-    /// Randomized differential test against a sorted-map reference model,
-    /// run over both position-index variants. Random insert, update,
+    /// Randomized differential test against a sorted-map reference model.
+    /// Random insert, update,
     /// remove and pop sequences run over item universes small enough to
     /// hold the heap at every size 0–9 (where the last child group is
     /// partial) and large enough to grow it three levels deep; the heap
@@ -606,15 +488,14 @@ mod tests {
     fn differential_against_btreemap() {
         let mut sizes_seen = 0u64;
         for universe in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 64] {
-            sizes_seen |= differential_model_run::<HashPositions<u32>>(universe);
-            sizes_seen |= differential_model_run::<DensePositions>(universe);
+            sizes_seen |= differential_model_run(universe);
         }
         assert_eq!(sizes_seen & 0x3ff, 0x3ff, "sizes 0-9 not all reached");
     }
 
     /// One model run over items `0..universe`; returns the bitmask of the
     /// heap sizes below 64 it passed through.
-    fn differential_model_run<X: PositionIndex<u32>>(universe: u32) -> u64 {
+    fn differential_model_run(universe: u32) -> u64 {
         use std::collections::BTreeMap;
         use std::collections::HashMap;
 
@@ -627,7 +508,7 @@ mod tests {
             (state >> 33) as u32
         };
 
-        let mut heap: IndexedHeap<u32, (u32, u32), X> = IndexedHeap::new();
+        let mut heap: IndexedHeap<u32, (u32, u32)> = IndexedHeap::new();
         let mut model: BTreeMap<(u32, u32), u32> = BTreeMap::new(); // key -> item
         let mut keys: HashMap<u32, (u32, u32)> = HashMap::new();
         let mut tie = 0u32;
@@ -677,7 +558,7 @@ mod tests {
         }
 
         // `clear()` reuse: replay a short prefix after clearing and check
-        // the two variants still agree with the model discipline.
+        // the heap still follows the model discipline.
         heap.clear();
         assert!(heap.is_empty());
         for i in 0..32u32 {

@@ -6,9 +6,11 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use webcache_core::policy::GdStar;
+use webcache_core::policy::{
+    BetaMode, GdStarRule, GdsRule, GdsfRule, KeyRule, KeyedPolicy, LfuDaRule, LfuRule, SizeRule,
+};
 use webcache_core::pqueue::IndexedHeap;
-use webcache_core::{Cache, CostModel, PolicyKind};
+use webcache_core::{Cache, CostModel, PolicyKind, ReplacementPolicy};
 use webcache_trace::{ByteSize, DocId, DocumentType};
 
 #[derive(Debug, Clone)]
@@ -50,6 +52,52 @@ fn apply(cache: &mut Cache, ops: &[Op]) {
     }
 }
 
+/// Drives `p` through `(doc, size, action, type)` ops — insert-or-hit,
+/// hit, invalidate, evict — checking the aging laws after every op.
+fn check_aging<R: KeyRule>(
+    mut p: KeyedPolicy<R>,
+    ops: &[(u64, u32, u8, u8)],
+) -> Result<(), TestCaseError> {
+    let mut tracked = std::collections::BTreeSet::new();
+    let mut last_inflation = 0.0f64;
+    for &(doc, size, action, ty) in ops {
+        let doc = DocId::new(doc);
+        let size = ByteSize::new(u64::from(size));
+        let ty = DocumentType::ALL[ty as usize];
+        match action {
+            0 if tracked.insert(doc) => p.on_insert_typed(doc, size, ty),
+            0 | 1 => p.on_hit_typed(doc, size, ty),
+            2 => {
+                p.remove(doc);
+                tracked.remove(&doc);
+            }
+            _ => {
+                if let Some(victim) = p.evict() {
+                    tracked.remove(&victim);
+                }
+            }
+        }
+        let inflation = p.inflation();
+        prop_assert!(inflation >= last_inflation, "{}: L decreased", p.label());
+        last_inflation = inflation;
+        if !R::AGES {
+            prop_assert_eq!(inflation, 0.0, "{}: L moved", p.label());
+            continue;
+        }
+        for &d in &tracked {
+            let key = p.key_of(d).expect("tracked document has a key");
+            prop_assert!(
+                key >= inflation,
+                "{}: key {} < L {}",
+                p.label(),
+                key,
+                inflation
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Under arbitrary op sequences, every policy keeps the cache within
     /// capacity with consistent byte/occupancy accounting.
@@ -59,7 +107,7 @@ proptest! {
         capacity in 1_000u64..50_000,
         ops in prop::collection::vec(arb_op(), 1..400),
     ) {
-        let mut cache = Cache::new(ByteSize::new(capacity), kind.instantiate());
+        let mut cache = Cache::new(ByteSize::new(capacity), kind.build());
         apply(&mut cache, &ops);
         cache.debug_validate();
         prop_assert!(cache.used_bytes() <= cache.capacity());
@@ -72,7 +120,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
         let run = || {
-            let mut cache = Cache::new(ByteSize::new(10_000), kind.instantiate());
+            let mut cache = Cache::new(ByteSize::new(10_000), kind.build());
             apply(&mut cache, &ops);
             let mut docs: Vec<u64> = (0..64)
                 .filter(|&d| cache.contains(DocId::new(d)))
@@ -130,46 +178,26 @@ proptest! {
         }
     }
 
-    /// GreedyDual* inflation (cache age) never decreases, regardless of
-    /// the access pattern, and H values always sit at or above it.
+    /// The aging laws, for every key rule: the inflation value `L` never
+    /// decreases; under the aging rules (LFU-DA, GDS, GDSF, GD\* with
+    /// fixed or adaptive β) every tracked key stays at or above `L`; and
+    /// the rules that do not age (LFU, SIZE) keep `L` at 0.
     #[test]
-    fn gdstar_inflation_is_monotone(
+    fn aging_laws_hold_for_every_key_rule(
         cost in prop::sample::select(vec![CostModel::Constant, CostModel::Packet]),
-        beta in 0.2f64..3.0,
-        ops in prop::collection::vec((0u64..32, 1u32..100_000, 0u8..3), 1..300),
+        mode in prop_oneof![
+            (0.2f64..3.0).prop_map(BetaMode::Fixed),
+            Just(BetaMode::Adaptive { initial: 1.0, refresh_interval: 16 }),
+            Just(BetaMode::AdaptivePerType { initial: 1.0, refresh_interval: 16 }),
+        ],
+        ops in prop::collection::vec((0u64..32, 0u32..100_000, 0u8..4, 0u8..5), 1..300),
     ) {
-        use webcache_core::ReplacementPolicy;
-        let mut p = GdStar::with_fixed_beta(cost, beta);
-        let mut tracked = std::collections::HashSet::new();
-        let mut last_inflation = 0.0f64;
-        for (doc, size, action) in ops {
-            let doc = DocId::new(doc);
-            let size = ByteSize::new(size as u64);
-            match action {
-                0 => {
-                    if tracked.insert(doc) {
-                        p.on_insert(doc, size);
-                    } else {
-                        p.on_hit(doc, size);
-                    }
-                }
-                1 => {
-                    if tracked.contains(&doc) {
-                        p.on_hit(doc, size);
-                    }
-                }
-                _ => {
-                    if let Some(victim) = p.evict() {
-                        tracked.remove(&victim);
-                    }
-                }
-            }
-            prop_assert!(p.inflation() >= last_inflation);
-            last_inflation = p.inflation();
-            if let Some(h) = tracked.iter().next().and_then(|&d| p.h_value(d)) {
-                prop_assert!(h >= 0.0);
-            }
-        }
+        check_aging(KeyedPolicy::from(LfuDaRule), &ops)?;
+        check_aging(KeyedPolicy::from(GdsRule(cost)), &ops)?;
+        check_aging(KeyedPolicy::from(GdsfRule(cost)), &ops)?;
+        check_aging(KeyedPolicy::from(GdStarRule::new(cost, mode)), &ops)?;
+        check_aging(KeyedPolicy::from(LfuRule), &ops)?;
+        check_aging(KeyedPolicy::from(SizeRule), &ops)?;
     }
 
     /// Packet costs are monotone in size and bounded below by 3 for any
@@ -190,7 +218,7 @@ proptest! {
         kind in arb_policy(),
         docs in prop::collection::btree_set(0u64..1_000, 1..100),
     ) {
-        let mut p = kind.instantiate();
+        let mut p = kind.build();
         for &d in &docs {
             p.on_insert(DocId::new(d), ByteSize::new(d + 1));
         }

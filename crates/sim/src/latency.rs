@@ -221,7 +221,7 @@ mod tests {
             })
             .collect();
         let report = crate::Simulator::new(
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             crate::SimulationConfig::builder()
                 .capacity(ByteSize::from_kib(64))
                 .warmup_fraction(0.0)

@@ -31,7 +31,7 @@
 //!     ))
 //!     .collect();
 //! let report = Simulator::new(
-//!     PolicyKind::Lru.instantiate(),
+//!     PolicyKind::Lru.build(),
 //!     SimulationConfig::new(ByteSize::from_kib(64)),
 //! )
 //! .run(&trace);

@@ -14,7 +14,7 @@
 //! clairvoyant" is a more informative statement than any absolute
 //! number.
 
-use webcache_core::pqueue::DenseIndexedHeap;
+use webcache_core::pqueue::IndexedHeap;
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 
 use crate::metrics::HitStats;
@@ -43,7 +43,7 @@ pub fn clairvoyant(trace: &DenseTrace, config: &SimulationConfig) -> TypeMap<Hit
     // Key: (u64::MAX - next_use, then smaller size last). PriorityKey is
     // private to core; a plain tuple key works with IndexedHeap. The heap
     // holds exactly the resident documents.
-    let mut heap: DenseIndexedHeap<u32, (i64, i64)> = DenseIndexedHeap::new();
+    let mut heap: IndexedHeap<u32, (i64, i64)> = IndexedHeap::new();
     // Per slot: the resident copy's size (meaningful while in the heap).
     let mut resident_size = vec![0u64; documents];
     let mut used = 0u64;
@@ -151,7 +151,7 @@ mod tests {
         // cyclic a b c with capacity 2 blocks.
         let t = trace(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
         let oracle = oracle_overall(&t, &config(200));
-        let lru = crate::Simulator::new(PolicyKind::Lru.instantiate(), config(200))
+        let lru = crate::Simulator::new(PolicyKind::Lru.build(), config(200))
             .run(&t)
             .overall();
         assert_eq!(lru.hits, 0, "LRU thrashes on the cycle");
@@ -180,7 +180,7 @@ mod tests {
             let cap = blocks * 100;
             let oracle = oracle_overall(&t, &config(cap));
             for kind in PolicyKind::ALL {
-                let online = crate::Simulator::new(kind.instantiate(), config(cap))
+                let online = crate::Simulator::new(kind.build(), config(cap))
                     .run(&t)
                     .overall();
                 assert!(

@@ -320,7 +320,7 @@ mod tests {
     fn occupancy_csv_shape() {
         use crate::occupancy::OccupancySample;
         use webcache_core::Cache;
-        let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.instantiate());
+        let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build());
         cache.insert(DocId::new(1), DocumentType::Html, ByteSize::new(10));
         let mut series = OccupancySeries::new();
         series.push(OccupancySample::capture(5, &cache));

@@ -679,7 +679,7 @@ mod tests {
     }
 
     fn run(trace: Vec<Request>, config: SimulationConfig) -> SimulationReport {
-        Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace.into())
+        Simulator::new(PolicyKind::Lru.build(), config).run(&trace.into())
     }
 
     #[test]
@@ -899,7 +899,7 @@ mod tests {
     fn policy_label_is_propagated() {
         let trace = vec![req(1, 10)];
         let report = Simulator::new(
-            PolicyKind::GdStar(webcache_core::CostModel::Packet).instantiate(),
+            PolicyKind::GdStar(webcache_core::CostModel::Packet).build(),
             SimulationConfig::new(ByteSize::new(100)),
         )
         .run(&trace.into());

@@ -44,7 +44,7 @@ proptest! {
             .capacity(ByteSize::new(capacity))
             .warmup_fraction(warmup)
             .build();
-        let report = Simulator::new(kind.instantiate(), config).run(&trace);
+        let report = Simulator::new(kind.build(), config).run(&trace);
         let overall = report.overall();
         let measured = trace.len() - trace.warmup_boundary(warmup);
         prop_assert_eq!(overall.requests, measured as u64);
@@ -68,7 +68,7 @@ proptest! {
             .capacity(ByteSize::from_gib(8))
             .warmup_fraction(0.0)
             .build();
-        let report = Simulator::new(kind.instantiate(), config).run(&trace);
+        let report = Simulator::new(kind.build(), config).run(&trace);
         let overall = report.overall();
         // Compulsory misses: first touch of each doc; plus modification
         // misses (counted separately).
@@ -90,7 +90,7 @@ proptest! {
                 .warmup_fraction(0.0)
                 .modification_rule(rule)
                 .build();
-            Simulator::new(PolicyKind::Lru.instantiate(), config)
+            Simulator::new(PolicyKind::Lru.build(), config)
                 .run(&trace)
                 .overall()
         };
@@ -127,7 +127,7 @@ proptest! {
                 .capacity(ByteSize::new(blocks * size))
                 .warmup_fraction(0.0)
                 .build();
-            Simulator::new(PolicyKind::Lru.instantiate(), config)
+            Simulator::new(PolicyKind::Lru.build(), config)
                 .run(&trace)
                 .overall()
                 .hits
@@ -146,7 +146,7 @@ proptest! {
             .warmup_fraction(0.0)
             .occupancy_samples(samples)
             .build();
-        let report = Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace);
+        let report = Simulator::new(PolicyKind::Lru.build(), config).run(&trace);
         prop_assert!(report.occupancy.len() >= samples.min(trace.len()));
         for s in report.occupancy.samples() {
             let doc_sum: f64 = DocumentType::ALL
@@ -224,8 +224,8 @@ mod dense_vs_hashed {
                 .modification_rule(rule)
                 .occupancy_samples(samples)
                 .build();
-            let dense = Simulator::new(kind.instantiate(), config).run(&trace);
-            let hashed = Simulator::new(kind.instantiate(), config).run_hashed(&trace);
+            let dense = Simulator::new(kind.build(), config).run(&trace);
+            let hashed = Simulator::new(kind.build(), config).run_hashed(&trace);
             prop_assert_eq!(dense, hashed);
         }
     }
@@ -254,8 +254,8 @@ mod dense_vs_hashed {
         for kind in PolicyKind::ALL {
             for capacity in [10_000u64, 100_000, 1_000_000] {
                 let config = SimulationConfig::new(ByteSize::new(capacity));
-                let dense = Simulator::new(kind.instantiate(), config).run(&trace);
-                let hashed = Simulator::new(kind.instantiate(), config).run_hashed(&trace);
+                let dense = Simulator::new(kind.build(), config).run(&trace);
+                let hashed = Simulator::new(kind.build(), config).run_hashed(&trace);
                 assert_eq!(dense, hashed, "{kind:?} diverged at capacity {capacity}");
             }
         }
@@ -487,7 +487,7 @@ mod hierarchy_props {
                     .with_warmup_fraction(0.0),
             );
             let single = Simulator::new(
-                PolicyKind::Lru.instantiate(),
+                PolicyKind::Lru.build(),
                 SimulationConfig::builder()
                     .capacity(ByteSize::new(cap))
                     .warmup_fraction(0.0)
@@ -534,7 +534,7 @@ mod oracle_props {
                 .build();
             let dense = DenseTrace::build(&trace);
             let oracle = clairvoyant_overall(&dense, &config);
-            let online = Simulator::new(kind.instantiate(), config).run_dense(&dense).overall();
+            let online = Simulator::new(kind.build(), config).run_dense(&dense).overall();
             prop_assert!(
                 oracle.hits >= online.hits,
                 "{kind} beat MIN: {} vs {}", online.hits, oracle.hits

@@ -30,8 +30,7 @@ fn main() {
         PolicyKind::Gds(CostModel::Constant),
         PolicyKind::GdStar(CostModel::Constant),
     ] {
-        let report =
-            Simulator::new(kind.instantiate(), SimulationConfig::new(capacity)).run(&trace);
+        let report = Simulator::new(kind.build(), SimulationConfig::new(capacity)).run(&trace);
         let latency = model.estimate(&report);
         println!(
             "{:8} {:>9.3} {:>14.1} {:>11.1}% {:>8.2}x",

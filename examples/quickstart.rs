@@ -28,7 +28,7 @@ fn main() {
 
     for kind in [PolicyKind::Lru, PolicyKind::GdStar(CostModel::Constant)] {
         let config = SimulationConfig::new(capacity);
-        let report = Simulator::new(kind.instantiate(), config).run(&trace);
+        let report = Simulator::new(kind.build(), config).run(&trace);
         let overall = report.overall();
         println!(
             "{:8}  hit rate {:.3}  byte hit rate {:.3}",

@@ -59,7 +59,7 @@ fn squid_pipeline_end_to_end() {
     assert_eq!(trace.distinct_documents(), 10);
 
     let report = Simulator::new(
-        PolicyKind::Lru.instantiate(),
+        PolicyKind::Lru.build(),
         SimulationConfig::builder()
             .capacity(ByteSize::from_kib(64))
             .warmup_fraction(0.0)
@@ -87,7 +87,7 @@ fn transforms_compose_with_analysis() {
 
     let front = transform::head(&trace, trace.len() / 2);
     let report = Simulator::new(
-        PolicyKind::LfuDa.instantiate(),
+        PolicyKind::LfuDa.build(),
         SimulationConfig::new(trace.overall_size().scale(0.1)),
     )
     .run(&front);
@@ -111,7 +111,7 @@ fn stack_distance_predicts_uniform_lru() {
     for capacity_docs in [50usize, 500, 5_000] {
         let predicted = stack.lru_hit_rate(capacity_docs);
         let report = Simulator::new(
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             SimulationConfig::builder()
                 .capacity(ByteSize::from_kib(capacity_docs as u64))
                 .warmup_fraction(0.0)
@@ -144,7 +144,7 @@ fn extensions_compose() {
     assert!(hierarchy.combined_hit_rate() <= 1.0);
 
     let single = Simulator::new(
-        PolicyKind::GdStar(CostModel::Constant).instantiate(),
+        PolicyKind::GdStar(CostModel::Constant).build(),
         SimulationConfig::new(trace.overall_size().scale(0.02)),
     )
     .run(&trace);
@@ -165,7 +165,7 @@ fn gdsf_equals_gdstar_beta_one_end_to_end() {
     )
     .run(&trace);
     let gdsf = Simulator::new(
-        PolicyKind::Gdsf(CostModel::Packet).instantiate(),
+        PolicyKind::Gdsf(CostModel::Packet).build(),
         SimulationConfig::new(capacity),
     )
     .run(&trace);
