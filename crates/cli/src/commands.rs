@@ -355,15 +355,11 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
         }
         (Some(0), None) => return Err(usage("--window must be at least 1 request")),
         (Some(n), None) => WindowSpec::Requests(n),
-        (None, Some(raw)) => {
-            let bytes = parse_capacity(raw)
+        (None, Some(raw)) => WindowSpec::Bytes(
+            parse_capacity(raw)
                 .map_err(usage)?
-                .resolve(trace.overall_size());
-            if bytes.is_zero() {
-                return Err(usage("--window-bytes must be positive"));
-            }
-            WindowSpec::Bytes(bytes)
-        }
+                .resolve(trace.overall_size()),
+        ),
         (None, None) => {
             // Default: a tenth of the measured region per window.
             let warmup_end = ((trace.len() as f64) * warmup).floor() as usize;

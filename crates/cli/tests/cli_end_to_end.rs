@@ -5,7 +5,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use webcache_cli::run;
+use webcache_cli::{run, CliError};
 
 fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_owned).collect()
@@ -409,6 +409,20 @@ fn usage_errors_are_reported() {
     ] {
         assert!(run(&argv(bad)).is_err(), "`{bad}` should fail");
     }
+    // Capacities that round to 0 bytes are usage errors, not an empty
+    // cache's assertion.
+    let path = generate_trace("usage.wct");
+    for bad in [
+        "simulate --policy lru --capacity 0.4",
+        "stats --policy lru --capacity 0.4B",
+        "hierarchy --leaf-capacity 0.4",
+    ] {
+        match run(&argv(&format!("{bad} --trace {}", path.display()))) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("at least 1 byte"), "{msg}"),
+            other => panic!("`{bad}` should be a usage error, got {other:?}"),
+        }
+    }
+    fs::remove_file(path).ok();
 }
 
 #[test]

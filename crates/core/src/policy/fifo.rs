@@ -3,17 +3,22 @@
 //! The simplest baseline: evicts the document that entered the cache
 //! earliest, ignoring recency, frequency, size and cost. Included for the
 //! ablation comparisons of the wider replacement-policy literature.
+//!
+//! One list of the [`SlotLists`] core, newest at the front: a hit leaves
+//! it alone and eviction pops its back.
 
 use webcache_trace::{ByteSize, DocId};
 
-use super::{PriorityKey, ReplacementPolicy};
-use crate::pqueue::IndexedHeap;
+use super::lists::SlotLists;
+use super::ReplacementPolicy;
+
+/// The insertion order, newest first.
+const QUEUE: u8 = 1;
 
 /// FIFO replacement state. See the module-level documentation above.
 #[derive(Debug, Default)]
 pub struct Fifo {
-    heap: IndexedHeap<DocId, PriorityKey>,
-    seq: u64,
+    lists: SlotLists<1>,
 }
 
 impl Fifo {
@@ -28,9 +33,8 @@ impl ReplacementPolicy for Fifo {
         "FIFO".to_owned()
     }
 
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        self.seq += 1;
-        self.heap.insert(doc, PriorityKey::new(0.0, self.seq));
+    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
+        self.lists.push_front(QUEUE, doc, 0, size.as_u64());
     }
 
     fn on_hit(&mut self, _doc: DocId, _size: ByteSize) {
@@ -38,19 +42,19 @@ impl ReplacementPolicy for Fifo {
     }
 
     fn evict(&mut self) -> Option<DocId> {
-        self.heap.pop_min().map(|(doc, _)| doc)
+        self.lists.pop_back(QUEUE).map(|(doc, _)| doc)
     }
 
     fn remove(&mut self, doc: DocId) {
-        self.heap.remove(doc);
+        self.lists.unlink(doc);
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.lists.len(QUEUE)
     }
 
     fn reserve_slots(&mut self, n: usize) {
-        self.heap.reserve(n);
+        self.lists.reserve(n);
     }
 }
 

@@ -7,93 +7,27 @@
 //! strongest scheme for multi-media *byte* hit rate and the weakest for
 //! image/HTML hit rate.
 //!
-//! Implemented as an intrusive doubly-linked list over a slab with a
-//! position map — all operations are `O(1)`.
+//! One list of the [`SlotLists`] core, most recently used at the front:
+//! all operations are `O(1)`.
 
 use webcache_trace::{ByteSize, DocId};
 
-use super::{slot_entry, slot_of, ReplacementPolicy};
-use crate::prefetch::prefetch_read;
+use super::lists::SlotLists;
+use super::ReplacementPolicy;
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    doc: DocId,
-    prev: Option<usize>,
-    next: Option<usize>,
-}
-
-/// Sentinel marking an untracked document slot in [`Lru::map`].
-const UNTRACKED: u32 = u32::MAX;
+/// The recency order, most recently used first.
+const RECENCY: u8 = 1;
 
 /// LRU replacement state. See the module-level documentation above.
 #[derive(Debug, Default)]
 pub struct Lru {
-    /// Document slot -> node index; [`UNTRACKED`] = not in the cache.
-    map: Vec<u32>,
-    live: usize,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    /// Most recently used.
-    head: Option<usize>,
-    /// Least recently used (the eviction victim).
-    tail: Option<usize>,
+    lists: SlotLists<1>,
 }
 
 impl Lru {
     /// Creates an empty LRU tracker.
     pub fn new() -> Self {
         Lru::default()
-    }
-
-    /// The current victim-if-evicted-now, without removing it.
-    pub fn peek_victim(&self) -> Option<DocId> {
-        self.tail.map(|i| self.nodes[i].doc)
-    }
-
-    fn node_of(&self, doc: DocId) -> Option<usize> {
-        match self.map.get(slot_of(doc)) {
-            Some(&idx) if idx != UNTRACKED => Some(idx as usize),
-            _ => None,
-        }
-    }
-
-    fn push_front(&mut self, doc: DocId) -> usize {
-        let node = Node {
-            doc,
-            prev: None,
-            next: self.head,
-        };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
-        if let Some(old_head) = self.head {
-            self.nodes[old_head].prev = Some(idx);
-        }
-        self.head = Some(idx);
-        if self.tail.is_none() {
-            self.tail = Some(idx);
-        }
-        idx
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let Node { prev, next, .. } = self.nodes[idx];
-        match prev {
-            Some(p) => self.nodes[p].next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.nodes[n].prev = prev,
-            None => self.tail = prev,
-        }
-        self.free.push(idx);
     }
 }
 
@@ -102,55 +36,34 @@ impl ReplacementPolicy for Lru {
         "LRU".to_owned()
     }
 
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        debug_assert!(self.node_of(doc).is_none(), "double insert of {doc}");
-        let idx = self.push_front(doc);
-        *slot_entry(&mut self.map, slot_of(doc), UNTRACKED) = idx as u32;
-        self.live += 1;
+    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
+        self.lists.push_front(RECENCY, doc, 0, size.as_u64());
     }
 
     fn on_hit(&mut self, doc: DocId, _size: ByteSize) {
-        if let Some(idx) = self.node_of(doc) {
-            if self.head == Some(idx) {
-                return;
-            }
-            self.unlink(idx);
-            // `unlink` freed the slot; `push_front` reuses it immediately.
-            let new_idx = self.push_front(doc);
-            debug_assert_eq!(new_idx, idx);
-            self.map[slot_of(doc)] = new_idx as u32;
+        if self.lists.list_of(doc) == RECENCY {
+            self.lists.move_to_front(doc, RECENCY);
         }
     }
 
     fn evict(&mut self) -> Option<DocId> {
-        let idx = self.tail?;
-        let doc = self.nodes[idx].doc;
-        self.unlink(idx);
-        self.map[slot_of(doc)] = UNTRACKED;
-        self.live -= 1;
-        Some(doc)
+        self.lists.pop_back(RECENCY).map(|(doc, _)| doc)
     }
 
     fn remove(&mut self, doc: DocId) {
-        if let Some(idx) = self.node_of(doc) {
-            self.unlink(idx);
-            self.map[slot_of(doc)] = UNTRACKED;
-            self.live -= 1;
-        }
+        self.lists.unlink(doc);
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.lists.len(RECENCY)
     }
 
     fn prefetch(&self, doc: DocId) {
-        prefetch_read(&self.map, slot_of(doc));
+        self.lists.prefetch(doc);
     }
 
     fn reserve_slots(&mut self, n: usize) {
-        if self.map.len() < n {
-            self.map.resize(n, UNTRACKED);
-        }
+        self.lists.reserve(n);
     }
 }
 
@@ -173,7 +86,6 @@ mod tests {
             lru.on_insert(doc(i), sz());
         }
         lru.on_hit(doc(0), sz()); // order (MRU..LRU): 0, 2, 1
-        assert_eq!(lru.peek_victim(), Some(doc(1)));
         assert_eq!(lru.evict(), Some(doc(1)));
         assert_eq!(lru.evict(), Some(doc(2)));
         assert_eq!(lru.evict(), Some(doc(0)));
@@ -206,59 +118,5 @@ mod tests {
         lru.remove(doc(2));
         let order: Vec<u64> = std::iter::from_fn(|| lru.evict().map(DocId::as_u64)).collect();
         assert_eq!(order, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn slots_are_reused() {
-        let mut lru = Lru::new();
-        for i in 0..100 {
-            lru.on_insert(doc(i), sz());
-            lru.evict();
-        }
-        assert!(lru.nodes.len() <= 2, "slab must recycle slots");
-    }
-
-    /// Differential test against the obvious Vec-based model.
-    #[test]
-    fn differential_against_vec_model() {
-        let mut lru = Lru::new();
-        let mut model: Vec<u64> = Vec::new(); // front = MRU
-
-        let mut state = 12345u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-
-        for step in 0..4000 {
-            match next() % 4 {
-                0 => {
-                    let d = next() % 40;
-                    if !model.contains(&d) {
-                        lru.on_insert(doc(d), sz());
-                        model.insert(0, d);
-                    }
-                }
-                1 => {
-                    let d = next() % 40;
-                    lru.on_hit(doc(d), sz());
-                    if let Some(pos) = model.iter().position(|&x| x == d) {
-                        let d = model.remove(pos);
-                        model.insert(0, d);
-                    }
-                }
-                2 => {
-                    let got = lru.evict().map(DocId::as_u64);
-                    let expected = model.pop();
-                    assert_eq!(got, expected, "step {step}");
-                }
-                _ => {
-                    let d = next() % 40;
-                    lru.remove(doc(d));
-                    model.retain(|&x| x != d);
-                }
-            }
-            assert_eq!(lru.len(), model.len(), "step {step}");
-        }
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! The key-ranked schemes — LFU, SIZE, LFU-DA, GDS, GDSF and GD\* — are
 //! one [`KeyedPolicy`] each, differing only in their [`KeyRule`]. The
-//! recency and queue schemes (LRU, FIFO, SLRU, LRU-2, ARC, S3-FIFO) keep
-//! their own code.
+//! recency and queue schemes — LRU, FIFO, SLRU, ARC and S3-FIFO — keep
+//! every document on one of a few slot-indexed intrusive lists (one
+//! `SlotLists` core, in `lists.rs`). LRU-2 alone keeps its own heap.
 
 use std::fmt;
 
@@ -27,6 +28,7 @@ mod gdstar;
 mod keyed;
 mod lfu;
 mod lfuda;
+mod lists;
 mod lru;
 mod lruk;
 mod s3fifo;
@@ -117,7 +119,8 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// hint: it changes no state and accepts any handle, tracked or not,
     /// in range or not. The default does nothing; [`KeyedPolicy`] hints
     /// its heap position and rule state for all six key-ranked schemes,
-    /// and the other policies with per-slot vectors hint those.
+    /// LRU, SLRU, ARC and S3-FIFO hint their list node, and LRU-2 its
+    /// heap position and history.
     fn prefetch(&self, doc: DocId) {
         let _ = doc;
     }
@@ -279,11 +282,12 @@ impl PolicyKind {
     ///
     /// The six key-ranked schemes (LFU, SIZE, LFU-DA, GDS, GDSF, GD\*)
     /// are all built as one [`KeyedPolicy`], which reports every heap
-    /// operation, inflation step and eviction reason. LRU, FIFO, SLRU and
-    /// LRU-2 take no sink and report no events — the sink is dropped for
-    /// them, although FIFO and LRU-2 keep an indexed heap. ARC and
-    /// S3-FIFO are heap-free but do report eviction *reasons* (queue
-    /// provenance) through the sink's `evict_reason` channel.
+    /// operation, inflation step and eviction reason. LRU, FIFO and SLRU
+    /// (list schemes) and LRU-2 (which keeps an indexed heap) take no sink
+    /// and report no events — the sink is dropped for them. ARC and
+    /// S3-FIFO are list schemes too, so they report no heap events, but
+    /// they do report eviction *reasons* (queue provenance) through the
+    /// sink's `evict_reason` channel.
     /// `build_instrumented(())` is exactly [`PolicyKind::build`].
     pub fn build_instrumented<M: webcache_obs::MetricsSink>(
         &self,

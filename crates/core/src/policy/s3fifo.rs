@@ -15,33 +15,24 @@
 //! trait has no such channel — so resident bytes is the observable
 //! proxy). The ghost queue is bounded by the resident document count.
 //!
-//! All queues use the lazy-deletion generation idiom shared with
-//! [`Slru`](super::Slru) and [`Arc`](super::Arc): state lives in a
-//! per-slot vector, queue handles are (doc, generation) pairs, and stale
-//! handles are skipped on pop. FIFO insertion order *is* the queue
-//! order.
-
-use std::collections::VecDeque;
+//! The three queues are one [`SlotLists`], newest at each front, with
+//! the access counter as each node's tag. FIFO insertion order *is* the
+//! queue order. Ghost entries record size 0, since only their count
+//! matters.
 
 use webcache_obs::{MetricsSink, Reason};
 use webcache_trace::{ByteSize, DocId};
 
-use super::{slot_entry, slot_of, ReplacementPolicy};
-use crate::prefetch::prefetch_read;
+use super::lists::SlotLists;
+use super::ReplacementPolicy;
 
-/// Per-slot location codes.
-const NONE: u8 = 0;
+/// The queues.
 const SMALL: u8 = 1;
 const MAIN: u8 = 2;
 const GHOST: u8 = 3;
 
 /// Access counters saturate here (2 bits in the paper).
 const FREQ_MAX: u8 = 3;
-
-/// Per-slot state: (location, access count, generation, size in bytes).
-type SlotState = (u8, u8, u64, u64);
-
-const EMPTY: SlotState = (NONE, 0, 0, 0);
 
 /// S3-FIFO replacement state. See the module-level documentation above.
 ///
@@ -51,17 +42,7 @@ const EMPTY: SlotState = (NONE, 0, 0, 0);
 /// no heap, so it never emits heap-op events.
 #[derive(Debug, Default)]
 pub struct S3Fifo<M: MetricsSink = ()> {
-    /// Front = newest. Entries are (doc, generation).
-    small: VecDeque<(DocId, u64)>,
-    main: VecDeque<(DocId, u64)>,
-    ghost: VecDeque<(DocId, u64)>,
-    state: Vec<SlotState>,
-    small_count: usize,
-    main_count: usize,
-    ghost_count: usize,
-    small_bytes: u64,
-    main_bytes: u64,
-    generation: u64,
+    lists: SlotLists<3>,
     sink: M,
 }
 
@@ -76,59 +57,8 @@ impl<M: MetricsSink> S3Fifo<M> {
     /// Like [`S3Fifo::new`], but routing eviction reasons into `sink`.
     pub fn with_sink(sink: M) -> Self {
         S3Fifo {
-            small: VecDeque::new(),
-            main: VecDeque::new(),
-            ghost: VecDeque::new(),
-            state: Vec::new(),
-            small_count: 0,
-            main_count: 0,
-            ghost_count: 0,
-            small_bytes: 0,
-            main_bytes: 0,
-            generation: 0,
+            lists: SlotLists::default(),
             sink,
-        }
-    }
-
-    fn state_of(&self, doc: DocId) -> SlotState {
-        self.state.get(slot_of(doc)).copied().unwrap_or(EMPTY)
-    }
-
-    /// Stamps `doc` into a queue at the head. The caller maintains the
-    /// counters.
-    fn push(&mut self, doc: DocId, loc: u8, freq: u8, size: u64) {
-        self.generation += 1;
-        let entry = (doc, self.generation);
-        match loc {
-            SMALL => self.small.push_front(entry),
-            MAIN => self.main.push_front(entry),
-            GHOST => self.ghost.push_front(entry),
-            _ => unreachable!("push to NONE"),
-        }
-        *slot_entry(&mut self.state, slot_of(doc), EMPTY) = (loc, freq, self.generation, size);
-    }
-
-    /// Pops the live tail entry of a queue, skipping stale handles.
-    /// Returns (doc, freq, size).
-    fn pop_live(
-        queue: &mut VecDeque<(DocId, u64)>,
-        state: &[SlotState],
-        loc: u8,
-    ) -> Option<(DocId, u8, u64)> {
-        while let Some((doc, generation)) = queue.pop_back() {
-            match state.get(slot_of(doc)) {
-                Some(&(l, freq, g, size)) if l == loc && g == generation => {
-                    return Some((doc, freq, size))
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    fn clear_state(&mut self, doc: DocId) {
-        if let Some(s) = self.state.get_mut(slot_of(doc)) {
-            *s = EMPTY;
         }
     }
 
@@ -136,18 +66,15 @@ impl<M: MetricsSink> S3Fifo<M> {
     /// above its 10%-of-resident-bytes target, or main is empty.
     fn evict_from_small(&self) -> bool {
         // Widened: a near-`u64::MAX` resident byte count must not wrap.
-        let (small, main) = (u128::from(self.small_bytes), u128::from(self.main_bytes));
-        self.small_count > 0 && (small * 10 > small + main || self.main_count == 0)
+        let small = u128::from(self.lists.bytes(SMALL));
+        let main = u128::from(self.lists.bytes(MAIN));
+        self.lists.len(SMALL) > 0 && (small * 10 > small + main || self.lists.len(MAIN) == 0)
     }
 
     /// Drops ghost tail entries beyond the resident-count bound.
     fn trim_ghost(&mut self) {
-        while self.ghost_count > self.small_count + self.main_count + 1 {
-            let Some((doc, _, _)) = Self::pop_live(&mut self.ghost, &self.state, GHOST) else {
-                break;
-            };
-            self.clear_state(doc);
-            self.ghost_count -= 1;
+        while self.lists.len(GHOST) > self.len() + 1 {
+            self.lists.pop_back(GHOST);
         }
     }
 }
@@ -159,28 +86,22 @@ impl<M: MetricsSink> ReplacementPolicy for S3Fifo<M> {
 
     fn on_insert(&mut self, doc: DocId, size: ByteSize) {
         let size = size.as_u64();
-        match self.state_of(doc).0 {
+        match self.lists.list_of(doc) {
             GHOST => {
                 // A quick return after eviction: straight to main.
-                self.ghost_count -= 1;
-                self.push(doc, MAIN, 0, size);
-                self.main_count += 1;
-                self.main_bytes += size;
+                self.lists.unlink(doc);
+                self.lists.push_front(MAIN, doc, 0, size);
             }
-            NONE => {
-                self.push(doc, SMALL, 0, size);
-                self.small_count += 1;
-                self.small_bytes += size;
-            }
+            0 => self.lists.push_front(SMALL, doc, 0, size),
             _ => unreachable!("insert of resident {doc}"),
         }
     }
 
     fn on_hit(&mut self, doc: DocId, _size: ByteSize) {
         // A hit only bumps the 2-bit counter; queue order never changes.
-        if let Some(s) = self.state.get_mut(slot_of(doc)) {
-            if s.0 == SMALL || s.0 == MAIN {
-                s.1 = (s.1 + 1).min(FREQ_MAX);
+        if let Some(entry) = self.lists.entry(doc) {
+            if entry.list != GHOST {
+                self.lists.set_tag(doc, (entry.tag + 1).min(FREQ_MAX));
             }
         }
     }
@@ -188,76 +109,49 @@ impl<M: MetricsSink> ReplacementPolicy for S3Fifo<M> {
     fn evict(&mut self) -> Option<DocId> {
         loop {
             if self.evict_from_small() {
-                let (doc, freq, size) = Self::pop_live(&mut self.small, &self.state, SMALL)?;
-                self.small_count -= 1;
-                self.small_bytes -= size;
-                if freq > 0 {
+                let (doc, entry) = self.lists.pop_back(SMALL)?;
+                if entry.tag > 0 {
                     // Earned a hit while probationary: promote to main
                     // (counter resets) and keep scanning.
-                    self.push(doc, MAIN, 0, size);
-                    self.main_count += 1;
-                    self.main_bytes += size;
+                    self.lists.push_front(MAIN, doc, 0, entry.size);
                     continue;
                 }
                 // Cold one-timer: evict, but remember it in ghost.
-                self.push(doc, GHOST, 0, size);
-                self.ghost_count += 1;
+                self.lists.push_front(GHOST, doc, 0, 0);
                 self.trim_ghost();
-                self.sink.evict_reason(Reason::s3_small(f64::from(freq)));
+                self.sink
+                    .evict_reason(Reason::s3_small(f64::from(entry.tag)));
                 return Some(doc);
             }
-            if self.main_count > 0 {
-                let (doc, freq, size) = Self::pop_live(&mut self.main, &self.state, MAIN)?;
-                self.main_count -= 1;
-                self.main_bytes -= size;
-                if freq > 0 {
-                    // Second chance: reinsert at the head, one credit
-                    // spent.
-                    self.push(doc, MAIN, freq - 1, size);
-                    self.main_count += 1;
-                    self.main_bytes += size;
-                    continue;
-                }
-                // Main evictions are not ghosted: the document already
-                // had its probationary chance.
-                self.clear_state(doc);
-                self.trim_ghost();
-                self.sink.evict_reason(Reason::s3_main(f64::from(freq)));
-                return Some(doc);
+            let (doc, entry) = self.lists.pop_back(MAIN)?;
+            if entry.tag > 0 {
+                // Second chance: reinsert at the head, one credit spent.
+                self.lists.push_front(MAIN, doc, entry.tag - 1, entry.size);
+                continue;
             }
-            return None;
+            // Main evictions are not ghosted: the document already had
+            // its probationary chance.
+            self.trim_ghost();
+            self.sink
+                .evict_reason(Reason::s3_main(f64::from(entry.tag)));
+            return Some(doc);
         }
     }
 
     fn remove(&mut self, doc: DocId) {
-        let (loc, _, _, size) = self.state_of(doc);
-        match loc {
-            SMALL => {
-                self.small_count -= 1;
-                self.small_bytes -= size;
-            }
-            MAIN => {
-                self.main_count -= 1;
-                self.main_bytes -= size;
-            }
-            GHOST => self.ghost_count -= 1,
-            _ => return,
-        }
-        self.clear_state(doc);
+        self.lists.unlink(doc);
     }
 
     fn len(&self) -> usize {
-        self.small_count + self.main_count
+        self.lists.len(SMALL) + self.lists.len(MAIN)
     }
 
     fn prefetch(&self, doc: DocId) {
-        prefetch_read(&self.state, slot_of(doc));
+        self.lists.prefetch(doc);
     }
 
     fn reserve_slots(&mut self, n: usize) {
-        if self.state.len() < n {
-            self.state.resize(n, EMPTY);
-        }
+        self.lists.reserve(n);
     }
 }
 
@@ -305,7 +199,7 @@ mod tests {
         p.on_insert(doc(1), sz(10));
         assert_eq!(p.evict(), Some(doc(0)), "doc 0 to ghost");
         p.on_insert(doc(0), sz(10)); // ghost hit
-        assert_eq!(p.main_count, 1, "ghost return bypasses small");
+        assert_eq!(p.lists.len(MAIN), 1, "ghost return bypasses small");
         assert_eq!(p.evict(), Some(doc(1)), "small still drains first");
         assert_eq!(p.evict(), Some(doc(0)));
     }
@@ -354,9 +248,9 @@ mod tests {
             }
         }
         assert!(
-            p.ghost_count <= p.len() + 1,
+            p.lists.len(GHOST) <= p.len() + 1,
             "ghost leaked: {}",
-            p.ghost_count
+            p.lists.len(GHOST)
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The key-ranked policies (LFU, SIZE, LFU-DA and the GreedyDual family)
 //! need a priority queue supporting *extract-min* and *arbitrary key
-//! change on hit*; FIFO, LRU-2 and the clairvoyant oracle use it too.
+//! change on hit*; LRU-2 and the clairvoyant oracle use it too.
 //! [`IndexedHeap`] keeps a position index from item to heap slot, so
 //! updating or removing any item is `O(log n)` without lazy-deletion
 //! garbage.
