@@ -120,7 +120,7 @@ impl<R: KeyRule, M: MetricsSink> KeyedPolicy<R, M> {
 
     /// The key currently assigned to `doc`, if tracked.
     pub fn key_of(&self, doc: DocId) -> Option<f64> {
-        self.heap.key_of(doc).map(|k| k.value.get())
+        self.heap.key_of(doc).map(PriorityKey::value)
     }
 
     /// The heap key of `value` at the next sequence number.
@@ -186,7 +186,7 @@ impl<R: KeyRule, M: MetricsSink> ReplacementPolicy for KeyedPolicy<R, M> {
     fn evict(&mut self) -> Option<DocId> {
         let (doc, key, cost) = self.heap.pop_min_counted()?;
         self.sink.heap_op(HeapOp::PopMin, cost);
-        let key = key.value.get();
+        let key = key.value();
         let state = &self.states[slot_of(doc)];
         self.sink
             .evict_reason(self.rule.reason(state, key, self.inflation));
