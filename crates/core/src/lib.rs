@@ -49,7 +49,6 @@
 pub mod admission;
 pub mod cache;
 pub mod cost;
-pub mod float;
 pub mod policy;
 pub mod pqueue;
 pub mod prefetch;
@@ -63,7 +62,6 @@ pub use admission::{
 };
 pub use cache::{Cache, Eviction, EvictionOutcome, InsertDisposition, Occupancy};
 pub use cost::CostModel;
-pub use float::OrderedF64;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
 pub use prefetch::prefetch_read;
 pub use sharded::{
