@@ -1,8 +1,8 @@
 //! The one heap policy behind every key-ranked replacement scheme.
 //!
-//! LFU, SIZE, LFU-DA, GreedyDual-Size, GDSF and GreedyDual\* all keep
-//! each cached document in a min-heap under a numeric key and evict the
-//! smallest. They differ only in how the key is computed and whether it
+//! LFU, SIZE, LFU-DA, LRU-2, GreedyDual-Size, GDSF and GreedyDual\* all
+//! keep each cached document in a min-heap under a numeric key and evict
+//! the smallest. They differ only in how the key is computed and whether it
 //! ages. An aging scheme adds the inflation value `L` to every value it
 //! computes; `L` starts at 0 and is set to the key of each victim, so
 //! recently referenced documents float above long-untouched ones

@@ -5,11 +5,11 @@
 //! [`Cache`](crate::cache::Cache) owns the actual store and byte
 //! accounting and drives the policy through the trait's lifecycle hooks.
 //!
-//! The key-ranked schemes — LFU, SIZE, LFU-DA, GDS, GDSF and GD\* — are
-//! one [`KeyedPolicy`] each, differing only in their [`KeyRule`]. The
-//! recency and queue schemes — LRU, FIFO, SLRU, ARC and S3-FIFO — keep
-//! every document on one of a few slot-indexed intrusive lists (one
-//! `SlotLists` core, in `lists.rs`). LRU-2 alone keeps its own heap.
+//! The key-ranked schemes — LFU, SIZE, LFU-DA, LRU-2, GDS, GDSF and
+//! GD\* — are one [`KeyedPolicy`] each, differing only in their
+//! [`KeyRule`]. The recency and queue schemes — LRU, FIFO, SLRU, ARC and
+//! S3-FIFO — keep every document on one of a few slot-indexed intrusive
+//! lists (one `SlotLists` core, in `lists.rs`).
 
 use std::fmt;
 
@@ -29,7 +29,7 @@ mod lfu;
 mod lfuda;
 mod lists;
 mod lru;
-mod lruk;
+mod lru2;
 mod s3fifo;
 mod size;
 mod slru;
@@ -43,7 +43,7 @@ pub use keyed::{KeyRule, KeyedPolicy};
 pub use lfu::LfuRule;
 pub use lfuda::LfuDaRule;
 pub use lru::Lru;
-pub use lruk::LruK;
+pub use lru2::Lru2Rule;
 pub use s3fifo::S3Fifo;
 pub use size::SizeRule;
 pub use slru::Slru;
@@ -117,9 +117,8 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// before the cache touches it (see [`crate::prefetch`]). Purely a
     /// hint: it changes no state and accepts any handle, tracked or not,
     /// in range or not. The default does nothing; [`KeyedPolicy`] hints
-    /// its heap position and rule state for all six key-ranked schemes,
-    /// LRU, SLRU, ARC and S3-FIFO hint their list node, and LRU-2 its
-    /// heap position and history.
+    /// its heap position and rule state for all seven key-ranked
+    /// schemes, and LRU, SLRU, ARC and S3-FIFO hint their list node.
     fn prefetch(&self, doc: DocId) {
         let _ = doc;
     }
@@ -188,7 +187,7 @@ impl PriorityKey {
 ///
 /// [`PolicyKind::build`] is the single construction entry point — callers
 /// never juggle the per-scheme constructors (`GdStar::new(cost_model,
-/// mode)`, `LruK::two()`, …) directly.
+/// mode)`, `KeyedPolicy::from(rule)`, …) directly.
 ///
 /// ```
 /// use webcache_core::{CostModel, PolicyKind};
@@ -288,7 +287,7 @@ impl PolicyKind {
     ///
     /// This is the only construction path the rest of the workspace uses;
     /// the per-scheme constructors remain available for code that needs
-    /// non-default parameters (a fixed β, K ≠ 2, …).
+    /// non-default parameters (a fixed or per-type β).
     pub fn build(&self) -> Box<dyn ReplacementPolicy> {
         self.build_instrumented(())
     }
@@ -296,14 +295,13 @@ impl PolicyKind {
     /// Constructs a fresh policy instance routing internal events
     /// (heap-operation costs, inflation steps) into `sink`.
     ///
-    /// The six key-ranked schemes (LFU, SIZE, LFU-DA, GDS, GDSF, GD\*)
-    /// are all built as one [`KeyedPolicy`], which reports every heap
-    /// operation, inflation step and eviction reason. LRU, FIFO and SLRU
-    /// (list schemes) and LRU-2 (which keeps an indexed heap) take no sink
-    /// and report no events — the sink is dropped for them. ARC and
-    /// S3-FIFO are list schemes too, so they report no heap events, but
-    /// they do report eviction *reasons* (queue provenance) through the
-    /// sink's `evict_reason` channel.
+    /// The seven key-ranked schemes (LFU, SIZE, LFU-DA, LRU-2, GDS, GDSF,
+    /// GD\*) are all built as one [`KeyedPolicy`], which reports every
+    /// heap operation, inflation step and eviction reason. LRU, FIFO and
+    /// SLRU (list schemes) take no sink and report no events — the sink
+    /// is dropped for them. ARC and S3-FIFO are list schemes too, so they
+    /// report no heap events, but they do report eviction *reasons*
+    /// (queue provenance) through the sink's `evict_reason` channel.
     /// `build_instrumented(())` is exactly [`PolicyKind::build`].
     pub fn build_instrumented<M: webcache_obs::MetricsSink>(
         &self,
@@ -316,7 +314,7 @@ impl PolicyKind {
             PolicyKind::SizeBased => Box::new(KeyedPolicy::with_sink(SizeRule, sink)),
             PolicyKind::LfuDa => Box::new(KeyedPolicy::with_sink(LfuDaRule, sink)),
             PolicyKind::Slru => Box::new(Slru::new()),
-            PolicyKind::LruTwo => Box::new(LruK::two()),
+            PolicyKind::LruTwo => Box::new(KeyedPolicy::with_sink(Lru2Rule::default(), sink)),
             PolicyKind::Gds(cost) => Box::new(KeyedPolicy::with_sink(GdsRule(cost), sink)),
             PolicyKind::Gdsf(cost) => Box::new(KeyedPolicy::with_sink(GdsfRule(cost), sink)),
             PolicyKind::GdStar(cost) => Box::new(KeyedPolicy::with_sink(
@@ -420,7 +418,6 @@ mod tests {
     #[test]
     fn default_impls_match_the_paper_defaults() {
         assert_eq!(GdStar::default().label(), "GD*(1)");
-        assert_eq!(LruK::default().k(), 2);
         assert_eq!(Lru::default().label(), "LRU");
         assert_eq!(Slru::default().label(), "SLRU");
     }
@@ -530,8 +527,8 @@ mod tests {
 
     /// The integer rank orders exactly as `(f64::total_cmp, tie)` and
     /// decodes back to the value's bits, across the float edges: signed
-    /// zeros, infinities, subnormals, extremes and LRU-2's
-    /// `-1e18 + t` keys for documents with a short history.
+    /// zeros, infinities, subnormals, extremes and values near `-1e18`,
+    /// where one `f64` step spans 128 integers.
     #[test]
     fn priority_key_orders_by_value_then_tie() {
         let a = PriorityKey::new(1.0, 5);
@@ -626,7 +623,6 @@ mod tests {
                 PolicyKind::Lru
                     | PolicyKind::Fifo
                     | PolicyKind::Slru
-                    | PolicyKind::LruTwo
                     | PolicyKind::Arc
                     | PolicyKind::S3Fifo
             );

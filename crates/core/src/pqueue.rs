@@ -1,8 +1,8 @@
 //! An indexed 4-ary min-heap with `O(log n)` key updates.
 //!
-//! The key-ranked policies (LFU, SIZE, LFU-DA and the GreedyDual family)
-//! need a priority queue supporting *extract-min* and *arbitrary key
-//! change on hit*; LRU-2 and the clairvoyant oracle use it too.
+//! The key-ranked policies (LFU, SIZE, LFU-DA, LRU-2 and the GreedyDual
+//! family) need a priority queue supporting *extract-min* and *arbitrary
+//! key change on hit*; the clairvoyant oracle uses it too.
 //! [`IndexedHeap`] keeps a position index from item to heap node, so
 //! updating or removing any item is `O(log n)` without lazy-deletion
 //! garbage.
@@ -188,12 +188,11 @@ where
     /// # Panics
     ///
     /// Panics if `item` is already present — use [`IndexedHeap::update`] to
-    /// change an existing key, or [`IndexedHeap::upsert`] when presence is
-    /// unknown.
+    /// change an existing key.
     pub fn insert(&mut self, item: I, key: K) -> HeapCost {
         assert!(
             self.position(item).is_none(),
-            "item already present; use update/upsert"
+            "item already present; use update"
         );
         let idx = self.len;
         if (idx + LEAD) / ARITY == self.groups.len() {
@@ -222,16 +221,6 @@ where
         } else {
             self.place(idx, key, item);
             HeapCost::ZERO
-        }
-    }
-
-    /// Inserts `item` or updates its key if already present, returning the
-    /// sift cost.
-    pub fn upsert(&mut self, item: I, key: K) -> HeapCost {
-        if self.contains(item) {
-            self.update(item, key)
-        } else {
-            self.insert(item, key)
         }
     }
 
@@ -457,15 +446,6 @@ mod tests {
         h.check_invariants();
         assert_eq!(h.peek_min(), Some((1, 10)));
         assert_eq!(h.key_of(3), Some(25));
-    }
-
-    #[test]
-    fn upsert_inserts_then_updates() {
-        let mut h: IndexedHeap<u32, u32> = IndexedHeap::new();
-        h.upsert(7u32, 1u32);
-        h.upsert(7, 9);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.key_of(7), Some(9));
     }
 
     #[test]
@@ -748,7 +728,7 @@ mod tests {
     }
 
     /// The grouped heap against the classical one: random insert, update,
-    /// upsert, remove and pop sequences must return the same values and
+    /// remove and pop sequences must return the same values and
     /// the same [`HeapCost`] after every operation, and leave the same
     /// logical node array. Small key ranges make many keys equal, so the
     /// branch-free pick must break ties exactly as the classical scan
@@ -806,29 +786,23 @@ mod tests {
             tie += 1;
             let new_key = key(next() % key_range, tie);
             let present = reference.position(item).is_some();
+            // Five of every eight ops insert or update while growing, two
+            // while shrinking; the rest remove or pop.
             match next() % 8 {
-                0..=2 if growing => {
-                    let got = heap.upsert(item, new_key);
-                    let want = if present {
-                        reference.update(item, new_key)
+                op @ 0..=4 if growing || op > 2 => {
+                    if present {
+                        assert_eq!(
+                            heap.update(item, new_key),
+                            reference.update(item, new_key),
+                            "update, step {step}"
+                        );
                     } else {
-                        reference.insert(item, new_key)
-                    };
-                    assert_eq!(got, want, "upsert, step {step}");
-                }
-                3 | 4 if present => {
-                    assert_eq!(
-                        heap.update(item, new_key),
-                        reference.update(item, new_key),
-                        "update, step {step}"
-                    );
-                }
-                3 | 4 => {
-                    assert_eq!(
-                        heap.insert(item, new_key),
-                        reference.insert(item, new_key),
-                        "insert, step {step}"
-                    );
+                        assert_eq!(
+                            heap.insert(item, new_key),
+                            reference.insert(item, new_key),
+                            "insert, step {step}"
+                        );
+                    }
                 }
                 5 => {
                     let want = reference

@@ -131,11 +131,15 @@ pub enum ReasonKind {
     /// S3-FIFO eviction from the main queue (second chance exhausted).
     /// Field `freq`.
     S3Main,
+    /// LRU-2 eviction: touches since the victim's second-latest
+    /// reference, or since its only one, and the references counted (2,
+    /// or 1 for a one-timer). Fields `distance`, `refs`.
+    BackwardK,
 }
 
 impl ReasonKind {
     /// Every kind, in serialization order.
-    pub const ALL: [ReasonKind; 12] = [
+    pub const ALL: [ReasonKind; 13] = [
         ReasonKind::None,
         ReasonKind::GreedyDual,
         ReasonKind::LfuDa,
@@ -148,6 +152,7 @@ impl ReasonKind {
         ReasonKind::ArcT2,
         ReasonKind::S3Small,
         ReasonKind::S3Main,
+        ReasonKind::BackwardK,
     ];
 
     /// Stable wire label.
@@ -165,6 +170,7 @@ impl ReasonKind {
             ReasonKind::ArcT2 => "arc_t2",
             ReasonKind::S3Small => "s3_small",
             ReasonKind::S3Main => "s3_main",
+            ReasonKind::BackwardK => "backward_k",
         }
     }
 
@@ -186,6 +192,7 @@ impl ReasonKind {
             ReasonKind::MaxSize => (Some("bytes"), Some("ceiling")),
             ReasonKind::ArcT1 | ReasonKind::ArcT2 => (Some("t1_bytes"), Some("target")),
             ReasonKind::S3Small | ReasonKind::S3Main => (Some("freq"), None),
+            ReasonKind::BackwardK => (Some("distance"), Some("refs")),
         }
     }
 }
@@ -308,6 +315,16 @@ impl Reason {
             kind: ReasonKind::S3Main,
             a: freq,
             b: 0.0,
+        }
+    }
+
+    /// LRU-2 eviction: touches since the victim's second-latest (or
+    /// only) reference, and the references counted.
+    pub fn backward_k(distance: f64, refs: f64) -> Reason {
+        Reason {
+            kind: ReasonKind::BackwardK,
+            a: distance,
+            b: refs,
         }
     }
 
@@ -775,6 +792,7 @@ mod tests {
             Reason::arc_t2(65536.0, 32768.0),
             Reason::s3_small(0.0),
             Reason::s3_main(1.0),
+            Reason::backward_k(37.0, 2.0),
         ];
         let mut ring = FlightRecorder::new(100);
         let mut i = 0;
