@@ -228,7 +228,8 @@ const GDSTAR_MODES: [(&str, BetaMode); 3] = [
 ];
 
 /// Decision hashes recorded before the key-ranked policies shared one
-/// heap core.
+/// heap core; LRU-2's was recorded again when it joined that core and
+/// its one-timers began to evict oldest first.
 const PINNED: [(&str, u64); 21] = [
     ("LRU", 0x7aebdb45744e8abe),
     ("FIFO", 0x8a9ee96b404c03d3),
@@ -236,7 +237,7 @@ const PINNED: [(&str, u64); 21] = [
     ("SIZE", 0x131aac6c817397c4),
     ("LFU-DA", 0xc97c82df6fb4b060),
     ("SLRU", 0x6ebbba86a448016a),
-    ("LRU-2", 0xc08dd288b505cc5c),
+    ("LRU-2", 0xa25f6be34894c46b),
     ("GDS(1)", 0x7d839de4c67fa018),
     ("GDS(P)", 0x72be68c8bddbad37),
     ("GDSF(1)", 0x27946825692a06e9),
