@@ -1028,7 +1028,7 @@ pub fn serve_with(
                     for summary in &pass.report.per_shard {
                         let (requests, bytes, rate) = &shard_metrics[summary.shard];
                         requests.add(summary.requests);
-                        bytes.add(summary.bytes_requested);
+                        bytes.add(u64::try_from(summary.bytes_requested).unwrap_or(u64::MAX));
                         rate.set(if summary.requests > 0 {
                             summary.hits as f64 / summary.requests as f64
                         } else {

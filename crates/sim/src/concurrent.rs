@@ -149,9 +149,9 @@ pub struct ShardSummary {
     /// Requests served from the shard's cache (warm-up included).
     pub hits: u64,
     /// Bytes requested from the shard (warm-up included).
-    pub bytes_requested: u64,
+    pub bytes_requested: u128,
     /// Bytes served from the shard's cache (warm-up included).
-    pub bytes_hit: u64,
+    pub bytes_hit: u128,
     /// Distinct documents routed to the shard.
     pub distinct_documents: usize,
     /// Per-type counters over the **measured** region only (the merge
@@ -206,7 +206,7 @@ impl ConcurrentReport {
 
     /// Request/byte spread across the shards (warm-up included).
     pub fn balance(&self) -> ShardBalance {
-        let counts: Vec<(u64, u64)> = self
+        let counts: Vec<(u64, u128)> = self
             .per_shard
             .iter()
             .map(|s| (s.requests, s.bytes_requested))
@@ -512,7 +512,7 @@ fn replay_shard<O: Observer>(
             }
             let index = index as usize;
             let hit = replay.step(cache, index, observer);
-            let bytes = sizes[index];
+            let bytes = u128::from(sizes[index]);
             summary.requests += 1;
             summary.bytes_requested += bytes;
             if hit {
@@ -676,8 +676,8 @@ mod tests {
         assert_eq!(report.clients, 2);
         let requests: u64 = report.per_shard.iter().map(|s| s.requests).sum();
         assert_eq!(requests, dense.len() as u64);
-        let bytes: u64 = report.per_shard.iter().map(|s| s.bytes_requested).sum();
-        assert_eq!(bytes, dense.sizes().iter().sum::<u64>());
+        let bytes: u128 = report.per_shard.iter().map(|s| s.bytes_requested).sum();
+        assert_eq!(bytes, dense.sizes().iter().map(|&s| u128::from(s)).sum());
         let balance = report.balance();
         assert!(balance.request_imbalance >= 1.0);
         assert!(balance.byte_imbalance >= 1.0);

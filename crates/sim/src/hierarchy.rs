@@ -122,10 +122,10 @@ impl HierarchyReport {
     /// Fraction of requested bytes that never crossed the parent–origin
     /// link — the backbone-traffic view.
     pub fn combined_byte_hit_rate(&self) -> f64 {
-        if self.leaf.bytes_requested.is_zero() {
+        if self.leaf.bytes_requested == 0 {
             return 0.0;
         }
-        (self.leaf.bytes_hit + self.parent.bytes_hit).as_f64() / self.leaf.bytes_requested.as_f64()
+        (self.leaf.bytes_hit + self.parent.bytes_hit) as f64 / self.leaf.bytes_requested as f64
     }
 }
 

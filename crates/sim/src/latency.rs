@@ -80,11 +80,11 @@ impl LatencyModel {
         let misses = stats.requests - stats.hits;
         let miss_bytes = stats.bytes_requested - stats.bytes_hit;
         let hit_ms = stats.hits as f64 * self.local.setup_ms
-            + stats.bytes_hit.as_f64() / self.local.bandwidth_bytes_per_sec * 1000.0;
+            + stats.bytes_hit as f64 / self.local.bandwidth_bytes_per_sec * 1000.0;
         let miss_ms = misses as f64 * self.origin.setup_ms
-            + miss_bytes.as_f64() / self.origin.bandwidth_bytes_per_sec * 1000.0;
+            + miss_bytes as f64 / self.origin.bandwidth_bytes_per_sec * 1000.0;
         let no_cache_ms = stats.requests as f64 * self.origin.setup_ms
-            + stats.bytes_requested.as_f64() / self.origin.bandwidth_bytes_per_sec * 1000.0;
+            + stats.bytes_requested as f64 / self.origin.bandwidth_bytes_per_sec * 1000.0;
         LatencyEstimate {
             requests: stats.requests,
             total_ms: hit_ms + miss_ms,
@@ -156,8 +156,8 @@ mod tests {
         HitStats {
             requests,
             hits,
-            bytes_requested: ByteSize::new(bytes_req),
-            bytes_hit: ByteSize::new(bytes_hit),
+            bytes_requested: u128::from(bytes_req),
+            bytes_hit: u128::from(bytes_hit),
             modification_misses: 0,
         }
     }

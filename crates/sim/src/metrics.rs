@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 use webcache_trace::ByteSize;
 
 /// Request/hit counters for one measurement bucket (overall or one
-/// document type).
+/// document type). Bytes are summed in `u128`, so they stay exact when a
+/// trace's transfers add up past `u64::MAX`.
 ///
 /// *Hit rate* is the fraction of requests served from the cache; *byte
 /// hit rate* is the fraction of requested bytes served from the cache.
@@ -20,9 +21,9 @@ pub struct HitStats {
     /// Requests served from the cache.
     pub hits: u64,
     /// Bytes requested.
-    pub bytes_requested: ByteSize,
+    pub bytes_requested: u128,
     /// Bytes served from the cache.
-    pub bytes_hit: ByteSize,
+    pub bytes_hit: u128,
     /// Misses caused by document modifications (size change < 5%).
     pub modification_misses: u64,
 }
@@ -30,11 +31,12 @@ pub struct HitStats {
 impl HitStats {
     /// Records a request of the given transfer size.
     pub fn record(&mut self, transfer: ByteSize, hit: bool) {
+        let bytes = u128::from(transfer.as_u64());
         self.requests += 1;
-        self.bytes_requested += transfer;
+        self.bytes_requested += bytes;
         if hit {
             self.hits += 1;
-            self.bytes_hit += transfer;
+            self.bytes_hit += bytes;
         }
     }
 
@@ -49,10 +51,10 @@ impl HitStats {
 
     /// `bytes_hit / bytes_requested`, or 0 for an empty bucket.
     pub fn byte_hit_rate(&self) -> f64 {
-        if self.bytes_requested.is_zero() {
+        if self.bytes_requested == 0 {
             0.0
         } else {
-            self.bytes_hit.as_f64() / self.bytes_requested.as_f64()
+            self.bytes_hit as f64 / self.bytes_requested as f64
         }
     }
 }
@@ -79,7 +81,7 @@ mod tests {
         assert_eq!(s.hit_rate(), 0.5);
         assert_eq!(s.byte_hit_rate(), 0.25);
         assert_eq!(s.requests, 2);
-        assert_eq!(s.bytes_requested.as_u64(), 400);
+        assert_eq!(s.bytes_requested, 400);
     }
 
     #[test]
@@ -99,7 +101,7 @@ mod tests {
         a += b;
         assert_eq!(a.requests, 2);
         assert_eq!(a.hits, 1);
-        assert_eq!(a.bytes_requested.as_u64(), 40);
+        assert_eq!(a.bytes_requested, 40);
         assert_eq!(a.modification_misses, 2);
     }
 }

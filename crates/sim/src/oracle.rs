@@ -276,7 +276,7 @@ mod tests {
         // state in hash maps keyed by document id: (requests, hits,
         // bytes requested, bytes hit, modification misses) per type, in
         // `DocumentType::ALL` order.
-        type Row = (u64, u64, u64, u64, u64);
+        type Row = (u64, u64, u128, u128, u64);
         let trace = WorkloadProfile::dfn().scaled(1.0 / 1024.0).build_trace(11);
         let dense = DenseTrace::build(&trace);
         assert_eq!(dense.overall_size().as_u64(), 31_109_002);
@@ -316,8 +316,8 @@ mod tests {
                 let got = (
                     s.requests,
                     s.hits,
-                    s.bytes_requested.as_u64(),
-                    s.bytes_hit.as_u64(),
+                    s.bytes_requested,
+                    s.bytes_hit,
                     s.modification_misses,
                 );
                 assert_eq!(got, want, "{ty:?} at {fraction} (warm-up {warmup})");

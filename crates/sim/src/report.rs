@@ -162,8 +162,8 @@ pub fn window_csv(metrics: &WindowedMetrics) -> String {
                 stats.hits,
                 stats.hit_rate(),
                 stats.byte_hit_rate(),
-                stats.bytes_requested.as_u64(),
-                stats.bytes_hit.as_u64(),
+                stats.bytes_requested,
+                stats.bytes_hit,
                 stats.modification_misses,
                 window.churn.evictions,
                 window.churn.bytes_evicted.as_u64(),
@@ -193,8 +193,8 @@ pub fn window_json(metrics: &WindowedMetrics) -> String {
             s.hits,
             s.hit_rate(),
             s.byte_hit_rate(),
-            s.bytes_requested.as_u64(),
-            s.bytes_hit.as_u64(),
+            s.bytes_requested,
+            s.bytes_hit,
             s.modification_misses,
         )
     }

@@ -409,7 +409,7 @@ mod tests {
         run_with(&trace, 1_000, 0.0, &mut metrics);
         assert_eq!(metrics.windows().len(), 4, "2000 bytes / 500 per window");
         for w in metrics.windows() {
-            assert_eq!(w.overall().bytes_requested, ByteSize::new(500));
+            assert_eq!(w.overall().bytes_requested, 500);
         }
     }
 
