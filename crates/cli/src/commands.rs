@@ -234,13 +234,20 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The most leaf caches `hierarchy` builds. Each leaf keeps a slot map
+/// over every document of the trace, so memory grows as leaves ×
+/// documents × 4 B.
+const MAX_LEAVES: usize = 1024;
+
 /// `webcache hierarchy`.
 pub fn hierarchy(args: &Args) -> Result<String, CliError> {
     let (trace, _) = input_trace(args)?;
     let overall = trace.overall_size();
     let leaves: usize = args.get_parsed("leaves")?.unwrap_or(4);
-    if leaves == 0 {
-        return Err(usage("--leaves must be at least 1"));
+    if !(1..=MAX_LEAVES).contains(&leaves) {
+        return Err(usage(format!(
+            "--leaves must be between 1 and {MAX_LEAVES}, got {leaves}"
+        )));
     }
     let leaf_capacity = match args.get("leaf-capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?.resolve(overall),

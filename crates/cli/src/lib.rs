@@ -90,9 +90,10 @@ subcommands:
                [--csv] [--progress] [--shards N]
                policy x cache-size grid (the Figure 2/3 engine);
                --progress reports per-cell completion on stderr;
-               --shards N (power of two) runs every cell through an
-               N-shard engine to quantify the eviction-quality cost of
-               sharding (--shards 1 is bit-identical to the default);
+               --shards N (a power of two, at most 1024) runs every
+               cell through an N-shard engine to quantify the
+               eviction-quality cost of sharding (--shards 1 is
+               bit-identical to the default);
                --policy is repeatable and takes full specs
                (--policy tinylfu+slru --policy arc)
   stats        --trace FILE --policy SPEC [--capacity SIZE|PCT%]
@@ -114,7 +115,7 @@ subcommands:
                (Prometheus text) and metrics.json to --out-dir
                (default profile-out); with no input trace a synthetic
                DFN workload is generated (--quick: a smaller one)
-  hierarchy    --trace FILE [--leaves N] [--leaf-capacity SIZE|PCT%]
+  hierarchy    --trace FILE [--leaves N (1..=1024)] [--leaf-capacity SIZE|PCT%]
                [--parent-capacity SIZE|PCT%] [--leaf-policy P]
                [--parent-policy P]
                simulate institutional leaves behind a backbone parent
@@ -142,9 +143,9 @@ subcommands:
                policy reason payloads; with --bundle-dir, an anomaly
                warning writes a post-mortem bundle (flight.jsonl +
                registry.json + manifest.json, at most --max-bundles,
-               default 8); --shards N (power of two) with --clients M
-               replays through the concurrent sharded engine and
-               exports per-shard balance metrics (the anomaly
+               default 8); --shards N (a power of two, at most 1024)
+               with --clients M replays through the concurrent sharded
+               engine and exports per-shard balance metrics (the anomaly
                detectors, regret metrics, profiling counters and event
                log read one event stream and need one shard; flight
                recording keeps its reason payloads); modeled per-request

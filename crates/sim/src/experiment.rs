@@ -214,7 +214,7 @@ impl CacheSizeSweep {
     ///
     /// # Panics
     ///
-    /// Panics when `shards` is zero or not a power of two.
+    /// Panics when `shards` is zero, not a power of two or above 1024.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         webcache_core::validate_shard_count(shards).expect("sweep shard count");
