@@ -56,10 +56,12 @@ pub fn parse_capacity(raw: &str) -> Result<CapacitySpec, String> {
             .trim()
             .parse()
             .map_err(|_| format!("bad percentage `{raw}`"))?;
-        if !(value > 0.0 && value <= 100.0) {
+        // A subnormal percentage divides down to a zero fraction.
+        let fraction = value / 100.0;
+        if !(fraction > 0.0 && value <= 100.0) {
             return Err(format!("percentage must be in (0, 100], got `{raw}`"));
         }
-        return Ok(CapacitySpec::FractionOfTrace(value / 100.0));
+        return Ok(CapacitySpec::FractionOfTrace(fraction));
     }
 
     let lower = raw.to_ascii_lowercase();
@@ -93,6 +95,7 @@ pub fn parse_capacity(raw: &str) -> Result<CapacitySpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn raw_bytes() {
@@ -141,6 +144,7 @@ mod tests {
         );
         assert!(parse_capacity("0%").is_err());
         assert!(parse_capacity("150%").is_err());
+        assert!(parse_capacity("1e-323%").is_err(), "a zero fraction");
     }
 
     #[test]
@@ -161,6 +165,24 @@ mod tests {
         // The last three round to 0 bytes.
         for s in ["", "MiB", "abc", "-5", "1..2kb", "0.4", "0.4B", "0.0001kib"] {
             assert!(parse_capacity(s).is_err(), "{s}");
+        }
+    }
+
+    proptest! {
+        /// Parsing is total over arbitrary and number-shaped strings: an
+        /// accepted percentage is a fraction in (0, 1], accepted bytes
+        /// are at least 1.
+        #[test]
+        fn parse_capacity_is_total(
+            raw in "\\PC{0,24}|[ +-]?[0-9]{0,4}(\\.[0-9]{0,4})?([eE][+-]?[0-9]{1,3})? ?(%|[bB]|[kmgKMG][iI]?[bB])?",
+        ) {
+            match parse_capacity(&raw) {
+                Ok(CapacitySpec::FractionOfTrace(f)) => {
+                    prop_assert!(f > 0.0 && f <= 1.0, "`{}` -> {}", raw, f);
+                }
+                Ok(CapacitySpec::Bytes(bytes)) => prop_assert!(bytes.as_u64() >= 1, "`{}`", raw),
+                Err(_) => {}
+            }
         }
     }
 }

@@ -32,6 +32,21 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_request(), 0..200).prop_map(Trace::from)
 }
 
+/// Reads `bytes` as a text trace, which must return rather than panic;
+/// an accepted trace holds at most one request per input line.
+fn check_text_read(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(trace) = format::read_trace(bytes) {
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
+        prop_assert!(
+            trace.len() <= lines,
+            "{} requests from {} lines",
+            trace.len(),
+            lines
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// write ∘ read is the identity on traces.
     #[test]
@@ -66,6 +81,30 @@ proptest! {
     #[test]
     fn squid_parser_is_total(line in "\\PC{0,200}") {
         let _ = squid::parse_line(&line, 1);
+    }
+
+    /// The text trace reader never panics on arbitrary bytes.
+    #[test]
+    fn text_reader_is_total(bytes in prop::collection::vec(0u8..=255, 0..512)) {
+        check_text_read(&bytes)?;
+    }
+
+    /// Nor on a valid trace cut at a random offset with random bit flips.
+    #[test]
+    fn text_reader_is_total_on_damaged_traces(
+        trace in arb_trace(),
+        cut in 0.0f64..=1.0,
+        flips in prop::collection::vec((0usize..1 << 16, 0u8..8), 0..8),
+    ) {
+        let mut bytes = format::to_string(&trace).into_bytes();
+        bytes.truncate((bytes.len() as f64 * cut) as usize);
+        if !bytes.is_empty() {
+            let len = bytes.len();
+            for (at, bit) in flips {
+                bytes[at % len] ^= 1 << bit;
+            }
+        }
+        check_text_read(&bytes)?;
     }
 
     /// format_line ∘ parse_line preserves the retained fields.
