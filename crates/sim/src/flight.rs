@@ -17,9 +17,9 @@
 //! order per request: `on_access`, then on a miss exactly one of
 //! `on_insert` / `on_admission_reject`, then one `on_evict` per victim
 //! in eviction order — and TooLarge outcomes emit neither an event nor
-//! a reason. Un-instrumented policies (LRU, FIFO, SLRU, LRU-2, or any
-//! policy built without a sink) simply leave the channel empty and the
-//! records carry the none-kind reason.
+//! a reason. Un-instrumented policies (LRU, FIFO, SLRU, or any policy
+//! built without a sink) simply leave the channel empty and the records
+//! carry the none-kind reason.
 //!
 //! The ring is locked once per request, not once per event: the
 //! observer stages a request's insert, reject and evict records and
