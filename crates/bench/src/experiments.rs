@@ -6,7 +6,8 @@
 
 use webcache_core::policy::{BetaMode, GdStar};
 use webcache_core::{CostModel, PolicyKind};
-use webcache_sim::report::{figure, figure_panel, Metric};
+use webcache_sim::experiment::PAPER_SIZE_FRACTIONS;
+use webcache_sim::report::figure;
 use webcache_sim::{
     CacheSizeSweep, ModificationRule, SimulationConfig, SimulationReport, Simulator,
 };
@@ -15,10 +16,14 @@ use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace};
 
 use crate::{dfn_trace, rtp_trace};
 
+fn characterize(trace: &Trace) -> TraceCharacterization {
+    TraceCharacterization::measure(&DenseTrace::build(trace))
+}
+
 /// Table 1: properties of the DFN and RTP traces.
 pub fn table1(scale: f64, seed: u64) -> String {
-    let dfn = TraceCharacterization::measure(&dfn_trace(scale, seed));
-    let rtp = TraceCharacterization::measure(&rtp_trace(scale, seed));
+    let dfn = characterize(&dfn_trace(scale, seed));
+    let rtp = characterize(&rtp_trace(scale, seed));
     let mut t = Table::new(vec!["Property".into(), "DFN".into(), "RTP".into()]).with_title(
         format!("Table 1. Properties of DFN and RTP trace (scale {scale:.5})"),
     );
@@ -49,28 +54,28 @@ pub fn table1(scale: f64, seed: u64) -> String {
 
 /// Table 2: DFN workload characteristics broken down into document types.
 pub fn table2(scale: f64, seed: u64) -> String {
-    TraceCharacterization::measure(&dfn_trace(scale, seed))
+    characterize(&dfn_trace(scale, seed))
         .breakdown_table("Table 2. DFN Trace")
         .render()
 }
 
 /// Table 3: RTP workload characteristics broken down into document types.
 pub fn table3(scale: f64, seed: u64) -> String {
-    TraceCharacterization::measure(&rtp_trace(scale, seed))
+    characterize(&rtp_trace(scale, seed))
         .breakdown_table("Table 3. RTP Trace")
         .render()
 }
 
 /// Table 4: DFN per-type size statistics and temporal locality.
 pub fn table4(scale: f64, seed: u64) -> String {
-    TraceCharacterization::measure(&dfn_trace(scale, seed))
+    characterize(&dfn_trace(scale, seed))
         .statistics_table("Table 4. DFN Trace")
         .render()
 }
 
 /// Table 5: RTP per-type size statistics and temporal locality.
 pub fn table5(scale: f64, seed: u64) -> String {
-    TraceCharacterization::measure(&rtp_trace(scale, seed))
+    characterize(&rtp_trace(scale, seed))
         .statistics_table("Table 5. RTP Trace")
         .render()
 }
@@ -131,15 +136,16 @@ pub fn figure1(scale: f64, seed: u64) -> String {
 }
 
 /// Runs the Figure 2/3 sweep grid for the given policies.
-pub fn sweep(trace: &Trace, policies: Vec<PolicyKind>) -> webcache_sim::SweepReport {
-    let capacities = CacheSizeSweep::paper_capacities(trace);
+pub fn sweep(trace: &DenseTrace, policies: Vec<PolicyKind>) -> webcache_sim::SweepReport {
+    let overall = trace.overall_size();
+    let capacities = PAPER_SIZE_FRACTIONS.map(|f| overall.fraction(f)).to_vec();
     CacheSizeSweep::new(policies, capacities).run(trace)
 }
 
 /// Figure 2: DFN trace, constant cost model — hit rate and byte hit rate
 /// per document type for LRU, LFU-DA, GDS(1), GD\*(1).
 pub fn figure2(scale: f64, seed: u64) -> String {
-    let trace = dfn_trace(scale, seed);
+    let trace = DenseTrace::build(&dfn_trace(scale, seed));
     let report = sweep(&trace, PolicyKind::PAPER_CONSTANT.to_vec());
     figure(
         &report,
@@ -150,7 +156,7 @@ pub fn figure2(scale: f64, seed: u64) -> String {
 /// Figure 3: DFN trace, packet cost model — hit rate and byte hit rate
 /// per document type for LRU, LFU-DA, GDS(P), GD\*(P).
 pub fn figure3(scale: f64, seed: u64) -> String {
-    let trace = dfn_trace(scale, seed);
+    let trace = DenseTrace::build(&dfn_trace(scale, seed));
     let report = sweep(&trace, PolicyKind::PAPER_PACKET.to_vec());
     figure(
         &report,
@@ -161,7 +167,7 @@ pub fn figure3(scale: f64, seed: u64) -> String {
 /// Section 4.4: the RTP results under both cost models (the paper
 /// summarizes these textually; we print the full panels).
 pub fn rtp_summary(scale: f64, seed: u64) -> String {
-    let trace = rtp_trace(scale, seed);
+    let trace = DenseTrace::build(&rtp_trace(scale, seed));
     let constant = sweep(&trace, PolicyKind::PAPER_CONSTANT.to_vec());
     let packet = sweep(&trace, PolicyKind::PAPER_PACKET.to_vec());
     let mut out = figure(&constant, "Section 4.4 (RTP trace): constant cost model");
@@ -371,7 +377,7 @@ pub fn future_workload(scale: f64, seed: u64) -> String {
 pub fn loglike_growth(scale: f64, seed: u64) -> String {
     use webcache_stats::regression::fit_line;
 
-    let trace = dfn_trace(scale, seed);
+    let trace = DenseTrace::build(&dfn_trace(scale, seed));
     let report = sweep(&trace, PolicyKind::PAPER_CONSTANT.to_vec());
     let mut t = Table::new(vec![
         "policy".into(),
@@ -498,14 +504,6 @@ pub fn oracle_efficiency(scale: f64, seed: u64) -> String {
         t.push_row(row);
     }
     t.render()
-}
-
-/// A single-panel summary used by smoke tests: overall hit rate of every
-/// paper policy at 5% cache size.
-pub fn overall_panel(trace: &Trace, policies: Vec<PolicyKind>) -> String {
-    let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05).round() as u64);
-    let report = CacheSizeSweep::new(policies, vec![capacity]).run(trace);
-    figure_panel(&report, Metric::HitRate, None).render()
 }
 
 #[cfg(test)]

@@ -17,9 +17,7 @@ impl CapacitySpec {
     pub fn resolve(self, overall: ByteSize) -> ByteSize {
         match self {
             CapacitySpec::Bytes(b) => b,
-            CapacitySpec::FractionOfTrace(f) => {
-                ByteSize::new((overall.as_f64() * f).round().max(1.0) as u64)
-            }
+            CapacitySpec::FractionOfTrace(f) => overall.fraction(f),
         }
     }
 }

@@ -4,12 +4,13 @@ use std::fs;
 
 use webcache_core::{PolicyKind, PolicySpec};
 use webcache_obs::{chrome_trace_json, PolicyProbe, Registry, TraceClock, TraceRecorder};
+use webcache_sim::experiment::PAPER_SIZE_FRACTIONS;
 use webcache_sim::report::{
     figure_panel, occupancy_csv, sweep_csv, window_csv, window_json, Metric,
 };
 use webcache_sim::{
     clairvoyant, simulate_hierarchy, CacheSizeSweep, HierarchyConfig, LatencyModel,
-    ProfileObserver, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
+    ProfileObserver, SimulationConfig, Simulator, SweepProgress, WindowSpec, WindowedMetrics,
 };
 use webcache_stats::{Table, TraceCharacterization};
 use webcache_trace::{
@@ -33,7 +34,8 @@ fn parse_spec(name: &str) -> Result<PolicySpec, CliError> {
     name.parse::<PolicySpec>().map_err(|e| usage(e.to_string()))
 }
 
-/// Loads a trace, auto-detecting the binary format by its magic.
+/// Loads a trace, auto-detecting the binary format by its magic. Only
+/// `convert`, which re-encodes every field, needs the whole [`Trace`].
 fn load_trace(path: &str) -> Result<Trace, CliError> {
     let bytes = fs::read(path)?;
     if bytes.starts_with(&format_bin::MAGIC) {
@@ -43,10 +45,10 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
     }
 }
 
-/// Loads the dense view of a trace for the replay-only commands. A
-/// binary trace decodes straight into it, with no [`Trace`] in between;
-/// a text trace parses to a `Trace` first. Either way the file bytes and
-/// any `Trace` are dropped before this returns.
+/// Loads the dense view of a trace, the one load path of every command
+/// but `convert`. A binary trace decodes straight into it, with no
+/// [`Trace`] in between; a text trace parses to a `Trace` first. Either
+/// way the file bytes and any `Trace` are dropped before this returns.
 pub(crate) fn load_dense(path: &str) -> Result<DenseTrace, CliError> {
     let bytes = fs::read(path)?;
     if bytes.starts_with(&format_bin::MAGIC) {
@@ -75,15 +77,6 @@ fn load_squid(path: &str) -> Result<(Trace, preprocess::PreprocessStats), CliErr
     let text = fs::read_to_string(path)?;
     let entries = squid::parse_log(&text)?;
     Ok(preprocess::preprocess(&entries))
-}
-
-/// Loads a trace from `--trace FILE` or `--squid FILE`.
-fn input_trace(args: &Args) -> Result<(Trace, String), CliError> {
-    match (args.get("trace"), args.get("squid")) {
-        (Some(path), None) => Ok((load_trace(path)?, path.to_owned())),
-        (None, Some(path)) => Ok((load_squid(path)?.0, path.to_owned())),
-        _ => Err(usage("give exactly one of --trace FILE or --squid FILE")),
-    }
 }
 
 /// Loads the dense view of `--trace FILE` or `--squid FILE` (see
@@ -131,14 +124,18 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
 
 /// `webcache characterize`.
 pub fn characterize(args: &Args) -> Result<String, CliError> {
-    let (trace, default_name) = input_trace(args)?;
-    let name = args.get("name").unwrap_or(&default_name).to_owned();
+    let trace = input_dense(args)?;
+    // Named after the input file unless `--name` is given.
+    let name = ["name", "trace", "squid"]
+        .into_iter()
+        .find_map(|key| args.get(key))
+        .unwrap_or_default();
     let ch = TraceCharacterization::measure(&trace);
     Ok(format!(
         "{}\n{}\n{}",
-        ch.properties_table(&name),
-        ch.breakdown_table(&name),
-        ch.statistics_table(&name),
+        ch.properties_table(name),
+        ch.breakdown_table(name),
+        ch.statistics_table(name),
     ))
 }
 
@@ -241,7 +238,7 @@ const MAX_LEAVES: usize = 1024;
 
 /// `webcache hierarchy`.
 pub fn hierarchy(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let trace = input_dense(args)?;
     let overall = trace.overall_size();
     let leaves: usize = args.get_parsed("leaves")?.unwrap_or(4);
     if !(1..=MAX_LEAVES).contains(&leaves) {
@@ -251,11 +248,11 @@ pub fn hierarchy(args: &Args) -> Result<String, CliError> {
     }
     let leaf_capacity = match args.get("leaf-capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?.resolve(overall),
-        None => ByteSize::new((overall.as_f64() * 0.01).round().max(1.0) as u64),
+        None => overall.fraction(0.01),
     };
     let parent_capacity = match args.get("parent-capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?.resolve(overall),
-        None => ByteSize::new((overall.as_f64() * 0.10).round().max(1.0) as u64),
+        None => overall.fraction(0.10),
     };
     let mut config = HierarchyConfig::new(leaves, leaf_capacity, parent_capacity);
     if let Some(name) = args.get("leaf-policy") {
@@ -283,28 +280,26 @@ pub fn hierarchy(args: &Args) -> Result<String, CliError> {
 
 /// `webcache sweep`.
 pub fn sweep(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let trace = input_dense(args)?;
     let policies = parse_policies(args)?;
-    let capacities: Vec<ByteSize> = match args.get("fractions") {
-        None => CacheSizeSweep::paper_capacities(&trace),
-        Some(list) => {
-            let overall = trace.overall_size();
-            list.split(',')
-                .map(|f| {
-                    let frac: f64 = f
-                        .trim()
-                        .parse()
-                        .map_err(|_| usage(format!("bad fraction `{f}`")))?;
-                    if !(frac > 0.0 && frac <= 1.0) {
-                        return Err(usage(format!("fraction out of (0, 1]: `{f}`")));
-                    }
-                    Ok(ByteSize::new(
-                        (overall.as_f64() * frac).round().max(1.0) as u64
-                    ))
-                })
-                .collect::<Result<_, _>>()?
-        }
+    let fractions: Vec<f64> = match args.get("fractions") {
+        None => PAPER_SIZE_FRACTIONS.to_vec(),
+        Some(list) => list
+            .split(',')
+            .map(|f| {
+                let frac: f64 = f
+                    .trim()
+                    .parse()
+                    .map_err(|_| usage(format!("bad fraction `{f}`")))?;
+                if !(frac > 0.0 && frac <= 1.0) {
+                    return Err(usage(format!("fraction out of (0, 1]: `{f}`")));
+                }
+                Ok(frac)
+            })
+            .collect::<Result<_, _>>()?,
     };
+    let overall = trace.overall_size();
+    let capacities = fractions.iter().map(|&f| overall.fraction(f)).collect();
 
     let shards: usize = args.get_parsed("shards")?.unwrap_or(1);
     webcache_core::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
@@ -313,7 +308,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        sweep.run_with_progress(&trace, threads, |p| {
+        let progress = |p: &SweepProgress| {
             eprintln!(
                 "[{}/{}] worker {} finished {} @ {} ({:.0} req/s)",
                 p.completed,
@@ -323,7 +318,8 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
                 p.capacity,
                 p.requests_per_sec,
             );
-        })
+        };
+        sweep.run_with_progress_recorded(&trace, threads, progress, &mut [])
     } else {
         sweep.run(&trace)
     };
@@ -441,10 +437,10 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             let denom = scale_denominator(args, if quick { 4096.0 } else { 256.0 })?;
             let seed: u64 = args.get_parsed("seed")?.unwrap_or(1);
             main.span("generate-trace", |_| {
-                WorkloadProfile::dfn().scaled(1.0 / denom).build_trace(seed)
+                DenseTrace::build(&WorkloadProfile::dfn().scaled(1.0 / denom).build_trace(seed))
             })
         }
-        _ => main.span("load-trace", |_| input_trace(args))?.0,
+        _ => main.span("load-trace", |_| input_dense(args))?,
     };
 
     let policies = parse_policies(args)?;
@@ -471,7 +467,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
                 let mut config = config;
                 config.admission_rule = policy.admission_or(config.admission_rule);
                 Simulator::new(policy.replacement.build_instrumented(probe), config)
-                    .run_observed(&trace, &mut obs);
+                    .run_dense_observed(&trace, &mut obs);
             });
         }
     });
@@ -484,10 +480,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     } else {
         &[0.01, 0.05, 0.20]
     };
-    let capacities: Vec<ByteSize> = fractions
-        .iter()
-        .map(|f| ByteSize::new((overall.as_f64() * f).round().max(1.0) as u64))
-        .collect();
+    let capacities: Vec<ByteSize> = fractions.iter().map(|&f| overall.fraction(f)).collect();
     let cells = policies.len() * capacities.len();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -134,8 +134,9 @@ impl SweepReport {
     }
 }
 
-/// A progress snapshot, delivered to the [`CacheSizeSweep::run_with_progress`]
-/// callback once per completed grid cell.
+/// A progress snapshot, delivered to the
+/// [`CacheSizeSweep::run_with_progress_recorded`] callback once per
+/// completed grid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepProgress {
     /// Grid cells finished so far (including this one).
@@ -224,52 +225,54 @@ impl CacheSizeSweep {
 
     /// Capacities at the paper's relative cache sizes
     /// ([`PAPER_SIZE_FRACTIONS`]) of `trace`'s overall size.
+    ///
+    /// Only the perfbench harness, which holds a [`Trace`], still calls
+    /// this; other callers map [`ByteSize::fraction`] over the fractions.
     pub fn paper_capacities(trace: &Trace) -> Vec<ByteSize> {
         let overall = trace.overall_size();
-        PAPER_SIZE_FRACTIONS
-            .iter()
-            .map(|&f| ByteSize::new((overall.as_f64() * f).round().max(1.0) as u64))
-            .collect()
+        PAPER_SIZE_FRACTIONS.map(|f| overall.fraction(f)).to_vec()
     }
 
-    /// Runs the grid, using up to `threads` worker threads.
+    /// Runs the grid over `trace`, using up to `threads` worker threads.
     ///
     /// Each grid cell is independent, so runs are embarrassingly
-    /// parallel. The [`DenseTrace`] view is built **once** and shared
-    /// read-only across the workers; each replays it against its own
-    /// cache through the hash-free dense path.
-    pub fn run_with_threads(&self, trace: &Trace, threads: usize) -> SweepReport {
-        self.run_with_progress(trace, threads, |_| {})
+    /// parallel. Every worker replays the one shared [`DenseTrace`]
+    /// against its own cache through the hash-free dense path.
+    pub fn run_with_threads(&self, trace: &DenseTrace, threads: usize) -> SweepReport {
+        self.run_with_progress_recorded(trace, threads, |_| {}, &mut [])
+    }
+
+    /// Interns `trace` and runs the grid as
+    /// [`CacheSizeSweep::run_with_progress_recorded`] does, unrecorded.
+    ///
+    /// Only the perfbench harness, which holds a [`Trace`], still calls
+    /// this.
+    pub fn run_with_progress<F>(&self, trace: &Trace, threads: usize, progress: F) -> SweepReport
+    where
+        F: Fn(&SweepProgress) + Sync,
+    {
+        self.run_with_progress_recorded(&DenseTrace::build(trace), threads, progress, &mut [])
     }
 
     /// Like [`CacheSizeSweep::run_with_threads`], but calls `progress`
     /// after every finished grid cell with completion counts and the
-    /// cell's replay throughput.
+    /// cell's replay throughput, and records one timing span per grid
+    /// cell into per-worker [`TraceRecorder`]s.
     ///
     /// The callback runs on the worker threads (hence `Sync`); keep it
     /// cheap. Callback ordering across workers is non-deterministic, but
     /// `completed` is a consistent running count and reaches `total`
     /// exactly once.
-    pub fn run_with_progress<F>(&self, trace: &Trace, threads: usize, progress: F) -> SweepReport
-    where
-        F: Fn(&SweepProgress) + Sync,
-    {
-        self.run_with_progress_recorded(trace, threads, progress, &mut [])
-    }
-
-    /// Like [`CacheSizeSweep::run_with_progress`], additionally recording
-    /// one timing span per grid cell into per-worker [`TraceRecorder`]s.
     ///
     /// `recorders[i]` becomes worker `i`'s track; workers beyond
     /// `recorders.len()` run unrecorded (pass an empty slice to disable
-    /// recording entirely — that is exactly
-    /// [`CacheSizeSweep::run_with_progress`]). Cell spans are named
+    /// recording entirely). Cell spans are named
     /// `"<policy> @ <capacity>"`. Create the recorders from one shared
     /// [`TraceClock`](webcache_obs::TraceClock) so the worker tracks
     /// align in the exported chrome trace.
     pub fn run_with_progress_recorded<F>(
         &self,
-        trace: &Trace,
+        dense: &DenseTrace,
         threads: usize,
         progress: F,
         recorders: &mut [TraceRecorder],
@@ -277,9 +280,8 @@ impl CacheSizeSweep {
     where
         F: Fn(&SweepProgress) + Sync,
     {
-        let dense = DenseTrace::build(trace);
         let sharded = (self.shards > 1).then(|| {
-            crate::concurrent::ShardedTrace::build(&dense, self.shards)
+            crate::concurrent::ShardedTrace::build(dense, self.shards)
                 .expect("with_shards validated the count")
         });
         let mut tasks: Vec<(PolicySpec, ByteSize)> = Vec::new();
@@ -293,7 +295,7 @@ impl CacheSizeSweep {
         let results: Mutex<Vec<SweepPoint>> = Mutex::new(Vec::with_capacity(tasks.len()));
         let workers = threads.clamp(1, tasks.len());
         let total = tasks.len();
-        let requests = trace.len();
+        let requests = dense.len();
         // Hand each worker its own recorder by value; missing tails run
         // unrecorded.
         let mut recorders: Vec<Option<&mut TraceRecorder>> =
@@ -307,7 +309,6 @@ impl CacheSizeSweep {
                 let done = &done;
                 let results = &results;
                 let progress = &progress;
-                let dense = &dense;
                 let sharded = &sharded;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -371,7 +372,7 @@ impl CacheSizeSweep {
     }
 
     /// Runs the grid with one worker per available CPU core.
-    pub fn run(&self, trace: &Trace) -> SweepReport {
+    pub fn run(&self, trace: &DenseTrace) -> SweepReport {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -385,21 +386,16 @@ mod tests {
     use webcache_core::PolicyKind;
     use webcache_trace::{DocId, Request, Timestamp};
 
-    fn tiny_trace() -> Trace {
-        (0..600u64)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(i % 37),
-                    if i % 5 == 0 {
-                        DocumentType::Image
-                    } else {
-                        DocumentType::Html
-                    },
-                    ByteSize::new(500 + (i % 7) * 100),
-                )
-            })
-            .collect()
+    fn tiny_trace() -> DenseTrace {
+        DenseTrace::from_requests((0..600u32).map(|i| {
+            let i = u64::from(i);
+            let ty = if i % 5 == 0 {
+                DocumentType::Image
+            } else {
+                DocumentType::Html
+            };
+            (i % 37, 500 + (i % 7) * 100, ty)
+        }))
     }
 
     #[test]
@@ -552,7 +548,17 @@ mod tests {
 
     #[test]
     fn paper_capacities_scale_with_trace() {
-        let trace = tiny_trace();
+        let trace: Trace = (0..600u64)
+            .map(|i| {
+                let size = ByteSize::new(500 + (i % 7) * 100);
+                Request::new(
+                    Timestamp::ZERO,
+                    DocId::new(i % 37),
+                    DocumentType::Html,
+                    size,
+                )
+            })
+            .collect();
         let caps = CacheSizeSweep::paper_capacities(&trace);
         assert_eq!(caps.len(), PAPER_SIZE_FRACTIONS.len());
         let overall = trace.overall_size().as_f64();
@@ -591,9 +597,14 @@ mod tests {
             ],
         );
         let seen: Mutex<Vec<SweepProgress>> = Mutex::new(Vec::new());
-        let report = sweep.run_with_progress(&trace, 4, |p| {
-            seen.lock().unwrap().push(*p);
-        });
+        let report = sweep.run_with_progress_recorded(
+            &trace,
+            4,
+            |p| {
+                seen.lock().unwrap().push(*p);
+            },
+            &mut [],
+        );
         let mut seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 6, "one callback per grid cell");
         assert_eq!(report.points().len(), 6);

@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use webcache_core::{Cache, PolicyKind, PolicySpec};
-use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Trace};
+use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType};
 
 use crate::metrics::HitStats;
 use crate::simulator::ModificationRule;
@@ -87,6 +87,10 @@ impl HierarchyConfig {
 
     fn validate(&self) {
         assert!(self.leaf_count > 0, "hierarchy needs at least one leaf");
+        assert!(
+            (0.0..1.0).contains(&self.warmup_fraction),
+            "warm-up fraction in [0,1)"
+        );
         assert!(
             !self.leaf_capacity.is_zero(),
             "leaf capacity must be positive"
@@ -185,23 +189,24 @@ impl Level {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (zero leaves or capacities).
-pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyReport {
+/// Panics on an invalid configuration (zero leaves or capacities, a
+/// warm-up fraction outside `[0, 1)`).
+pub fn simulate_hierarchy(trace: &DenseTrace, config: HierarchyConfig) -> HierarchyReport {
     config.validate();
-    let dense = DenseTrace::build(trace);
-    let documents = dense.distinct_documents();
+    let documents = trace.distinct_documents();
     let mut leaves: Vec<Level> = (0..config.leaf_count)
         .map(|_| Level::new(config.leaf_capacity, config.leaf_policy, documents))
         .collect();
     let mut parent = Level::new(config.parent_capacity, config.parent_policy, documents);
 
-    let warmup_end = trace.warmup_boundary(config.warmup_fraction);
+    let warmup_end = (trace.len() as f64 * config.warmup_fraction).floor() as usize;
     let mut leaf_stats = HitStats::default();
     let mut parent_stats = HitStats::default();
     let mut last_transfer: Vec<Option<u64>> = vec![None; documents];
 
-    for (index, (request, &slot)) in trace.iter().zip(dense.docs()).enumerate() {
-        let transfer = request.size.as_u64();
+    for index in 0..trace.len() {
+        let (slot, size, doc_type) = trace.request(index);
+        let transfer = size.as_u64();
         let prev = last_transfer[slot as usize].replace(transfer);
         let modified = prev.is_some_and(|p| config.modification_rule.is_modification(p, transfer));
 
@@ -220,19 +225,19 @@ pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyRe
 
         let leaf = &mut leaves[index % config.leaf_count];
         if !leaf_hit {
-            leaf.insert(slot, request.doc_type, request.size);
+            leaf.insert(slot, doc_type, size);
             if !parent_hit {
-                parent.insert(slot, request.doc_type, request.size);
+                parent.insert(slot, doc_type, size);
             }
         }
 
         if index >= warmup_end {
-            leaf_stats.record(request.size, leaf_hit);
+            leaf_stats.record(size, leaf_hit);
             if modified {
                 leaf_stats.modification_misses += 1;
             }
             if !leaf_hit {
-                parent_stats.record(request.size, parent_hit);
+                parent_stats.record(size, parent_hit);
             }
         }
     }
@@ -247,20 +252,13 @@ pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{Request, Timestamp};
+    use webcache_trace::{Request, Timestamp, Trace};
 
-    fn trace(reqs: &[(u64, u64)]) -> Trace {
-        reqs.iter()
-            .enumerate()
-            .map(|(i, &(doc, size))| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    DocId::new(doc),
-                    DocumentType::Html,
-                    ByteSize::new(size),
-                )
-            })
-            .collect()
+    fn trace(reqs: &[(u64, u64)]) -> DenseTrace {
+        DenseTrace::from_requests(
+            reqs.iter()
+                .map(|&(doc, size)| (doc, size, DocumentType::Html)),
+        )
     }
 
     fn config(leaves: usize, leaf_cap: u64, parent_cap: u64) -> HierarchyConfig {
@@ -337,7 +335,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_zero_rates() {
-        let r = simulate_hierarchy(&Trace::new(), config(2, 100, 100));
+        let r = simulate_hierarchy(&DenseTrace::default(), config(2, 100, 100));
         assert_eq!(r.combined_hit_rate(), 0.0);
         assert_eq!(r.combined_byte_hit_rate(), 0.0);
     }
@@ -345,7 +343,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one leaf")]
     fn zero_leaves_rejected() {
-        let _ = simulate_hierarchy(&Trace::new(), config(0, 100, 100));
+        let _ = simulate_hierarchy(&DenseTrace::default(), config(0, 100, 100));
     }
 
     /// The hierarchy loop over sparse-id caches fed the trace's own ids:
@@ -431,7 +429,7 @@ mod tests {
             let config = HierarchyConfig::new(3, ByteSize::new(40_000), ByteSize::new(150_000))
                 .with_leaf_policy(leaf)
                 .with_parent_policy(parent);
-            let dense = simulate_hierarchy(&t, config);
+            let dense = simulate_hierarchy(&DenseTrace::build(&t), config);
             assert_eq!(dense, sparse_reference(&t, config), "{leaf} -> {parent}");
             assert!(
                 dense.leaf.hits > 0 && dense.parent.hits > 0,

@@ -263,19 +263,12 @@ mod tests {
     use super::*;
     use crate::experiment::CacheSizeSweep;
     use webcache_core::PolicyKind;
-    use webcache_trace::{ByteSize, DocId, Request, Timestamp, Trace};
+    use webcache_trace::{ByteSize, DenseTrace, DocId, Request, Timestamp, Trace};
 
     fn sweep() -> SweepReport {
-        let trace: Trace = (0..200u64)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(i % 13),
-                    DocumentType::Image,
-                    ByteSize::new(400),
-                )
-            })
-            .collect();
+        let trace = DenseTrace::from_requests(
+            (0..200u32).map(|i| (u64::from(i % 13), 400, DocumentType::Image)),
+        );
         CacheSizeSweep::new(
             vec![PolicyKind::Lru, PolicyKind::LfuDa],
             vec![ByteSize::new(1_000), ByteSize::new(8_000)],

@@ -162,7 +162,7 @@ mod dense_vs_hashed {
     use proptest::prelude::*;
     use webcache_core::{AdmissionRule, PolicyKind};
     use webcache_sim::{ModificationRule, SimulationConfig, Simulator};
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+    use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
     /// Spreads a small doc index over the u64 space so the differential
     /// actually exercises the sparse-id interning of the hashed path.
@@ -278,7 +278,7 @@ mod dense_vs_hashed {
             .collect();
         let capacities = vec![ByteSize::new(20_000), ByteSize::new(250_000)];
         let report = CacheSizeSweep::new(PolicyKind::ALL.to_vec(), capacities.clone())
-            .run_with_threads(&trace, 4);
+            .run_with_threads(&DenseTrace::build(&trace), 4);
         assert_eq!(
             report.points().len(),
             PolicyKind::ALL.len() * capacities.len()
@@ -422,20 +422,13 @@ mod hierarchy_props {
     use proptest::prelude::*;
     use webcache_core::PolicyKind;
     use webcache_sim::{simulate_hierarchy, HierarchyConfig};
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+    use webcache_trace::{ByteSize, DenseTrace, DocumentType};
 
-    fn trace_of(reqs: &[(u64, u32)]) -> Trace {
-        reqs.iter()
-            .enumerate()
-            .map(|(i, &(doc, size))| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    DocId::new(doc),
-                    DocumentType::Html,
-                    ByteSize::new(size as u64 + 1),
-                )
-            })
-            .collect()
+    fn trace_of(reqs: &[(u64, u32)]) -> DenseTrace {
+        DenseTrace::from_requests(
+            reqs.iter()
+                .map(|&(doc, size)| (doc, u64::from(size) + 1, DocumentType::Html)),
+        )
     }
 
     proptest! {
@@ -493,7 +486,7 @@ mod hierarchy_props {
                     .warmup_fraction(0.0)
                     .build(),
             )
-            .run(&trace);
+            .run_dense(&trace);
             let combined_hits = hierarchy.leaf.hits + hierarchy.parent.hits;
             prop_assert!(combined_hits >= single.overall().hits);
         }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use webcache_trace::{ByteSize, DocumentType, Trace, TypeMap};
+use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 
 use crate::correlation;
 use crate::descriptive::Summary;
@@ -62,42 +62,50 @@ pub struct TraceCharacterization {
 
 impl TraceCharacterization {
     /// Measures every characterization quantity of `trace`.
-    pub fn measure(trace: &Trace) -> Self {
-        let doc_sizes = trace.document_sizes();
-        // Document type lookup: the type a document was requested as.
-        let mut doc_types: Vec<(u64, DocumentType)> =
-            trace.iter().map(|r| (r.doc.as_u64(), r.doc_type)).collect();
-        doc_types.sort_unstable_by_key(|&(id, _)| id);
-        doc_types.dedup_by_key(|&mut (id, _)| id);
-        let type_of = |id: u64| -> DocumentType {
-            let idx = doc_types
-                .binary_search_by_key(&id, |&(d, _)| d)
-                .expect("document seen in trace");
-            doc_types[idx].1
-        };
+    ///
+    /// A document's size is its largest transfer, and it counts under
+    /// the type of its first request; requests and transfers count under
+    /// their own types.
+    pub fn measure(trace: &DenseTrace) -> Self {
+        // Per slot: the document's size and type. Slots number documents
+        // in first-appearance order, so slot `s` first shows up once `s`
+        // documents have been seen.
+        let mut doc_sizes: Vec<ByteSize> = Vec::with_capacity(trace.distinct_documents());
+        let mut doc_types: Vec<DocumentType> = Vec::with_capacity(trace.distinct_documents());
+        let mut requests: TypeMap<u64> = TypeMap::default();
+        let mut req_bytes: TypeMap<ByteSize> = TypeMap::default();
+        let mut requested_bytes = ByteSize::ZERO;
+        let mut transfer_samples: TypeMap<Vec<f64>> = TypeMap::default();
+        for index in 0..trace.len() {
+            let (slot, size, ty) = trace.request(index);
+            match doc_sizes.get_mut(slot as usize) {
+                Some(max) => *max = (*max).max(size),
+                None => {
+                    doc_sizes.push(size);
+                    doc_types.push(ty);
+                }
+            }
+            requests[ty] += 1;
+            req_bytes[ty] += size;
+            requested_bytes += size;
+            transfer_samples[ty].push(size.as_f64());
+        }
 
         let properties = TraceProperties {
             distinct_documents: doc_sizes.len() as u64,
             overall_size: trace.overall_size(),
             total_requests: trace.len() as u64,
-            requested_bytes: trace.requested_bytes(),
+            requested_bytes,
         };
 
-        // Per-type tallies.
+        // Per-type document tallies.
         let mut distinct: TypeMap<u64> = TypeMap::default();
         let mut size_sum: TypeMap<ByteSize> = TypeMap::default();
         let mut doc_size_samples: TypeMap<Vec<f64>> = TypeMap::default();
-        for &(id, size) in &doc_sizes {
-            let ty = type_of(id.as_u64());
+        for (&size, &ty) in doc_sizes.iter().zip(&doc_types) {
             distinct[ty] += 1;
             size_sum[ty] += size;
             doc_size_samples[ty].push(size.as_f64());
-        }
-        let requests = trace.requests_by_type();
-        let req_bytes = trace.requested_bytes_by_type();
-        let mut transfer_samples: TypeMap<Vec<f64>> = TypeMap::default();
-        for r in trace {
-            transfer_samples[r.doc_type].push(r.size.as_f64());
         }
 
         let frac = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
@@ -229,21 +237,15 @@ impl TraceCharacterization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{DocId, Request, Timestamp};
 
-    fn req(doc: u64, ty: DocumentType, size: u64) -> Request {
-        Request::new(Timestamp::ZERO, DocId::new(doc), ty, ByteSize::new(size))
-    }
-
-    fn mixed_trace() -> Trace {
-        vec![
-            req(0, DocumentType::Image, 1000),
-            req(1, DocumentType::Image, 3000),
-            req(0, DocumentType::Image, 1000),
-            req(2, DocumentType::Html, 2000),
-            req(3, DocumentType::MultiMedia, 100_000),
-        ]
-        .into()
+    fn mixed_trace() -> DenseTrace {
+        DenseTrace::from_requests([
+            (0, 1000, DocumentType::Image),
+            (1, 3000, DocumentType::Image),
+            (0, 1000, DocumentType::Image),
+            (2, 2000, DocumentType::Html),
+            (3, 100_000, DocumentType::MultiMedia),
+        ])
     }
 
     #[test]
@@ -319,8 +321,28 @@ mod tests {
     }
 
     #[test]
+    fn a_document_counts_under_the_type_of_its_first_request() {
+        // Document 7 is requested as HTML first, then twice as an image.
+        let trace = DenseTrace::from_requests([
+            (7, 100, DocumentType::Html),
+            (9, 50, DocumentType::Image),
+            (7, 300, DocumentType::Image),
+            (7, 200, DocumentType::Image),
+        ]);
+        let ch = TraceCharacterization::measure(&trace);
+        let (html, image) = (DocumentType::Html, DocumentType::Image);
+        assert_eq!(ch.breakdown[html].distinct_documents, 0.5);
+        assert_eq!(ch.breakdown[image].distinct_documents, 0.5);
+        assert_eq!(ch.statistics[html].document_size.mean, 300.0);
+        assert_eq!(ch.breakdown[html].overall_size, 300.0 / 350.0);
+        // Requests and transfers count under their own types.
+        assert_eq!(ch.breakdown[html].total_requests, 0.25);
+        assert_eq!(ch.statistics[image].transfer_size.count, 3);
+    }
+
+    #[test]
     fn empty_trace_characterization_is_all_zero() {
-        let ch = TraceCharacterization::measure(&Trace::new());
+        let ch = TraceCharacterization::measure(&DenseTrace::default());
         assert_eq!(ch.properties, TraceProperties::default());
         assert_eq!(ch.breakdown[DocumentType::Image], TypeBreakdown::default());
     }

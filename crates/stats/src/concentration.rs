@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use webcache_trace::{DocumentType, Trace};
+use webcache_trace::{DenseTrace, DocumentType};
 
 use crate::popularity::request_counts;
 
@@ -31,7 +31,7 @@ pub struct Concentration {
 
 impl Concentration {
     /// Measures a trace, optionally restricted to one document type.
-    pub fn measure(trace: &Trace, doc_type: Option<DocumentType>) -> Self {
+    pub fn measure(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Self {
         let mut counts = request_counts(trace, doc_type);
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total = counts.iter().sum();
@@ -57,17 +57,12 @@ impl Concentration {
     ///
     /// ```
     /// use webcache_stats::concentration::Concentration;
-    /// use webcache_trace::{Trace, Request, Timestamp, DocId, DocumentType, ByteSize};
+    /// use webcache_trace::{DenseTrace, DocumentType};
     ///
     /// // doc 0 gets 9 requests, docs 1..=9 one each.
-    /// let trace: Trace = (0..18u64)
-    ///     .map(|i| Request::new(
-    ///         Timestamp::ZERO,
-    ///         DocId::new(if i < 9 { 0 } else { i - 8 }),
-    ///         DocumentType::Html,
-    ///         ByteSize::new(1),
-    ///     ))
-    ///     .collect();
+    /// let trace = DenseTrace::from_requests(
+    ///     (0..18u32).map(|i| (if i < 9 { 0 } else { u64::from(i) - 8 }, 1, DocumentType::Html)),
+    /// );
     /// let c = Concentration::measure(&trace, None);
     /// assert_eq!(c.request_share_of_top(0.1), 0.5); // top 1 of 10 docs = 9/18
     /// ```
@@ -128,21 +123,15 @@ impl Concentration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{ByteSize, DocId, Request, Timestamp};
 
-    fn trace_from_counts(counts: &[u64]) -> Trace {
+    fn trace_from_counts(counts: &[u64]) -> DenseTrace {
         let mut reqs = Vec::new();
         for (doc, &c) in counts.iter().enumerate() {
             for _ in 0..c {
-                reqs.push(Request::new(
-                    Timestamp::ZERO,
-                    DocId::new(doc as u64),
-                    DocumentType::Html,
-                    ByteSize::new(1),
-                ));
+                reqs.push((doc as u64, 1, DocumentType::Html));
             }
         }
-        reqs.into()
+        DenseTrace::from_requests(reqs)
     }
 
     #[test]
@@ -189,7 +178,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_all_zero() {
-        let c = Concentration::measure(&Trace::new(), None);
+        let c = Concentration::measure(&DenseTrace::default(), None);
         assert_eq!(c.documents(), 0);
         assert_eq!(c.request_share_of_top(0.5), 0.0);
         assert_eq!(c.one_timer_share(), 0.0);
@@ -200,20 +189,10 @@ mod tests {
     fn type_filter_restricts() {
         let mut reqs = Vec::new();
         for i in 0..4u64 {
-            reqs.push(Request::new(
-                Timestamp::ZERO,
-                DocId::new(0),
-                DocumentType::Image,
-                ByteSize::new(1),
-            ));
-            reqs.push(Request::new(
-                Timestamp::ZERO,
-                DocId::new(10 + i),
-                DocumentType::Html,
-                ByteSize::new(1),
-            ));
+            reqs.push((0, 1, DocumentType::Image));
+            reqs.push((10 + i, 1, DocumentType::Html));
         }
-        let t: Trace = reqs.into();
+        let t = DenseTrace::from_requests(reqs);
         let img = Concentration::measure(&t, Some(DocumentType::Image));
         assert_eq!(img.documents(), 1);
         assert_eq!(img.requests(), 4);
@@ -224,7 +203,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "document fraction")]
     fn rejects_bad_fraction() {
-        let c = Concentration::measure(&Trace::new(), None);
+        let c = Concentration::measure(&DenseTrace::default(), None);
         let _ = c.request_share_of_top(1.5);
     }
 }

@@ -12,12 +12,11 @@
 //! to a document — fitted on a log/log scale over a base-2 bucketed
 //! histogram.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use webcache_trace::{DocumentType, Trace};
+use webcache_trace::{DenseTrace, DocumentType};
 
+use crate::popularity::slot_counts;
 use crate::regression::{fit_line_weighted, LineFit};
 
 /// Range of β values considered physical; fits are clamped into it.
@@ -104,32 +103,22 @@ impl GapHistogram {
 /// "equally popular documents" control — pass `(2, u64::MAX)` to use every
 /// re-referenced document.
 pub fn gap_histogram(
-    trace: &Trace,
+    trace: &DenseTrace,
     doc_type: Option<DocumentType>,
     min_count: u64,
     max_count: u64,
 ) -> GapHistogram {
     // Pass 1: total reference count per document (under the type filter).
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for r in trace {
-        if doc_type.is_none_or(|ty| ty == r.doc_type) {
-            *counts.entry(r.doc.as_u64()).or_insert(0) += 1;
-        }
-    }
+    let counts = slot_counts(trace, doc_type);
     // Pass 2: gaps for documents within the popularity band.
-    let mut last_pos: HashMap<u64, u64> = HashMap::new();
+    let mut last_pos: Vec<Option<u64>> = vec![None; counts.len()];
     let mut hist = GapHistogram::new();
-    for (pos, r) in trace.iter().enumerate() {
-        if doc_type.is_some_and(|ty| ty != r.doc_type) {
-            continue;
-        }
-        let id = r.doc.as_u64();
-        let count = counts[&id];
-        if !(min_count..=max_count).contains(&count) {
+    for (pos, slot) in crate::requests_of(trace, doc_type) {
+        if !(min_count..=max_count).contains(&counts[slot]) {
             continue;
         }
         let pos = pos as u64;
-        if let Some(prev) = last_pos.insert(id, pos) {
+        if let Some(prev) = last_pos[slot].replace(pos) {
             hist.record(pos - prev);
         }
     }
@@ -140,22 +129,25 @@ pub fn gap_histogram(
 ///
 /// Uses every document referenced at least twice. Returns `None` when the
 /// gap histogram populates fewer than two buckets.
-pub fn beta(trace: &Trace, doc_type: Option<DocumentType>) -> Option<f64> {
+pub fn beta(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Option<f64> {
     gap_histogram(trace, doc_type, 2, u64::MAX).beta()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{ByteSize, DocId, Request, Timestamp};
 
-    fn req(doc: u64, ty: DocumentType) -> Request {
-        Request::new(Timestamp::ZERO, DocId::new(doc), ty, ByteSize::new(1))
+    fn req(doc: u64, ty: DocumentType) -> (u64, u64, DocumentType) {
+        (doc, 1, ty)
+    }
+
+    fn trace(requests: Vec<(u64, u64, DocumentType)>) -> DenseTrace {
+        DenseTrace::from_requests(requests)
     }
 
     /// Builds a trace where one document's re-references arrive with the
     /// given gaps, padded with unique one-shot documents.
-    fn trace_with_gaps(gaps: &[u64]) -> Trace {
+    fn trace_with_gaps(gaps: &[u64]) -> DenseTrace {
         let mut requests = Vec::new();
         let mut filler = 1000u64;
         requests.push(req(0, DocumentType::Html));
@@ -166,7 +158,7 @@ mod tests {
             }
             requests.push(req(0, DocumentType::Html));
         }
-        requests.into()
+        trace(requests)
     }
 
     #[test]
@@ -233,13 +225,12 @@ mod tests {
 
     #[test]
     fn type_filter_excludes_other_types() {
-        let t: Trace = vec![
+        let t = trace(vec![
             req(0, DocumentType::Html),
             req(1, DocumentType::Image),
             req(1, DocumentType::Image),
             req(0, DocumentType::Html),
-        ]
-        .into();
+        ]);
         let html = gap_histogram(&t, Some(DocumentType::Html), 2, u64::MAX);
         assert_eq!(html.samples(), 1);
         let image = gap_histogram(&t, Some(DocumentType::Image), 2, u64::MAX);
@@ -248,7 +239,7 @@ mod tests {
 
     #[test]
     fn beta_of_trivial_trace_is_none() {
-        let t: Trace = vec![req(0, DocumentType::Html)].into();
+        let t = trace(vec![req(0, DocumentType::Html)]);
         assert_eq!(beta(&t, None), None);
     }
 }

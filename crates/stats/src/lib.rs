@@ -17,18 +17,16 @@
 //! inter-reference gap analysis ([`correlation`]) and plain-text table
 //! rendering ([`table`]).
 //!
+//! Every estimator reads the [`DenseTrace`] view, whose interner numbers
+//! the documents, so per-document state is a slot-indexed `Vec`.
+//!
 //! ```
 //! use webcache_stats::TraceCharacterization;
-//! use webcache_trace::{Trace, Request, Timestamp, DocId, DocumentType, ByteSize};
+//! use webcache_trace::{DenseTrace, DocumentType};
 //!
-//! let trace: Trace = (0..100u64)
-//!     .map(|i| Request::new(
-//!         Timestamp::from_millis(i),
-//!         DocId::new(i % 10),
-//!         DocumentType::Html,
-//!         ByteSize::new(1000),
-//!     ))
-//!     .collect();
+//! // (document id, transfer size, type) per request.
+//! let requests = (0..100u32).map(|i| (u64::from(i % 10), 1000, DocumentType::Html));
+//! let trace = DenseTrace::from_requests(requests);
 //! let ch = TraceCharacterization::measure(&trace);
 //! assert_eq!(ch.properties.total_requests, 100);
 //! assert_eq!(ch.properties.distinct_documents, 10);
@@ -53,3 +51,21 @@ pub use descriptive::Summary;
 pub use regression::LineFit;
 pub use stack::StackDistances;
 pub use table::Table;
+
+use webcache_trace::{DenseTrace, DocumentType};
+
+/// The `(position, slot)` of every request of `trace`, or of those of
+/// type `doc_type` when one is given.
+fn requests_of(
+    trace: &DenseTrace,
+    doc_type: Option<DocumentType>,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let want = doc_type.map(|ty| ty.index() as u8);
+    trace
+        .docs()
+        .iter()
+        .zip(trace.type_indices())
+        .enumerate()
+        .filter(move |&(_, (_, &ty))| want.is_none_or(|want| want == ty))
+        .map(|(position, (&slot, _))| (position, slot as usize))
+}

@@ -12,9 +12,7 @@
 //! geometrically spaced rank bins before fitting — the standard remedy for
 //! rank-frequency regression bias.
 
-use std::collections::HashMap;
-
-use webcache_trace::{DocumentType, Trace};
+use webcache_trace::{DenseTrace, DocumentType};
 
 use crate::regression::{fit_line_weighted, LineFit};
 
@@ -65,30 +63,36 @@ pub fn alpha_fit_from_counts(counts: &[u64]) -> Option<LineFit> {
     fit_line_weighted(&points)
 }
 
-/// Per-document request counts of a trace, optionally restricted to one
-/// document type.
-pub fn request_counts(trace: &Trace, doc_type: Option<DocumentType>) -> Vec<u64> {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for r in trace {
-        if doc_type.is_none_or(|ty| ty == r.doc_type) {
-            *counts.entry(r.doc.as_u64()).or_insert(0) += 1;
-        }
+/// Per-slot request counts of a trace, counting only requests of type
+/// `doc_type` when one is given (documents with none count 0).
+pub(crate) fn slot_counts(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Vec<u64> {
+    let mut counts = vec![0; trace.distinct_documents()];
+    for (_, slot) in crate::requests_of(trace, doc_type) {
+        counts[slot] += 1;
     }
-    counts.into_values().collect()
+    counts
+}
+
+/// Per-document request counts of a trace, optionally restricted to one
+/// document type, in slot order: documents without such a request are
+/// left out.
+pub fn request_counts(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Vec<u64> {
+    let mut counts = slot_counts(trace, doc_type);
+    counts.retain(|&count| count > 0);
+    counts
 }
 
 /// Estimates α for a whole trace or a single document type within it.
 ///
 /// Returns `None` when the (filtered) trace references fewer than two
 /// distinct documents.
-pub fn alpha(trace: &Trace, doc_type: Option<DocumentType>) -> Option<f64> {
+pub fn alpha(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Option<f64> {
     alpha_from_counts(&request_counts(trace, doc_type))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{ByteSize, DocId, Request, Timestamp};
 
     fn zipf_counts(n: u64, alpha: f64, scale: f64) -> Vec<u64> {
         (1..=n)
@@ -130,32 +134,14 @@ mod tests {
 
     #[test]
     fn per_type_counts_filter() {
-        let trace: Trace = vec![
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(1),
-                DocumentType::Image,
-                ByteSize::new(1),
-            ),
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(1),
-                DocumentType::Image,
-                ByteSize::new(1),
-            ),
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(2),
-                DocumentType::Html,
-                ByteSize::new(1),
-            ),
-        ]
-        .into();
-        let image_counts = request_counts(&trace, Some(DocumentType::Image));
-        assert_eq!(image_counts, vec![2]);
-        let mut all = request_counts(&trace, None);
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2]);
+        let trace = DenseTrace::from_requests([
+            (1, 1, DocumentType::Image),
+            (1, 1, DocumentType::Image),
+            (2, 1, DocumentType::Html),
+        ]);
+        assert_eq!(request_counts(&trace, Some(DocumentType::Image)), vec![2]);
+        assert_eq!(request_counts(&trace, Some(DocumentType::Html)), vec![1]);
+        assert_eq!(request_counts(&trace, None), vec![2, 1]);
     }
 
     #[test]

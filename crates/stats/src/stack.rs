@@ -17,9 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use std::collections::HashMap;
-
-use webcache_trace::{DocumentType, Trace};
+use webcache_trace::{DenseTrace, DocumentType};
 
 /// A Fenwick (binary indexed) tree over request positions.
 #[derive(Debug, Clone)]
@@ -81,22 +79,20 @@ impl StackDistances {
     /// restricted to references to one document type (distances still
     /// count intervening distinct documents of *that type's* substream,
     /// matching a per-type cache).
-    pub fn measure(trace: &Trace, doc_type: Option<DocumentType>) -> Self {
+    pub fn measure(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Self {
         // Collect the (possibly filtered) reference stream.
-        let refs: Vec<u64> = trace
-            .iter()
-            .filter(|r| doc_type.is_none_or(|ty| ty == r.doc_type))
-            .map(|r| r.doc.as_u64())
+        let refs: Vec<usize> = crate::requests_of(trace, doc_type)
+            .map(|(_, slot)| slot)
             .collect();
 
         let n = refs.len();
         let mut fenwick = Fenwick::new(n);
-        let mut last_pos: HashMap<u64, usize> = HashMap::new();
+        let mut last_pos: Vec<Option<usize>> = vec![None; trace.distinct_documents()];
         let mut histogram: Vec<u64> = Vec::new();
         let mut cold = 0u64;
 
-        for (pos, &doc) in refs.iter().enumerate() {
-            match last_pos.insert(doc, pos) {
+        for (pos, &slot) in refs.iter().enumerate() {
+            match last_pos[slot].replace(pos) {
                 None => {
                     cold += 1;
                 }
@@ -173,20 +169,9 @@ impl StackDistances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_trace::{ByteSize, DocId, Request, Timestamp};
 
-    fn trace(docs: &[u64]) -> Trace {
-        docs.iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    DocId::new(d),
-                    DocumentType::Html,
-                    ByteSize::new(1),
-                )
-            })
-            .collect()
+    fn trace(docs: &[u64]) -> DenseTrace {
+        DenseTrace::from_requests(docs.iter().map(|&d| (d, 1, DocumentType::Html)))
     }
 
     #[test]
@@ -263,40 +248,20 @@ mod tests {
     fn per_type_substream() {
         // Image refs interleaved with html noise; image distances are
         // measured within the image substream only.
-        let reqs: Vec<Request> = vec![
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(1),
-                DocumentType::Image,
-                ByteSize::new(1),
-            ),
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(2),
-                DocumentType::Html,
-                ByteSize::new(1),
-            ),
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(3),
-                DocumentType::Html,
-                ByteSize::new(1),
-            ),
-            Request::new(
-                Timestamp::ZERO,
-                DocId::new(1),
-                DocumentType::Image,
-                ByteSize::new(1),
-            ),
-        ];
-        let s = StackDistances::measure(&reqs.into(), Some(DocumentType::Image));
+        let reqs = DenseTrace::from_requests([
+            (1, 1, DocumentType::Image),
+            (2, 1, DocumentType::Html),
+            (3, 1, DocumentType::Html),
+            (1, 1, DocumentType::Image),
+        ]);
+        let s = StackDistances::measure(&reqs, Some(DocumentType::Image));
         assert_eq!(s.total(), 2);
         assert_eq!(s.at(1), 1, "no other images intervened");
     }
 
     #[test]
     fn empty_and_cold_only() {
-        let s = StackDistances::measure(&Trace::new(), None);
+        let s = StackDistances::measure(&DenseTrace::default(), None);
         assert_eq!(s.total(), 0);
         assert_eq!(s.lru_hit_rate(100), 0.0);
         assert_eq!(s.mean_distance(), None);

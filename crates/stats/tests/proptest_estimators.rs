@@ -147,20 +147,10 @@ mod locality_props {
     use proptest::prelude::*;
     use webcache_stats::concentration::Concentration;
     use webcache_stats::StackDistances;
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+    use webcache_trace::{DenseTrace, DocumentType};
 
-    fn trace_of(docs: &[u64]) -> Trace {
-        docs.iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    DocId::new(d),
-                    DocumentType::Html,
-                    ByteSize::new(1),
-                )
-            })
-            .collect()
+    fn trace_of(docs: &[u64]) -> DenseTrace {
+        DenseTrace::from_requests(docs.iter().map(|&d| (d, 1, DocumentType::Html)))
     }
 
     proptest! {

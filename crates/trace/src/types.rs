@@ -140,6 +140,14 @@ impl ByteSize {
         ByteSize((self.0 as f64 * factor).round() as u64)
     }
 
+    /// The cache capacity that is `fraction` of this size, usually a
+    /// trace's overall size: rounded to the nearest byte and at least
+    /// one byte. Every "percent of the trace" capacity goes through it.
+    #[must_use]
+    pub fn fraction(self, fraction: f64) -> ByteSize {
+        ByteSize((self.0 as f64 * fraction).round().max(1.0) as u64)
+    }
+
     /// Returns true if this is zero bytes.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -312,6 +320,18 @@ mod tests {
         assert_eq!(ByteSize::new(100).scale(0.5).as_u64(), 50);
         assert_eq!(ByteSize::new(3).scale(0.5).as_u64(), 2, "1.5 rounds to 2");
         assert_eq!(ByteSize::new(100).scale(0.0).as_u64(), 0);
+    }
+
+    #[test]
+    fn byte_size_fraction_rounds_to_at_least_one_byte() {
+        assert_eq!(ByteSize::new(1_000).fraction(0.005).as_u64(), 5);
+        assert_eq!(
+            ByteSize::new(30).fraction(0.05).as_u64(),
+            2,
+            "1.5 rounds to 2"
+        );
+        assert_eq!(ByteSize::new(10).fraction(0.01).as_u64(), 1);
+        assert_eq!(ByteSize::ZERO.fraction(0.4).as_u64(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the unavailable DFN/RTP originals.
 
 use webcache_stats::{correlation, popularity, TraceCharacterization};
-use webcache_trace::DocumentType;
+use webcache_trace::{DenseTrace, DocumentType};
 use webcache_workload::{SizeModel, TypeProfile, WorkloadProfile};
 
 /// A workload small enough for CI but big enough for stable estimates.
@@ -15,7 +15,7 @@ fn test_profile() -> WorkloadProfile {
 #[test]
 fn per_type_mix_matches_profile() {
     let p = test_profile();
-    let trace = p.build_trace(11);
+    let trace = DenseTrace::build(&p.build_trace(11));
     let ch = TraceCharacterization::measure(&trace);
     let total_reqs = p.total_requests() as f64;
     let total_docs = p.total_documents() as f64;
@@ -39,7 +39,7 @@ fn per_type_mix_matches_profile() {
 #[test]
 fn size_statistics_match_size_models() {
     let p = test_profile();
-    let trace = p.build_trace(12);
+    let trace = DenseTrace::build(&p.build_trace(12));
     let ch = TraceCharacterization::measure(&trace);
     for ty in [
         DocumentType::Image,
@@ -75,7 +75,7 @@ fn size_statistics_match_size_models() {
 fn multimedia_and_application_dominate_bytes() {
     // The paper: MM + application are ~5% of documents/requests but > 40%
     // of trace size and requested bytes.
-    let trace = test_profile().build_trace(13);
+    let trace = DenseTrace::build(&test_profile().build_trace(13));
     let ch = TraceCharacterization::measure(&trace);
     let mm = &ch.breakdown[DocumentType::MultiMedia];
     let app = &ch.breakdown[DocumentType::Application];
@@ -88,7 +88,7 @@ fn multimedia_and_application_dominate_bytes() {
 #[test]
 fn alpha_estimates_follow_profile_ordering() {
     let p = test_profile();
-    let trace = p.build_trace(14);
+    let trace = DenseTrace::build(&p.build_trace(14));
     let a_img = popularity::alpha(&trace, Some(DocumentType::Image)).unwrap();
     let a_html = popularity::alpha(&trace, Some(DocumentType::Html)).unwrap();
     let a_app = popularity::alpha(&trace, Some(DocumentType::Application)).unwrap();
@@ -133,7 +133,7 @@ fn beta_estimates_follow_profile_ordering() {
         interrupt_rate: 0.0,
         size_popularity_correlation: 0.0,
     };
-    let trace = p.build_trace(15);
+    let trace = DenseTrace::build(&p.build_trace(15));
     let b_img = correlation::beta(&trace, Some(DocumentType::Image)).unwrap();
     let b_mm = correlation::beta(&trace, Some(DocumentType::MultiMedia)).unwrap();
     assert!(
@@ -146,8 +146,8 @@ fn beta_estimates_follow_profile_ordering() {
 
 #[test]
 fn rtp_workload_is_flatter_and_more_correlated_than_dfn() {
-    let dfn = WorkloadProfile::dfn().scaled(1.0 / 64.0).build_trace(16);
-    let rtp = WorkloadProfile::rtp().scaled(1.0 / 64.0).build_trace(16);
+    let dfn = DenseTrace::build(&WorkloadProfile::dfn().scaled(1.0 / 64.0).build_trace(16));
+    let rtp = DenseTrace::build(&WorkloadProfile::rtp().scaled(1.0 / 64.0).build_trace(16));
     let a_dfn = popularity::alpha(&dfn, Some(DocumentType::Image)).unwrap();
     let a_rtp = popularity::alpha(&rtp, Some(DocumentType::Image)).unwrap();
     assert!(

@@ -12,7 +12,7 @@ use webcache::prelude::*;
 use webcache::sim::{simulate_hierarchy, HierarchyConfig};
 
 fn main() {
-    let trace = WorkloadProfile::dfn().scaled(1.0 / 512.0).build_trace(9);
+    let trace = DenseTrace::build(&WorkloadProfile::dfn().scaled(1.0 / 512.0).build_trace(9));
     let leaf_capacity = trace.overall_size().scale(0.01);
     let parent_capacity = trace.overall_size().scale(0.08);
 

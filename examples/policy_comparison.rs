@@ -9,17 +9,20 @@
 //! ```
 
 use webcache::prelude::*;
+use webcache::sim::experiment::PAPER_SIZE_FRACTIONS;
 use webcache::sim::report::{figure_panel, Metric};
 
 fn main() {
-    let trace = WorkloadProfile::dfn().scaled(1.0 / 512.0).build_trace(7);
+    let trace = DenseTrace::build(&WorkloadProfile::dfn().scaled(1.0 / 512.0).build_trace(7));
 
     // The paper's schemes under constant cost, plus three baselines from
     // the comparative literature.
     let mut policies = PolicyKind::PAPER_CONSTANT.to_vec();
     policies.extend([PolicyKind::Fifo, PolicyKind::Lfu, PolicyKind::SizeBased]);
 
-    let capacities = CacheSizeSweep::paper_capacities(&trace);
+    let capacities = PAPER_SIZE_FRACTIONS
+        .map(|f| trace.overall_size().fraction(f))
+        .to_vec();
     let sweep = CacheSizeSweep::new(policies, capacities).run(&trace);
 
     println!("{}", figure_panel(&sweep, Metric::HitRate, None));

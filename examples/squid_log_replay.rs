@@ -70,7 +70,7 @@ fn main() {
     );
 
     // Characterize the request stream.
-    let ch = TraceCharacterization::measure(&trace);
+    let ch = TraceCharacterization::measure(&DenseTrace::build(&trace));
     println!("{}", ch.breakdown_table("replayed log"));
 
     // Replay through a 1 MiB proxy cache under GD*(P).

@@ -13,7 +13,7 @@ use webcache::stats::concentration::Concentration;
 use webcache::stats::{correlation, popularity, StackDistances};
 
 fn main() {
-    let trace = WorkloadProfile::dfn().scaled(1.0 / 256.0).build_trace(33);
+    let trace = DenseTrace::build(&WorkloadProfile::dfn().scaled(1.0 / 256.0).build_trace(33));
     println!(
         "workload: {} requests, {} distinct documents\n",
         trace.len(),

@@ -13,7 +13,7 @@ use webcache::prelude::*;
 fn main() {
     for profile in [WorkloadProfile::dfn(), WorkloadProfile::rtp()] {
         let name = profile.name.clone();
-        let trace = profile.scaled(1.0 / 256.0).build_trace(1);
+        let trace = DenseTrace::build(&profile.scaled(1.0 / 256.0).build_trace(1));
         let ch = TraceCharacterization::measure(&trace);
         println!("{}", ch.properties_table(&name));
         println!("{}", ch.breakdown_table(&name));

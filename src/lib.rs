@@ -53,6 +53,8 @@ pub mod prelude {
         WindowSpec, WindowedMetrics,
     };
     pub use webcache_stats::TraceCharacterization;
-    pub use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace, TypeMap};
+    pub use webcache_trace::{
+        ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace, TypeMap,
+    };
     pub use webcache_workload::{TraceGenerator, WorkloadProfile};
 }

@@ -21,7 +21,7 @@ fn sweep(trace: &Trace, policies: Vec<PolicyKind>) -> SweepReport {
         overall.scale(0.05),
         overall.scale(0.20),
     ];
-    CacheSizeSweep::new(policies, capacities).run(trace)
+    CacheSizeSweep::new(policies, capacities).run(&DenseTrace::build(trace))
 }
 
 fn hr(sweep: &SweepReport, policy: PolicyKind, ty: Option<DocumentType>, idx: usize) -> f64 {

@@ -27,8 +27,8 @@ fn serialization_pipeline_preserves_everything() {
     let from_bin = format_bin::from_bytes(&bytes).unwrap();
     assert_eq!(trace, from_bin);
 
-    let a = TraceCharacterization::measure(&trace);
-    let b = TraceCharacterization::measure(&from_bin);
+    let a = TraceCharacterization::measure(&DenseTrace::build(&trace));
+    let b = TraceCharacterization::measure(&DenseTrace::build(&from_bin));
     assert_eq!(a, b);
 }
 
@@ -78,7 +78,7 @@ fn transforms_compose_with_analysis() {
     let trace = small_trace();
     let html = transform::filter_by_type(&trace, DocumentType::Html);
     assert!(!html.is_empty());
-    let ch = TraceCharacterization::measure(&html);
+    let ch = TraceCharacterization::measure(&DenseTrace::build(&html));
     assert!((ch.breakdown[DocumentType::Html].total_requests - 1.0).abs() < 1e-9);
 
     let parts = transform::split_by_type(&trace);
@@ -107,7 +107,7 @@ fn stack_distance_predicts_uniform_lru() {
         .iter()
         .map(|r| Request::new(r.timestamp, r.doc, r.doc_type, ByteSize::from_kib(1)))
         .collect();
-    let stack = StackDistances::measure(&uniform, None);
+    let stack = StackDistances::measure(&DenseTrace::build(&uniform), None);
     for capacity_docs in [50usize, 500, 5_000] {
         let predicted = stack.lru_hit_rate(capacity_docs);
         let report = Simulator::new(
@@ -133,7 +133,7 @@ fn extensions_compose() {
     let trace = mid.build_trace(5);
 
     let hierarchy = simulate_hierarchy(
-        &trace,
+        &DenseTrace::build(&trace),
         HierarchyConfig::new(
             2,
             trace.overall_size().scale(0.02),
@@ -183,7 +183,8 @@ fn full_stack_determinism() {
             trace.overall_size().scale(0.02),
             trace.overall_size().scale(0.10),
         ];
-        CacheSizeSweep::new(PolicyKind::PAPER_PACKET.to_vec(), capacities).run(&trace)
+        CacheSizeSweep::new(PolicyKind::PAPER_PACKET.to_vec(), capacities)
+            .run(&DenseTrace::build(&trace))
     };
     assert_eq!(run(), run());
 }
