@@ -564,6 +564,20 @@ fn documents_summing_past_u64_max_are_never_resident_together() {
         path.display()
     )))
     .expect("a two-shard sweep of the trace");
+    // The three evictions free 3e19 bytes in one window.
+    let csv = run(&argv(&format!(
+        "stats --trace {} --policy lru --capacity 99% --warmup 0 --window 4 --csv",
+        path.display()
+    )))
+    .unwrap();
+    let mut rows = csv.lines().map(|l| l.split(',').collect::<Vec<_>>());
+    let header = rows.next().unwrap();
+    let column = header
+        .iter()
+        .position(|&c| c == "window_bytes_evicted")
+        .unwrap();
+    let overall = rows.find(|r| r[3] == "Overall").expect("an overall row");
+    assert_eq!(overall[column], "30000000000000000000", "{csv}");
     fs::remove_file(path).ok();
 }
 

@@ -156,7 +156,9 @@ pub struct AnomalyObserver {
     type_requests: [u64; TYPES],
     type_hits: [u64; TYPES],
     evictions: u64,
-    bytes_evicted: u64,
+    /// Summed in `u128`: a window's evictions can free more than
+    /// `u64::MAX` bytes.
+    bytes_evicted: u128,
     rejects: u64,
     hit_rate_ewma: [Option<f64>; TYPES],
     evictions_ewma: Option<f64>,
@@ -443,7 +445,7 @@ impl Observer for AnomalyObserver {
     fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
         if !at.warmup {
             self.evictions += 1;
-            self.bytes_evicted += evicted.size.as_u64();
+            self.bytes_evicted += u128::from(evicted.size.as_u64());
         }
     }
 }
@@ -516,6 +518,18 @@ mod tests {
             requests.push(req((i % 8) as u64, 500));
         }
         requests.into()
+    }
+
+    /// Three evictions of 10^19 bytes free more than `u64::MAX` bytes in
+    /// one window: the total is exact and the sum does not overflow.
+    #[test]
+    fn window_eviction_bytes_sum_past_u64_max() {
+        let size = 10_000_000_000_000_000_000;
+        let trace: Trace = vec![req(1, size), req(2, size), req(1, size), req(2, size)].into();
+        // Room for one document, not two.
+        let (obs, _, _) = run(trace, 18_000_000_000_000_000_000, None, config());
+        assert_eq!(obs.evictions, 3);
+        assert_eq!(obs.bytes_evicted as f64, 3e19);
     }
 
     #[test]

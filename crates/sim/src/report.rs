@@ -166,7 +166,7 @@ pub fn window_csv(metrics: &WindowedMetrics) -> String {
                 stats.bytes_hit,
                 stats.modification_misses,
                 window.churn.evictions,
-                window.churn.bytes_evicted.as_u64(),
+                window.churn.bytes_evicted,
                 window.churn.admission_rejects,
             ));
         };
@@ -202,7 +202,7 @@ pub fn window_json(metrics: &WindowedMetrics) -> String {
         format!(
             "{{\"evictions\":{},\"bytes_evicted\":{},\"admission_rejects\":{}}}",
             c.evictions,
-            c.bytes_evicted.as_u64(),
+            c.bytes_evicted,
             c.admission_rejects,
         )
     }

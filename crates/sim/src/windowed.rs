@@ -55,8 +55,9 @@ impl WindowSpec {
 pub struct ChurnCounters {
     /// Documents evicted to make room.
     pub evictions: u64,
-    /// Bytes freed by those evictions.
-    pub bytes_evicted: ByteSize,
+    /// Bytes freed by those evictions, summed in `u128` so the sum stays
+    /// exact past `u64::MAX`.
+    pub bytes_evicted: u128,
     /// Missed documents the admission rule turned away.
     pub admission_rejects: u64,
 }
@@ -295,7 +296,7 @@ impl Observer for WindowedMetrics {
     fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
         let churn = self.churn_for(at);
         churn.evictions += 1;
-        churn.bytes_evicted += evicted.size;
+        churn.bytes_evicted += u128::from(evicted.size.as_u64());
     }
 
     fn on_run_end(&mut self) {
@@ -424,7 +425,7 @@ mod tests {
         assert_eq!(metrics.windows().len(), 2);
         let total = metrics.total_churn();
         assert_eq!(total.evictions, 9, "every insert after the first evicts");
-        assert_eq!(total.bytes_evicted, ByteSize::new(9 * 80));
+        assert_eq!(total.bytes_evicted, 9 * 80);
         // Eviction triggered by the window-closing request stays in that
         // window, not the next one.
         assert_eq!(

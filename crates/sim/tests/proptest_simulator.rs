@@ -411,7 +411,7 @@ mod observer_props {
             Simulator::new(kind.build(), config).run_observed(&trace, &mut metrics);
             let churn = metrics.total_churn();
             let total = metrics.aggregate();
-            prop_assert!(u128::from(churn.bytes_evicted.as_u64()) <= total.bytes_requested);
+            prop_assert!(churn.bytes_evicted <= total.bytes_requested);
             prop_assert!(churn.evictions <= total.requests);
             prop_assert_eq!(churn.admission_rejects, 0, "default admits everything");
         }
