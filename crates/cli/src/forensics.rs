@@ -78,8 +78,8 @@ pub fn write_bundle(
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] for missing flags or unparsable records; I/O
-/// errors reading the bundle.
+/// [`CliError::Usage`] for missing flags, [`CliError::Input`] for
+/// unparsable or missing records; I/O errors reading the bundle.
 pub fn inspect(args: &Args) -> Result<String, CliError> {
     let bundle = args.require("bundle")?;
     let window: u64 = args.get_parsed("window")?.unwrap_or(1024);
@@ -92,9 +92,9 @@ pub fn inspect(args: &Args) -> Result<String, CliError> {
     };
     let text = fs::read_to_string(&jsonl_path)?;
     let records = FlightRecorder::parse_jsonl(&text)
-        .map_err(|e| CliError::Usage(format!("{}: {e}", jsonl_path.display())))?;
+        .map_err(|e| CliError::Input(format!("{}: {e}", jsonl_path.display())))?;
     if records.is_empty() {
-        return Err(CliError::Usage(format!(
+        return Err(CliError::Input(format!(
             "{}: no decision records",
             jsonl_path.display()
         )));

@@ -34,8 +34,12 @@ use std::fmt;
 /// Errors surfaced to the command-line user.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad command line.
+    /// Bad command line. The binary exits 2 and points at `webcache
+    /// help`; every other error exits 1.
     Usage(String),
+    /// Input contents that cannot be used: an empty trace, an
+    /// unparsable flight log, a malformed server response.
+    Input(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// Trace parsing failure.
@@ -45,7 +49,7 @@ pub enum CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(msg) => write!(f, "{msg}"),
+            CliError::Usage(msg) | CliError::Input(msg) => write!(f, "{msg}"),
             CliError::Io(e) => write!(f, "i/o: {e}"),
             CliError::Trace(e) => write!(f, "trace: {e}"),
         }
@@ -191,8 +195,9 @@ capacities: raw bytes (1048576), units (64KiB, 32MiB, 1GiB) or a
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] on malformed command lines and wraps I/O
-/// and parse failures otherwise.
+/// Returns [`CliError::Usage`] on malformed command lines,
+/// [`CliError::Input`] on unusable input contents, and wraps I/O and
+/// trace parse failures otherwise.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = argv.split_first() else {
         return Ok(USAGE.to_owned());

@@ -14,8 +14,12 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("run `webcache help` for usage");
-            ExitCode::from(2)
+            if let webcache_cli::CliError::Usage(_) = e {
+                eprintln!("run `webcache help` for usage");
+                ExitCode::from(2)
+            } else {
+                ExitCode::FAILURE
+            }
         }
     }
 }

@@ -247,8 +247,9 @@ impl ServeOptions {
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on contradictory or malformed flags, I/O
-    /// errors from reading `--trace` or opening `--log-file`.
+    /// [`CliError::Usage`] on contradictory or malformed flags,
+    /// [`CliError::Input`] on an empty `--trace`, I/O errors from reading
+    /// `--trace` or opening `--log-file`.
     pub fn from_args(args: &Args) -> Result<ServeOptions, CliError> {
         let quick = args.switch("quick");
         let level = match args.get("log-level") {
@@ -266,7 +267,7 @@ impl ServeOptions {
             (Some(path), None) => {
                 let dense = crate::commands::load_dense(path)?;
                 if dense.is_empty() {
-                    return Err(usage(format!("trace `{path}` is empty")));
+                    return Err(CliError::Input(format!("trace `{path}` is empty")));
                 }
                 let bytes = dense.overall_size();
                 (Source::Fixed(FixedSource::from_dense(dense)), bytes)

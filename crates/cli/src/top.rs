@@ -32,8 +32,8 @@ fn usage(msg: impl Into<String>) -> CliError {
 ///
 /// # Errors
 ///
-/// I/O errors from the socket, or a usage-style error on a non-200
-/// status line.
+/// I/O errors from the socket, or [`CliError::Input`] on a malformed
+/// response or a non-200 status line.
 fn fetch(host: &str, port: u16, path: &str) -> Result<String, CliError> {
     let stream = TcpStream::connect((host, port))?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -47,10 +47,10 @@ fn fetch(host: &str, port: u16, path: &str) -> Result<String, CliError> {
     stream.read_to_string(&mut raw)?;
     let (head, body) = raw
         .split_once("\r\n\r\n")
-        .ok_or_else(|| usage(format!("malformed HTTP response from {host}:{port}")))?;
+        .ok_or_else(|| CliError::Input(format!("malformed HTTP response from {host}:{port}")))?;
     let status = head.split_whitespace().nth(1).unwrap_or("");
     if status != "200" {
-        return Err(usage(format!("{path} answered HTTP {status}")));
+        return Err(CliError::Input(format!("{path} answered HTTP {status}")));
     }
     Ok(body.to_owned())
 }
@@ -224,8 +224,9 @@ fn render(doc: &Value, host: &str, port: u16) -> String {
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] on malformed flags or non-200 responses, I/O
-/// errors when the daemon is unreachable.
+/// [`CliError::Usage`] on malformed flags, [`CliError::Input`] on
+/// malformed or non-200 responses, I/O errors when the daemon is
+/// unreachable.
 pub fn top(args: &Args) -> Result<String, CliError> {
     let host = args.get("host").unwrap_or("127.0.0.1").to_owned();
     let port: u16 = args.get_parsed("port")?.unwrap_or(DEFAULT_PORT);
@@ -242,7 +243,7 @@ pub fn top(args: &Args) -> Result<String, CliError> {
     let one_frame = || -> Result<String, CliError> {
         let body = fetch(&host, port, "/snapshot")?;
         let doc = json::parse(&body)
-            .map_err(|e| usage(format!("/snapshot returned invalid JSON: {e:?}")))?;
+            .map_err(|e| CliError::Input(format!("/snapshot returned invalid JSON: {e:?}")))?;
         Ok(render(&doc, &host, port))
     };
 

@@ -279,6 +279,18 @@ fn stats_usage_errors() {
     fs::remove_file(path).ok();
 }
 
+/// The eight subcommands that read a trace file.
+const TRACE_READERS: [&str; 8] = [
+    "simulate --policy lru --capacity 1MiB",
+    "stats --policy lru --capacity 1MiB",
+    "serve --policy lru --capacity 1MiB",
+    "sweep --policies lru --fractions 0.05",
+    "hierarchy",
+    "characterize",
+    "profile --out-dir profile-forged",
+    "convert --out convert-forged.wct",
+];
+
 #[test]
 fn forged_binary_header_is_an_error_not_an_abort() {
     // A bare WCTB v1 header claiming 2^36 or 2^61 records: loading used
@@ -288,14 +300,10 @@ fn forged_binary_header_is_an_error_not_an_abort() {
         let mut bytes = b"WCTB\x01\0\0\0".to_vec();
         bytes.extend_from_slice(&(1u64 << shift).to_le_bytes());
         fs::write(&path, bytes).unwrap();
-        for cmd in ["simulate", "stats", "serve"] {
-            let err = run(&argv(&format!(
-                "{cmd} --trace {} --policy lru --capacity 1MiB",
-                path.display()
-            )))
-            .unwrap_err();
+        for cmd in TRACE_READERS {
+            let err = run(&argv(&format!("{cmd} --trace {}", path.display()))).unwrap_err();
             assert!(
-                err.to_string().contains("truncated record 0"),
+                matches!(&err, CliError::Trace(e) if e.to_string().contains("truncated record 0")),
                 "{cmd}: {err}"
             );
         }
@@ -303,11 +311,61 @@ fn forged_binary_header_is_an_error_not_an_abort() {
     }
 }
 
+/// The binary exits 2 with a pointer to `webcache help` for a bad
+/// command line, and 1 without it for bad input data.
+#[test]
+fn exit_status_tells_bad_data_from_a_bad_command_line() {
+    let forged = temp_path("exit-forged.wctb");
+    let mut bytes = b"WCTB\x01\0\0\0".to_vec();
+    bytes.extend_from_slice(&(1u64 << 36).to_le_bytes());
+    fs::write(&forged, bytes).unwrap();
+    let flight = temp_path("exit-flight.jsonl");
+    fs::write(&flight, "not a record\n").unwrap();
+    let empty = temp_path("exit-empty.wct");
+    fs::write(&empty, "").unwrap();
+    let webcache = |args: String| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_webcache"))
+            .args(args.split_whitespace())
+            .output()
+            .unwrap();
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+    for args in [
+        format!("characterize --trace {}", forged.display()),
+        format!("inspect --bundle {}", flight.display()),
+        format!("serve --trace {}", empty.display()),
+        format!(
+            "simulate --policy lru --trace {}",
+            temp_path("absent.wct").display()
+        ),
+    ] {
+        let (code, stderr) = webcache(args.clone());
+        assert_eq!(code, Some(1), "{args}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args}: {stderr}");
+        assert!(!stderr.contains("webcache help"), "{args}: {stderr}");
+    }
+    for args in [
+        format!("characterize --trace {} --squid x", forged.display()),
+        "generate --profile mars --out x".to_owned(),
+        "frobnicate".to_owned(),
+    ] {
+        let (code, stderr) = webcache(args.clone());
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.contains("run `webcache help` for usage"),
+            "{args}: {stderr}"
+        );
+    }
+    for path in [forged, flight, empty] {
+        fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn text_and_binary_forms_of_a_trace_print_identical_output() {
-    // The replay-only commands decode a binary trace straight into the
-    // dense view, and a text trace through a `Trace`: both loaders must
-    // feed the replay the same requests and the same capacity.
+    // Every command but `convert` decodes a binary trace straight into
+    // the dense view, and a text trace through a `Trace`: both loaders
+    // must feed the same requests and the same overall size.
     let text_path = generate_trace("parity.wct");
     let bin_path = temp_path("parity.wctb");
     run(&argv(&format!(
@@ -322,6 +380,9 @@ fn text_and_binary_forms_of_a_trace_print_identical_output() {
         "simulate --policy lru --capacity 2% --warmup 0.2 --occupancy 4",
         "stats --policy gd*(p) --capacity 5%",
         "stats --policy lfu-da --window-bytes 1% --csv",
+        "sweep --policies lru,gds1 --fractions 0.01,0.05 --csv",
+        "hierarchy --leaves 3 --leaf-policy gds1",
+        "characterize --name parity",
     ] {
         let out = |path: &PathBuf| run(&argv(&format!("{cmd} --trace {}", path.display())));
         let (text, binary) = (out(&text_path).unwrap(), out(&bin_path).unwrap());
