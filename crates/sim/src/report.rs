@@ -201,9 +201,7 @@ pub fn window_json(metrics: &WindowedMetrics) -> String {
     fn churn_json(c: &crate::windowed::ChurnCounters) -> String {
         format!(
             "{{\"evictions\":{},\"bytes_evicted\":{},\"admission_rejects\":{}}}",
-            c.evictions,
-            c.bytes_evicted,
-            c.admission_rejects,
+            c.evictions, c.bytes_evicted, c.admission_rejects,
         )
     }
 
