@@ -40,8 +40,60 @@ fn sample_record(i: usize) -> DecisionRecord {
     }
 }
 
+/// Parses `text` as a flight log, which must return rather than panic;
+/// an accepted log holds at most one record per non-empty line.
+fn check_jsonl_parse(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(records) = FlightRecorder::parse_jsonl(text) {
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        prop_assert!(
+            records.len() <= lines,
+            "{} records from {} lines",
+            records.len(),
+            lines
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `inspect --bundle` decodes files: the JSONL parser never panics
+    /// on arbitrary text, lossily decoded bytes or strings of JSON's
+    /// own characters.
+    #[test]
+    fn jsonl_parser_is_total(
+        bytes in prop::collection::vec(0u8..=255, 0..512),
+        jsonish in prop::collection::vec(
+            prop::sample::select("{}[]\":,.-+eE0123456789 \n\\truenlfasx".chars().collect::<Vec<_>>()),
+            0..512,
+        ),
+    ) {
+        check_jsonl_parse(&String::from_utf8_lossy(&bytes))?;
+        check_jsonl_parse(&jsonish.into_iter().collect::<String>())?;
+    }
+
+    /// Nor on a valid dump cut at a random offset with random bit flips.
+    #[test]
+    fn jsonl_parser_is_total_on_damaged_logs(
+        total in 1usize..40,
+        cut in 0.0f64..=1.0,
+        flips in prop::collection::vec((0usize..1 << 16, 0u8..8), 0..8),
+    ) {
+        let mut ring = FlightRecorder::new(64);
+        for i in 0..total {
+            ring.record(sample_record(i));
+        }
+        let mut bytes = ring.to_jsonl().into_bytes();
+        bytes.truncate((bytes.len() as f64 * cut) as usize);
+        if !bytes.is_empty() {
+            let len = bytes.len();
+            for (at, bit) in flips {
+                bytes[at % len] ^= 1 << bit;
+            }
+        }
+        check_jsonl_parse(&String::from_utf8_lossy(&bytes))?;
+    }
 
     /// Wrap-around retention: after `total` records, the ring holds
     /// exactly the last `min(total, capacity)` in arrival order, and
