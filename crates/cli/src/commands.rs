@@ -55,6 +55,7 @@ pub(crate) fn load_dense(path: &str) -> Result<DenseTrace, CliError> {
         Ok(DenseTrace::from_wctb_bytes(&bytes)?)
     } else {
         let trace = trace_format::read_trace(bytes.as_slice())?;
+        drop(bytes);
         Ok(DenseTrace::build(&trace))
     }
 }
@@ -98,6 +99,23 @@ pub(crate) fn scale_denominator(args: &Args, default: f64) -> Result<f64, CliErr
         return Err(usage("--scale expects a finite denominator ≥ 1"));
     }
     Ok(denom)
+}
+
+/// Reads `--capacity` (default 5% of the trace) resolved against the
+/// trace's `overall` size, and `--warmup` (default 0.10, in `[0, 1)`).
+pub(crate) fn capacity_and_warmup(
+    args: &Args,
+    overall: ByteSize,
+) -> Result<(ByteSize, f64), CliError> {
+    let capacity = match args.get("capacity") {
+        Some(raw) => parse_capacity(raw).map_err(usage)?,
+        None => CapacitySpec::FractionOfTrace(0.05),
+    };
+    let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
+    if !(0.0..1.0).contains(&warmup) {
+        return Err(usage("--warmup expects a fraction in [0, 1)"));
+    }
+    Ok((capacity.resolve(overall), warmup))
 }
 
 /// `webcache generate`.
@@ -150,15 +168,7 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
     } else {
         Some(parse_spec(policy_name)?)
     };
-    let cap_spec = match args.get("capacity") {
-        Some(raw) => parse_capacity(raw).map_err(usage)?,
-        None => CapacitySpec::FractionOfTrace(0.05),
-    };
-    let capacity = cap_spec.resolve(trace.overall_size());
-    let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
-    if !(0.0..1.0).contains(&warmup) {
-        return Err(usage("--warmup expects a fraction in [0, 1)"));
-    }
+    let (capacity, warmup) = capacity_and_warmup(args, trace.overall_size())?;
     let occupancy: usize = args.get_parsed("occupancy")?.unwrap_or(0);
 
     let config = SimulationConfig::builder()
@@ -342,15 +352,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
 pub fn stats(args: &Args) -> Result<String, CliError> {
     let trace = input_dense(args)?;
     let policy = parse_spec(args.require("policy")?)?;
-    let cap_spec = match args.get("capacity") {
-        Some(raw) => parse_capacity(raw).map_err(usage)?,
-        None => CapacitySpec::FractionOfTrace(0.05),
-    };
-    let capacity = cap_spec.resolve(trace.overall_size());
-    let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
-    if !(0.0..1.0).contains(&warmup) {
-        return Err(usage("--warmup expects a fraction in [0, 1)"));
-    }
+    let (capacity, warmup) = capacity_and_warmup(args, trace.overall_size())?;
 
     let window_spec = match (args.get_parsed::<u64>("window")?, args.get("window-bytes")) {
         (Some(_), Some(_)) => {

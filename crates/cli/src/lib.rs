@@ -34,8 +34,7 @@ use std::fmt;
 /// Errors surfaced to the command-line user.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad command line. The binary exits 2 and points at `webcache
-    /// help`; every other error exits 1.
+    /// Bad command line (the binary exits 2; every other error exits 1).
     Usage(String),
     /// Input contents that cannot be used: an empty trace, an
     /// unparsable flight log, a malformed server response.

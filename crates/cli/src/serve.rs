@@ -82,7 +82,6 @@ use webcache_trace::{DenseTrace, Trace};
 use webcache_workload::{WorkloadProfile, WorkloadStream};
 
 use crate::args::Args;
-use crate::capacity::{parse_capacity, CapacitySpec};
 use crate::forensics::{self, BundleMeta};
 use crate::CliError;
 
@@ -305,15 +304,7 @@ impl ServeOptions {
         let spec: PolicySpec = policy_name
             .parse()
             .map_err(|e: webcache_core::ParseSpecError| usage(e.to_string()))?;
-        let cap_spec = match args.get("capacity") {
-            Some(raw) => parse_capacity(raw).map_err(usage)?,
-            None => CapacitySpec::FractionOfTrace(0.05),
-        };
-        let capacity = cap_spec.resolve(reference_trace_bytes);
-        let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
-        if !(0.0..1.0).contains(&warmup) {
-            return Err(usage("--warmup expects a fraction in [0, 1)"));
-        }
+        let (capacity, warmup) = crate::commands::capacity_and_warmup(args, reference_trace_bytes)?;
         let rate: Option<f64> = args.get_parsed("rate")?;
         // NaN slips through a plain `<= 0.0` check and would blow up the
         // pacer's Duration math — demand a finite positive rate.

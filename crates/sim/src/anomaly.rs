@@ -156,8 +156,7 @@ pub struct AnomalyObserver {
     type_requests: [u64; TYPES],
     type_hits: [u64; TYPES],
     evictions: u64,
-    /// Summed in `u128`: a window's evictions can free more than
-    /// `u64::MAX` bytes.
+    /// In `u128`: a window's evictions can free over `u64::MAX` bytes.
     bytes_evicted: u128,
     rejects: u64,
     hit_rate_ewma: [Option<f64>; TYPES],

@@ -224,10 +224,8 @@ impl CacheSizeSweep {
     }
 
     /// Capacities at the paper's relative cache sizes
-    /// ([`PAPER_SIZE_FRACTIONS`]) of `trace`'s overall size.
-    ///
-    /// Only the perfbench harness, which holds a [`Trace`], still calls
-    /// this; other callers map [`ByteSize::fraction`] over the fractions.
+    /// ([`PAPER_SIZE_FRACTIONS`]) of `trace`'s overall size. Kept for the
+    /// perfbench harness, which holds a [`Trace`].
     pub fn paper_capacities(trace: &Trace) -> Vec<ByteSize> {
         let overall = trace.overall_size();
         PAPER_SIZE_FRACTIONS.map(|f| overall.fraction(f)).to_vec()
@@ -242,11 +240,8 @@ impl CacheSizeSweep {
         self.run_with_progress_recorded(trace, threads, |_| {}, &mut [])
     }
 
-    /// Interns `trace` and runs the grid as
-    /// [`CacheSizeSweep::run_with_progress_recorded`] does, unrecorded.
-    ///
-    /// Only the perfbench harness, which holds a [`Trace`], still calls
-    /// this.
+    /// Interns `trace` and runs [`CacheSizeSweep::run_with_progress_recorded`]
+    /// unrecorded. Kept for the perfbench harness, which holds a [`Trace`].
     pub fn run_with_progress<F>(&self, trace: &Trace, threads: usize, progress: F) -> SweepReport
     where
         F: Fn(&SweepProgress) + Sync,

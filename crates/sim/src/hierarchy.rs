@@ -88,10 +88,6 @@ impl HierarchyConfig {
     fn validate(&self) {
         assert!(self.leaf_count > 0, "hierarchy needs at least one leaf");
         assert!(
-            (0.0..1.0).contains(&self.warmup_fraction),
-            "warm-up fraction in [0,1)"
-        );
-        assert!(
             !self.leaf_capacity.is_zero(),
             "leaf capacity must be positive"
         );
@@ -189,8 +185,7 @@ impl Level {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (zero leaves or capacities, a
-/// warm-up fraction outside `[0, 1)`).
+/// Panics on an invalid configuration (zero leaves or capacities).
 pub fn simulate_hierarchy(trace: &DenseTrace, config: HierarchyConfig) -> HierarchyReport {
     config.validate();
     let documents = trace.distinct_documents();

@@ -67,42 +67,37 @@ impl TraceCharacterization {
     /// the type of its first request; requests and transfers count under
     /// their own types.
     pub fn measure(trace: &DenseTrace) -> Self {
-        // Per slot: the document's size and type. Slots number documents
-        // in first-appearance order, so slot `s` first shows up once `s`
-        // documents have been seen.
-        let mut doc_sizes: Vec<ByteSize> = Vec::with_capacity(trace.distinct_documents());
-        let mut doc_types: Vec<DocumentType> = Vec::with_capacity(trace.distinct_documents());
+        // Per slot: the document's size and type. Slots count up in
+        // first-appearance order, so slot `s` is new when `s` are known.
+        let mut docs: Vec<(ByteSize, DocumentType)> =
+            Vec::with_capacity(trace.distinct_documents());
         let mut requests: TypeMap<u64> = TypeMap::default();
         let mut req_bytes: TypeMap<ByteSize> = TypeMap::default();
-        let mut requested_bytes = ByteSize::ZERO;
         let mut transfer_samples: TypeMap<Vec<f64>> = TypeMap::default();
         for index in 0..trace.len() {
             let (slot, size, ty) = trace.request(index);
-            match doc_sizes.get_mut(slot as usize) {
-                Some(max) => *max = (*max).max(size),
-                None => {
-                    doc_sizes.push(size);
-                    doc_types.push(ty);
-                }
+            match docs.get_mut(slot as usize) {
+                Some((max, _)) => *max = (*max).max(size),
+                None => docs.push((size, ty)),
             }
             requests[ty] += 1;
             req_bytes[ty] += size;
-            requested_bytes += size;
             transfer_samples[ty].push(size.as_f64());
         }
 
         let properties = TraceProperties {
-            distinct_documents: doc_sizes.len() as u64,
+            distinct_documents: docs.len() as u64,
             overall_size: trace.overall_size(),
             total_requests: trace.len() as u64,
-            requested_bytes,
+            // Saturating sums of non-negative sizes: grouping is free.
+            requested_bytes: req_bytes.iter().map(|(_, &b)| b).sum(),
         };
 
         // Per-type document tallies.
         let mut distinct: TypeMap<u64> = TypeMap::default();
         let mut size_sum: TypeMap<ByteSize> = TypeMap::default();
         let mut doc_size_samples: TypeMap<Vec<f64>> = TypeMap::default();
-        for (&size, &ty) in doc_sizes.iter().zip(&doc_types) {
+        for &(size, ty) in &docs {
             distinct[ty] += 1;
             size_sum[ty] += size;
             doc_size_samples[ty].push(size.as_f64());

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use webcache_trace::{DenseTrace, DocumentType};
 
-use crate::popularity::slot_counts;
+use crate::popularity::{requests_of, slot_counts};
 use crate::regression::{fit_line_weighted, LineFit};
 
 /// Range of β values considered physical; fits are clamped into it.
@@ -113,7 +113,7 @@ pub fn gap_histogram(
     // Pass 2: gaps for documents within the popularity band.
     let mut last_pos: Vec<Option<u64>> = vec![None; counts.len()];
     let mut hist = GapHistogram::new();
-    for (pos, slot) in crate::requests_of(trace, doc_type) {
+    for (pos, slot) in requests_of(trace, doc_type) {
         if !(min_count..=max_count).contains(&counts[slot]) {
             continue;
         }

@@ -51,21 +51,3 @@ pub use descriptive::Summary;
 pub use regression::LineFit;
 pub use stack::StackDistances;
 pub use table::Table;
-
-use webcache_trace::{DenseTrace, DocumentType};
-
-/// The `(position, slot)` of every request of `trace`, or of those of
-/// type `doc_type` when one is given.
-fn requests_of(
-    trace: &DenseTrace,
-    doc_type: Option<DocumentType>,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let want = doc_type.map(|ty| ty.index() as u8);
-    trace
-        .docs()
-        .iter()
-        .zip(trace.type_indices())
-        .enumerate()
-        .filter(move |&(_, (_, &ty))| want.is_none_or(|want| want == ty))
-        .map(|(position, (&slot, _))| (position, slot as usize))
-}

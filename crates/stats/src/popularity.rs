@@ -63,19 +63,34 @@ pub fn alpha_fit_from_counts(counts: &[u64]) -> Option<LineFit> {
     fit_line_weighted(&points)
 }
 
-/// Per-slot request counts of a trace, counting only requests of type
-/// `doc_type` when one is given (documents with none count 0).
+/// The `(position, slot)` of every request of `trace`, or of those of
+/// type `doc_type` when one is given.
+pub(crate) fn requests_of(
+    trace: &DenseTrace,
+    doc_type: Option<DocumentType>,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let want = doc_type.map(|ty| ty.index() as u8);
+    trace
+        .docs()
+        .iter()
+        .zip(trace.type_indices())
+        .enumerate()
+        .filter(move |&(_, (_, &ty))| want.is_none_or(|want| want == ty))
+        .map(|(position, (&slot, _))| (position, slot as usize))
+}
+
+/// Per-slot request counts, of requests of type `doc_type` only when
+/// one is given.
 pub(crate) fn slot_counts(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Vec<u64> {
     let mut counts = vec![0; trace.distinct_documents()];
-    for (_, slot) in crate::requests_of(trace, doc_type) {
+    for (_, slot) in requests_of(trace, doc_type) {
         counts[slot] += 1;
     }
     counts
 }
 
-/// Per-document request counts of a trace, optionally restricted to one
-/// document type, in slot order: documents without such a request are
-/// left out.
+/// Per-document request counts of a trace (in slot order), optionally
+/// restricted to one document type.
 pub fn request_counts(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Vec<u64> {
     let mut counts = slot_counts(trace, doc_type);
     counts.retain(|&count| count > 0);

@@ -81,7 +81,7 @@ impl StackDistances {
     /// matching a per-type cache).
     pub fn measure(trace: &DenseTrace, doc_type: Option<DocumentType>) -> Self {
         // Collect the (possibly filtered) reference stream.
-        let refs: Vec<usize> = crate::requests_of(trace, doc_type)
+        let refs: Vec<usize> = crate::popularity::requests_of(trace, doc_type)
             .map(|(_, slot)| slot)
             .collect();
 

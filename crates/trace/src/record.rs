@@ -116,11 +116,6 @@ impl Trace {
     /// document's size is the largest transfer observed for it (partial
     /// transfers only ever shrink the observed value).
     pub fn overall_size(&self) -> ByteSize {
-        self.document_sizes().into_iter().map(|(_, s)| s).sum()
-    }
-
-    /// The size of each distinct document: the maximum transfer size seen.
-    pub fn document_sizes(&self) -> Vec<(DocId, ByteSize)> {
         let mut pairs: Vec<(DocId, ByteSize)> =
             self.requests.iter().map(|r| (r.doc, r.size)).collect();
         pairs.sort_unstable();
@@ -133,7 +128,7 @@ impl Trace {
                 false
             }
         });
-        pairs
+        pairs.into_iter().map(|(_, s)| s).sum()
     }
 
     /// Number of requests per document type.
@@ -244,15 +239,6 @@ mod tests {
         let t = sample();
         // doc 1: max(100, 80) = 100; doc 2: 300; doc 3: 5000.
         assert_eq!(t.overall_size().as_u64(), 100 + 300 + 5_000);
-    }
-
-    #[test]
-    fn document_sizes_are_deduped() {
-        let t = sample();
-        let sizes = t.document_sizes();
-        assert_eq!(sizes.len(), 3);
-        let doc1 = sizes.iter().find(|(d, _)| d.as_u64() == 1).unwrap();
-        assert_eq!(doc1.1.as_u64(), 100);
     }
 
     #[test]

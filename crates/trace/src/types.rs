@@ -140,9 +140,8 @@ impl ByteSize {
         ByteSize((self.0 as f64 * factor).round() as u64)
     }
 
-    /// The cache capacity that is `fraction` of this size, usually a
-    /// trace's overall size: rounded to the nearest byte and at least
-    /// one byte. Every "percent of the trace" capacity goes through it.
+    /// `fraction` of this size (a trace's overall size) as a capacity:
+    /// rounded to the nearest byte, at least one. The one such rule.
     #[must_use]
     pub fn fraction(self, fraction: f64) -> ByteSize {
         ByteSize((self.0 as f64 * fraction).round().max(1.0) as u64)

@@ -69,7 +69,10 @@ proptest! {
             .sum();
         prop_assert_eq!(per_type_bytes, trace.requested_bytes().as_u64());
 
-        prop_assert_eq!(trace.document_sizes().len(), trace.distinct_documents());
+        // The sort-based counts agree with the interner's.
+        let dense = webcache_trace::DenseTrace::build(&trace);
+        prop_assert_eq!(dense.distinct_documents(), trace.distinct_documents());
+        prop_assert_eq!(dense.overall_size(), trace.overall_size());
         // Overall size (max per doc) never exceeds requested bytes summed
         // over more requests than documents... but always ≤ sum of all
         // transfer maxima, and 0 iff empty.
