@@ -17,8 +17,8 @@
 //! inter-reference gap analysis ([`correlation`]) and plain-text table
 //! rendering ([`table`]).
 //!
-//! Every estimator reads the [`DenseTrace`] view, whose interner numbers
-//! the documents, so per-document state is a slot-indexed `Vec`.
+//! Every estimator reads the [`DenseTrace`](webcache_trace::DenseTrace)
+//! view: per-document state is a `Vec` indexed by the interner's slots.
 //!
 //! ```
 //! use webcache_stats::TraceCharacterization;
