@@ -8,10 +8,11 @@
 //! operation with its measured cost, every inflation step and every
 //! eviction reason. The cache's answers (hits, dispositions, victims),
 //! the sink's events (op, sift steps, comparisons, the bit pattern of
-//! `L`, the reason's JSON) and the final occupancy are folded into a
-//! 64-bit FNV-1a hash per configuration, compared with a recorded
-//! constant. Any change to a victim, a tie-break, a key's bits, a heap
-//! cost or a reason payload changes the hash.
+//! `L`, the reason's JSON), the admission filter's reason JSON for each
+//! verdict and the final occupancy are folded into a 64-bit FNV-1a hash
+//! per configuration, compared with a recorded constant. Any change to a
+//! victim, a tie-break, a key's bits, a heap cost, an admission verdict
+//! or a reason payload changes the hash.
 //!
 //! FNV-1a is written out here rather than taken from `DefaultHasher`,
 //! whose algorithm the standard library may change between releases.
@@ -20,9 +21,9 @@ use std::sync::{Arc, Mutex};
 
 use webcache_core::policy::{BetaMode, GdStarRule, KeyedPolicy};
 use webcache_core::{
-    AdmissionRule, Cache, CostModel, InsertDisposition, PolicyKind, ReplacementPolicy,
+    AdmissionSpec, Cache, CostModel, InsertDisposition, PolicyKind, PolicySpec, ReplacementPolicy,
 };
-use webcache_obs::{HeapCost, HeapOp, MetricsSink, Reason};
+use webcache_obs::{HeapCost, HeapOp, MetricsSink, Reason, ReasonChannel};
 use webcache_trace::{ByteSize, DocId, DocumentType};
 
 /// A 64-bit FNV-1a hash state.
@@ -136,15 +137,21 @@ fn doc_type(rng: &mut Rng) -> DocumentType {
     DocumentType::ALL[rng.below(DocumentType::ALL.len() as u64) as usize]
 }
 
-/// Replays the scenario through `policy`, folding into `hash`.
-fn replay(policy: Box<dyn ReplacementPolicy>, scale: Scale, seed: u64, hash: &Shared) {
+/// Replays the scenario through `policy` behind `admission`, folding
+/// into `hash`. Admit-everything verdicts carry no reason, so they add
+/// nothing to the hash beyond the dispositions.
+fn replay(
+    policy: Box<dyn ReplacementPolicy>,
+    admission: AdmissionSpec,
+    scale: Scale,
+    seed: u64,
+    hash: &Shared,
+) {
     let mut rng = Rng(seed);
-    let mut cache = Cache::with_dense_slots(
-        ByteSize::new(scale.capacity()),
-        policy,
-        AdmissionRule::All,
-        RESERVED,
-    );
+    let mut cache =
+        Cache::with_dense_slots(ByteSize::new(scale.capacity()), policy, admission, RESERVED);
+    let verdicts = ReasonChannel::new();
+    cache.set_admit_reasons(verdicts.clone());
     let mut sizes: Vec<u64> = (0..UNIVERSE).map(|_| scale.size(&mut rng)).collect();
     let mut types: Vec<DocumentType> = (0..UNIVERSE).map(|_| doc_type(&mut rng)).collect();
     for _ in 0..OPS {
@@ -187,6 +194,12 @@ fn replay(policy: Box<dyn ReplacementPolicy>, scale: Scale, seed: u64, hash: &Sh
                 h.u64(victim.size.as_u64());
             }
         }
+        while let Some(reason) = verdicts.pop() {
+            if let Some(json) = reason.to_json() {
+                h.bytes(b"admit");
+                h.bytes(json.as_bytes());
+            }
+        }
     }
     cache.debug_validate();
     let mut h = hash.lock().unwrap();
@@ -195,10 +208,19 @@ fn replay(policy: Box<dyn ReplacementPolicy>, scale: Scale, seed: u64, hash: &Sh
 }
 
 /// The decision hash of one configuration over both scenarios.
-fn decision_hash(build: impl Fn(Recorder) -> Box<dyn ReplacementPolicy>) -> u64 {
+fn decision_hash(
+    admission: AdmissionSpec,
+    build: impl Fn(Recorder) -> Box<dyn ReplacementPolicy>,
+) -> u64 {
     let hash: Shared = Arc::new(Mutex::new(Fnv(Fnv::OFFSET)));
     for (scale, seed) in [(Scale::Ordinary, 0x5eed_0001), (Scale::Huge, 0x5eed_0002)] {
-        replay(build(Recorder(Arc::clone(&hash))), scale, seed, &hash);
+        replay(
+            build(Recorder(Arc::clone(&hash))),
+            admission,
+            scale,
+            seed,
+            &hash,
+        );
     }
     let value = hash.lock().unwrap().0;
     value
@@ -227,10 +249,14 @@ const GDSTAR_MODES: [(&str, BetaMode); 3] = [
     ),
 ];
 
+/// The admission filters pinned in front of LRU and GD\*(P).
+const ADMISSIONS: [&str; 3] = ["max:65536", "2hit:64", "tinylfu"];
+
 /// Decision hashes recorded before the key-ranked policies shared one
 /// heap core; LRU-2's was recorded again when it joined that core and
-/// its one-timers began to evict oldest first.
-const PINNED: [(&str, u64); 21] = [
+/// its one-timers began to evict oldest first. The admission hashes were
+/// recorded while the filters ran behind a trait object.
+const PINNED: [(&str, u64); 27] = [
     ("LRU", 0x7aebdb45744e8abe),
     ("FIFO", 0x8a9ee96b404c03d3),
     ("LFU", 0x80ecb1e535bbda70),
@@ -252,6 +278,12 @@ const PINNED: [(&str, u64); 21] = [
     ("GD*(P) fixed(0.7)", 0x941d5ca5eb6e483d),
     ("GD*(P) adaptive(200)", 0x0d2bbd475e55c92c),
     ("GD*(P) per-type(200)", 0x1068f797175a0937),
+    ("MAX:65536+LRU", 0x7b09efa0cdc2e3e7),
+    ("MAX:65536+GD*(P)", 0x65ae31fe70bd06ec),
+    ("2HIT:64+LRU", 0xe9595f570b9c6cbb),
+    ("2HIT:64+GD*(P)", 0x26185f3a1775ff4e),
+    ("TinyLFU+LRU", 0xad20f1822b9af87e),
+    ("TinyLFU+GD*(P)", 0x0354bacdf935c19a),
 ];
 
 #[test]
@@ -261,14 +293,22 @@ fn decisions_match_the_recorded_hashes() {
         .map(|kind| {
             (
                 kind.label(),
-                decision_hash(|sink| kind.build_instrumented(sink)),
+                decision_hash(AdmissionSpec::All, |sink| kind.build_instrumented(sink)),
             )
         })
         .collect();
     for cost in [CostModel::Constant, CostModel::Packet] {
         for (name, mode) in GDSTAR_MODES {
             let label = format!("{} {name}", PolicyKind::GdStar(cost).label());
-            actual.push((label, decision_hash(|sink| gdstar(cost, mode, sink))));
+            let hash = decision_hash(AdmissionSpec::All, |sink| gdstar(cost, mode, sink));
+            actual.push((label, hash));
+        }
+    }
+    for admission in ADMISSIONS {
+        for kind in [PolicyKind::Lru, PolicyKind::GdStar(CostModel::Packet)] {
+            let spec: PolicySpec = format!("{admission}+{kind}").parse().unwrap();
+            let hash = decision_hash(spec.admission, |sink| spec.build_instrumented(sink));
+            actual.push((spec.label(), hash));
         }
     }
     let expected: Vec<(String, u64)> = PINNED
