@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use webcache_bench::{dfn_trace, experiments};
-use webcache_core::{AdmissionRule, PolicyKind};
+use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
 use webcache_sim::{SimulationConfig, Simulator};
 use webcache_trace::ByteSize;
 
@@ -13,22 +13,14 @@ fn bench(c: &mut Criterion) {
     let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05) as u64);
     let mut g = c.benchmark_group("ablation_admission");
     g.sample_size(10);
-    for (name, rule) in [
-        ("all", AdmissionRule::All),
-        ("thold_64k", AdmissionRule::MaxSize(ByteSize::from_kib(64))),
-        ("second_hit", AdmissionRule::SecondHit(1 << 16)),
+    for (name, admission) in [
+        ("all", AdmissionSpec::All),
+        ("thold_64k", AdmissionSpec::MaxSize(ByteSize::from_kib(64))),
+        ("second_hit", AdmissionSpec::SecondHit(1 << 16)),
     ] {
+        let spec = PolicySpec::new(admission, PolicyKind::Lru);
         g.bench_function(name, |b| {
-            b.iter(|| {
-                Simulator::new(
-                    PolicyKind::Lru.build(),
-                    SimulationConfig::builder()
-                        .capacity(capacity)
-                        .admission_rule(rule)
-                        .build(),
-                )
-                .run(&trace)
-            })
+            b.iter(|| Simulator::from_spec(spec, SimulationConfig::new(capacity)).run(&trace))
         });
     }
     g.finish();

@@ -260,7 +260,7 @@ pub fn ablation_modification(scale: f64, seed: u64) -> String {
 /// (LRU-THOLD) and second-hit filters of the proxy literature, compared
 /// against plain LRU and GD\*(1) on the DFN workload.
 pub fn ablation_admission(scale: f64, seed: u64) -> String {
-    use webcache_core::AdmissionRule;
+    use webcache_core::{AdmissionSpec, PolicySpec};
 
     let trace = dfn_trace(scale, seed);
     let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05).round() as u64);
@@ -274,12 +274,9 @@ pub fn ablation_admission(scale: f64, seed: u64) -> String {
     .with_title(format!(
         "Ablation A3. Admission control (DFN, cache {capacity})"
     ));
-    let mut run = |label: &str, kind: PolicyKind, rule: AdmissionRule| {
-        let config = SimulationConfig::builder()
-            .capacity(capacity)
-            .admission_rule(rule)
-            .build();
-        let report = Simulator::new(kind.build(), config).run(&trace);
+    let mut run = |label: &str, kind: PolicyKind, admission: AdmissionSpec| {
+        let spec = PolicySpec::new(admission, kind);
+        let report = Simulator::from_spec(spec, SimulationConfig::new(capacity)).run(&trace);
         let overall = report.overall();
         t.push_row(vec![
             label.to_owned(),
@@ -292,21 +289,21 @@ pub fn ablation_admission(scale: f64, seed: u64) -> String {
             ),
         ]);
     };
-    run("LRU", PolicyKind::Lru, AdmissionRule::All);
+    run("LRU", PolicyKind::Lru, AdmissionSpec::All);
     run(
         "LRU + THOLD 64KiB",
         PolicyKind::Lru,
-        AdmissionRule::MaxSize(ByteSize::from_kib(64)),
+        AdmissionSpec::MaxSize(ByteSize::from_kib(64)),
     );
     run(
         "LRU + second-hit",
         PolicyKind::Lru,
-        AdmissionRule::SecondHit(1 << 16),
+        AdmissionSpec::SecondHit(1 << 16),
     );
     run(
         "GD*(1)",
         PolicyKind::GdStar(CostModel::Constant),
-        AdmissionRule::All,
+        AdmissionSpec::All,
     );
     t.render()
 }

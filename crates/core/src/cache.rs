@@ -13,14 +13,15 @@
 //! first insert attempt (and keeps forever — slots survive eviction).
 //! Policies and the admission controller are addressed with slot-valued
 //! [`DocId`] handles, so all their per-document state is vector-indexed
-//! too; no hash is computed anywhere on the hit path. Two interning modes
-//! exist:
+//! too; no hash is computed anywhere on the hit path. Each of the two
+//! interning modes has one constructor, taking the replacement policy and
+//! the [`AdmissionSpec`] of the filter in front of it:
 //!
-//! * [`Cache::new`] / [`Cache::with_admission`] intern arbitrary sparse
-//!   ids through a hash map (one lookup per request, at the boundary
-//!   only). The ids come from trace files, so the map uses std's keyed
-//!   SipHash: under a multiply hash, crafted ids could all share one
-//!   probe chain and make every lookup linear.
+//! * [`Cache::new`] interns arbitrary sparse ids through a hash map (one
+//!   lookup per request, at the boundary only). The ids come from trace
+//!   files, so the map uses std's keyed SipHash: under a multiply hash,
+//!   crafted ids could all share one probe chain and make every lookup
+//!   linear.
 //! * [`Cache::with_dense_slots`] skips even that: the caller promises ids
 //!   are already dense slots `0..n` (a
 //!   [`DenseTrace`](webcache_trace::DenseTrace) replay), and the slab and
@@ -33,10 +34,9 @@ use serde::{Deserialize, Serialize};
 
 use webcache_trace::{ByteSize, DocId, DocumentType, TypeMap};
 
-use crate::admission::{AdmissionController, AdmissionRule};
+use crate::admission::{AdmissionController, AdmissionSpec};
 use crate::policy::ReplacementPolicy;
 use crate::prefetch::prefetch_read;
-use crate::spec::PolicySpec;
 
 /// Per-type occupancy counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,10 +129,10 @@ impl SlotIndex {
 /// policy.
 ///
 /// ```
-/// use webcache_core::{Cache, PolicyKind};
+/// use webcache_core::{AdmissionSpec, Cache, PolicyKind};
 /// use webcache_trace::{ByteSize, DocId, DocumentType};
 ///
-/// let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build());
+/// let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build(), AdmissionSpec::All);
 /// cache.insert(DocId::new(1), DocumentType::Image, ByteSize::new(60));
 /// let outcome = cache.insert(DocId::new(2), DocumentType::Html, ByteSize::new(60));
 /// let victims: Vec<DocId> = outcome.evicted.iter().map(|e| e.doc).collect();
@@ -151,9 +151,6 @@ pub struct Cache {
     occupancy: TypeMap<Occupancy>,
     policy: Box<dyn ReplacementPolicy>,
     admission: AdmissionController,
-    /// Cached `admission.wants_record()`: keeps the hit path free of a
-    /// virtual call for the filters that don't observe hits.
-    record_hits: bool,
     rejected_by_admission: u64,
     /// Flight-recorder seam: when set, every consulted admission
     /// verdict that becomes an observer-visible event (Inserted or
@@ -163,29 +160,21 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache that interns sparse document ids, with
+    /// `policy` choosing victims and the filter `admission` names in front
+    /// of the store (see [`crate::admission`]). A composed
+    /// [`PolicySpec`](crate::PolicySpec) supplies both halves:
+    /// `Cache::new(capacity, spec.build(), spec.admission)`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: ByteSize, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Cache::with_admission(capacity, policy, AdmissionRule::All)
-    }
-
-    /// Creates an empty cache with an admission rule in front of the
-    /// store (see [`crate::admission`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_admission(
+    pub fn new(
         capacity: ByteSize,
         policy: Box<dyn ReplacementPolicy>,
-        rule: AdmissionRule,
+        admission: AdmissionSpec,
     ) -> Self {
         assert!(!capacity.is_zero(), "cache capacity must be positive");
-        let admission = AdmissionController::new(rule);
-        let record_hits = admission.wants_record();
         Cache {
             capacity,
             used: ByteSize::ZERO,
@@ -194,39 +183,10 @@ impl Cache {
             slots: SlotIndex::Map(HashMap::new()),
             occupancy: TypeMap::default(),
             policy,
-            admission,
-            record_hits,
+            admission: AdmissionController::new(admission),
             rejected_by_admission: 0,
             admit_reasons: None,
         }
-    }
-
-    /// Creates an empty cache from a composed [`PolicySpec`] — the
-    /// redesigned construction entry point (`"tinylfu+slru".parse()`).
-    /// Accepts a bare [`PolicyKind`](crate::PolicyKind) too, which means
-    /// admit-everything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_spec(capacity: ByteSize, spec: impl Into<PolicySpec>) -> Self {
-        let spec = spec.into();
-        Cache::with_admission(capacity, spec.build(), spec.admission)
-    }
-
-    /// Dense-slot counterpart of [`Cache::with_spec`]; see
-    /// [`Cache::with_dense_slots`] for the dense-id contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_dense_spec(
-        capacity: ByteSize,
-        spec: impl Into<PolicySpec>,
-        distinct_documents: usize,
-    ) -> Self {
-        let spec = spec.into();
-        Cache::with_dense_slots(capacity, spec.build(), spec.admission, distinct_documents)
     }
 
     /// Creates an empty cache whose document ids are promised to be dense
@@ -236,7 +196,7 @@ impl Cache {
     /// slot at or past `distinct_documents` still works: the slab and
     /// policy state grow to it, as a sparse-id cache's do.
     ///
-    /// Behaviorally identical to [`Cache::with_admission`] fed ids in
+    /// Behaviorally identical to [`Cache::new`] fed ids in
     /// first-insert-attempt order; only the data layout differs.
     ///
     /// # Panics
@@ -244,27 +204,15 @@ impl Cache {
     /// Panics if `capacity` is zero.
     pub fn with_dense_slots(
         capacity: ByteSize,
-        policy: Box<dyn ReplacementPolicy>,
-        rule: AdmissionRule,
+        mut policy: Box<dyn ReplacementPolicy>,
+        admission: AdmissionSpec,
         distinct_documents: usize,
     ) -> Self {
-        assert!(!capacity.is_zero(), "cache capacity must be positive");
-        let mut policy = policy;
         policy.reserve_slots(distinct_documents);
-        let admission = AdmissionController::new(rule);
-        let record_hits = admission.wants_record();
         Cache {
-            capacity,
-            used: ByteSize::ZERO,
             entries: vec![None; distinct_documents],
-            live: 0,
             slots: SlotIndex::Identity,
-            occupancy: TypeMap::default(),
-            policy,
-            admission,
-            record_hits,
-            rejected_by_admission: 0,
-            admit_reasons: None,
+            ..Cache::new(capacity, policy, admission)
         }
     }
 
@@ -315,9 +263,10 @@ impl Cache {
 
     /// The policy's display label: the replacement label (`"GD*(P)"`),
     /// prefixed with the admission label when a filter is composed in
-    /// front (`"TinyLFU+SLRU"`) — matching [`PolicySpec::label`].
+    /// front (`"TinyLFU+SLRU"`) — matching
+    /// [`PolicySpec::label`](crate::PolicySpec::label).
     pub fn policy_label(&self) -> String {
-        match self.admission.rule().label_prefix() {
+        match self.admission.spec().label_prefix() {
             Some(prefix) => format!("{prefix}+{}", self.policy.label()),
             None => self.policy.label(),
         }
@@ -366,11 +315,7 @@ impl Cache {
             Some(entry) => {
                 self.policy
                     .on_hit_typed(Self::handle(slot), entry.size, entry.doc_type);
-                if self.record_hits {
-                    // Frequency-based admission sees the whole access
-                    // stream, not just miss-fills.
-                    self.admission.record(Self::handle(slot));
-                }
+                self.admission.record(Self::handle(slot));
                 true
             }
             None => false,
@@ -423,7 +368,7 @@ impl Cache {
         // that only guard a contended cache (TinyLFU) admit freely below
         // capacity; the hard predicates ignore the flag.
         let pressure = self.over_budget(size);
-        if !self.admission.admit_with_pressure(handle, size, pressure) {
+        if !self.admission.admit(handle, size, pressure) {
             self.rejected_by_admission += 1;
             if let Some(reasons) = &self.admit_reasons {
                 reasons.push(self.admission.last_reason());
@@ -526,13 +471,18 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
+    use crate::spec::PolicySpec;
 
     fn doc(i: u64) -> DocId {
         DocId::new(i)
     }
 
     fn lru_cache(capacity: u64) -> Cache {
-        Cache::new(ByteSize::new(capacity), PolicyKind::Lru.build())
+        Cache::new(
+            ByteSize::new(capacity),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::All,
+        )
     }
 
     #[test]
@@ -622,11 +572,10 @@ mod tests {
 
     #[test]
     fn admission_max_size_rejects_large_documents() {
-        use crate::admission::AdmissionRule;
-        let mut c = Cache::with_admission(
+        let mut c = Cache::new(
             ByteSize::new(10_000),
             PolicyKind::Lru.build(),
-            AdmissionRule::MaxSize(ByteSize::new(100)),
+            AdmissionSpec::MaxSize(ByteSize::new(100)),
         );
         assert!(c
             .insert(doc(1), DocumentType::Image, ByteSize::new(100))
@@ -642,11 +591,10 @@ mod tests {
 
     #[test]
     fn admission_second_hit_filters_one_timers() {
-        use crate::admission::AdmissionRule;
-        let mut c = Cache::with_admission(
+        let mut c = Cache::new(
             ByteSize::new(10_000),
             PolicyKind::Lru.build(),
-            AdmissionRule::SecondHit(64),
+            AdmissionSpec::SecondHit(64),
         );
         assert!(!c
             .insert(doc(1), DocumentType::Html, ByteSize::new(10))
@@ -669,9 +617,8 @@ mod tests {
 
     #[test]
     fn spec_construction_composes_label_and_admission() {
-        use crate::spec::PolicySpec;
         let spec: PolicySpec = "tinylfu+slru".parse().unwrap();
-        let mut c = Cache::with_spec(ByteSize::new(100), spec);
+        let mut c = Cache::new(ByteSize::new(100), spec.build(), spec.admission);
         assert_eq!(c.policy_label(), "TinyLFU+SLRU");
 
         // Below capacity, TinyLFU admits everything (and records).
@@ -695,10 +642,8 @@ mod tests {
 
     #[test]
     fn tinylfu_protects_hot_documents_via_recorded_hits() {
-        let mut c = Cache::with_spec(
-            ByteSize::new(100),
-            "tinylfu+lru".parse::<crate::spec::PolicySpec>().unwrap(),
-        );
+        let spec: PolicySpec = "tinylfu+lru".parse().unwrap();
+        let mut c = Cache::new(ByteSize::new(100), spec.build(), spec.admission);
         c.insert(doc(1), DocumentType::Html, ByteSize::new(100));
         for _ in 0..5 {
             assert!(c.access(doc(1)), "hits feed the sketch");
@@ -717,36 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn bare_kind_spec_matches_plain_construction() {
-        let mut a = Cache::with_spec(ByteSize::new(500), PolicyKind::Lru);
-        let mut b = lru_cache(500);
-        assert_eq!(a.policy_label(), b.policy_label());
-        for i in 0..50 {
-            let d = doc(i % 7);
-            let ty = DocumentType::ALL[(i % 5) as usize];
-            if !a.access(d) {
-                let size = ByteSize::new((i % 13 + 1) * 20);
-                assert_eq!(
-                    a.insert(d, ty, size).evicted,
-                    {
-                        b.access(d);
-                        b.insert(d, ty, size).evicted
-                    },
-                    "spec and plain construction diverged at step {i}"
-                );
-            } else {
-                assert!(b.access(d));
-            }
-        }
-        a.debug_validate();
-        b.debug_validate();
-    }
-
-    #[test]
     fn prefetch_is_a_no_op_out_of_range_and_on_sparse_caches() {
         for kind in PolicyKind::ALL {
             let mut dense =
-                Cache::with_dense_slots(ByteSize::new(100), kind.build(), AdmissionRule::All, 4);
+                Cache::with_dense_slots(ByteSize::new(100), kind.build(), AdmissionSpec::All, 4);
             dense.insert(doc(1), DocumentType::Html, ByteSize::new(60));
             for slot in [0, 1, 3, 4, 5, 1_000, u32::MAX] {
                 dense.prefetch(slot);
@@ -797,7 +716,11 @@ mod tests {
         const N: u64 = 400_000;
         let intern = |id: fn(u64) -> u64| {
             let started = std::time::Instant::now();
-            let mut c = Cache::new(ByteSize::new(u64::MAX), PolicyKind::Fifo.build());
+            let mut c = Cache::new(
+                ByteSize::new(u64::MAX),
+                PolicyKind::Fifo.build(),
+                AdmissionSpec::All,
+            );
             for j in 0..N {
                 c.insert(doc(id(j)), DocumentType::Html, ByteSize::new(1));
             }
@@ -822,7 +745,7 @@ mod tests {
     fn capacity_invariant_under_random_workload_all_policies() {
         // Deterministic pseudo-random workload over every policy kind.
         for kind in PolicyKind::ALL {
-            let mut c = Cache::new(ByteSize::new(10_000), kind.build());
+            let mut c = Cache::new(ByteSize::new(10_000), kind.build(), AdmissionSpec::All);
             let mut state = 987654321u64;
             let mut next = || {
                 state = state

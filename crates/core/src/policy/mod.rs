@@ -264,25 +264,6 @@ impl PolicyKind {
         PolicyKind::S3Fifo,
     ];
 
-    /// The 13 schemes that predate the modern cohort — the construction
-    /// surface the pre-`PolicySpec` entry points supported, pinned by
-    /// the spec-compatibility differential tests.
-    pub const LEGACY: [PolicyKind; 13] = [
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Lfu,
-        PolicyKind::SizeBased,
-        PolicyKind::LfuDa,
-        PolicyKind::Slru,
-        PolicyKind::LruTwo,
-        PolicyKind::Gds(CostModel::Constant),
-        PolicyKind::Gds(CostModel::Packet),
-        PolicyKind::Gdsf(CostModel::Constant),
-        PolicyKind::Gdsf(CostModel::Packet),
-        PolicyKind::GdStar(CostModel::Constant),
-        PolicyKind::GdStar(CostModel::Packet),
-    ];
-
     /// Constructs a fresh policy instance of this kind.
     ///
     /// This is the only construction path the rest of the workspace uses;

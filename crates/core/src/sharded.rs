@@ -29,7 +29,6 @@ use std::time::Instant;
 use webcache_obs::{Counter, FlightSink, Histogram, ReasonChannel};
 use webcache_trace::{fxhash, ByteSize, DocId};
 
-use crate::admission::AdmissionRule;
 use crate::cache::Cache;
 use crate::spec::PolicySpec;
 
@@ -196,12 +195,8 @@ impl ShardedEngine {
     /// shard-local slots `0..per_shard_distinct[s]` (a sharded trace
     /// view computes the mapping). `capacity` splits evenly; each shard
     /// gets a fresh instance of `spec`'s replacement policy and its own
-    /// admission-filter state.
-    ///
-    /// `spec` is anything convertible to a [`PolicySpec`] — a composed
-    /// spec or a bare [`PolicyKind`](crate::PolicyKind). When the spec
-    /// names an admission filter it wins over the `admission` fallback
-    /// (see [`PolicySpec::admission_or`]).
+    /// state of `spec`'s admission filter. `spec` is a composed spec or a
+    /// bare [`PolicyKind`](crate::PolicyKind).
     ///
     /// With `reasons`, shard `s`'s policy pushes its eviction reasons into
     /// `reasons[s].evictions` and its cache pushes admission verdicts into
@@ -218,12 +213,10 @@ impl ShardedEngine {
     pub fn with_dense_shards(
         capacity: ByteSize,
         spec: impl Into<PolicySpec>,
-        admission: AdmissionRule,
         per_shard_distinct: &[usize],
         reasons: Option<&[ShardReasons]>,
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
-        let admission = spec.admission_or(admission);
         validate_shard_count(per_shard_distinct.len())?;
         if let Some(reasons) = reasons {
             assert_eq!(
@@ -243,7 +236,7 @@ impl ShardedEngine {
                     None => spec.build(),
                 };
                 let mut cache =
-                    Cache::with_dense_slots(shard_capacity, policy, admission, distinct);
+                    Cache::with_dense_slots(shard_capacity, policy, spec.admission, distinct);
                 if let Some(r) = reasons {
                     cache.set_admit_reasons(r.admissions.clone());
                 }
@@ -254,7 +247,7 @@ impl ShardedEngine {
             shards,
             capacity,
             shard_capacity,
-            policy_label: PolicySpec::new(admission, spec.replacement).label(),
+            policy_label: spec.label(),
             lock_probes: None,
         })
     }
@@ -372,7 +365,6 @@ mod tests {
         ShardedEngine::with_dense_shards(
             ByteSize::new(capacity),
             PolicyKind::Lru,
-            AdmissionRule::All,
             &vec![16; shards],
             None,
         )
@@ -439,7 +431,6 @@ mod tests {
         let odd = ShardedEngine::with_dense_shards(
             ByteSize::new(8_000),
             PolicyKind::Lru,
-            AdmissionRule::All,
             &[16, 16, 16],
             None,
         );
@@ -452,7 +443,6 @@ mod tests {
         let e = ShardedEngine::with_dense_shards(
             ByteSize::new(200),
             PolicyKind::Gds(crate::CostModel::Constant),
-            AdmissionRule::All,
             &[4, 4],
             Some(&reasons),
         )

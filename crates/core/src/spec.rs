@@ -1,8 +1,9 @@
 //! Composable policy specification: the single construction entry point.
 //!
-//! A [`PolicySpec`] pairs an [`AdmissionSpec`] with a
-//! [`ReplacementKind`], so "frequency-sketch admission composed with any
-//! replacement policy" is a first-class, parseable, serializable value:
+//! A [`PolicySpec`] pairs an [`AdmissionSpec`] with a [`PolicyKind`], so
+//! "frequency-sketch admission composed with any replacement policy" is a
+//! first-class, parseable, serializable value, and the only place a run
+//! chooses its admission filter:
 //!
 //! ```
 //! use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
@@ -12,8 +13,7 @@
 //! assert_eq!(spec.replacement, PolicyKind::Slru);
 //! assert_eq!(spec.to_string(), "TinyLFU+SLRU");
 //!
-//! // A bare replacement name is the admit-everything spec — every
-//! // pre-redesign `PolicyKind` call site means exactly this.
+//! // A bare replacement name is the admit-everything spec.
 //! let arc: PolicySpec = "arc".parse().unwrap();
 //! assert_eq!(arc, PolicyKind::Arc.into());
 //! ```
@@ -36,10 +36,6 @@ use webcache_trace::ByteSize;
 use crate::admission::AdmissionSpec;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 
-/// The replacement half of a [`PolicySpec`]. Today this is exactly
-/// [`PolicyKind`]; the alias is the documented name going forward.
-pub type ReplacementKind = PolicyKind;
-
 /// Window used when a `2hit` prefix names no explicit window.
 pub const DEFAULT_SECOND_HIT_WINDOW: usize = 4_096;
 
@@ -51,23 +47,14 @@ pub struct PolicySpec {
     /// Admission filter consulted before storing a fetched document.
     pub admission: AdmissionSpec,
     /// Replacement scheme choosing eviction victims.
-    pub replacement: ReplacementKind,
+    pub replacement: PolicyKind,
 }
 
 impl PolicySpec {
     /// A spec composing the given admission filter and replacement kind.
-    pub fn new(admission: AdmissionSpec, replacement: ReplacementKind) -> Self {
+    pub fn new(admission: AdmissionSpec, replacement: PolicyKind) -> Self {
         PolicySpec {
             admission,
-            replacement,
-        }
-    }
-
-    /// The admit-everything spec for a replacement kind — the exact
-    /// meaning every pre-redesign `PolicyKind` call site had.
-    pub fn replacement_only(replacement: ReplacementKind) -> Self {
-        PolicySpec {
-            admission: AdmissionSpec::All,
             replacement,
         }
     }
@@ -81,20 +68,9 @@ impl PolicySpec {
         }
     }
 
-    /// This spec's admission when it names one, otherwise `fallback` —
-    /// the precedence rule gluing `PolicySpec` to configs that carry
-    /// their own default admission rule.
-    pub fn admission_or(&self, fallback: AdmissionSpec) -> AdmissionSpec {
-        if self.admission == AdmissionSpec::All {
-            fallback
-        } else {
-            self.admission
-        }
-    }
-
     /// Constructs the replacement policy instance for this spec. The
-    /// admission half is built separately by the cache (it needs mutable
-    /// per-cache state); see [`Cache::with_spec`](crate::Cache::with_spec).
+    /// admission half is built by the cache, which owns the filter's
+    /// state: `Cache::new(capacity, spec.build(), spec.admission)`.
     pub fn build(&self) -> Box<dyn ReplacementPolicy> {
         self.replacement.build()
     }
@@ -120,7 +96,7 @@ impl PolicySpec {
             return None; // at most one '+'
         }
         match second {
-            None => Some(PolicySpec::replacement_only(PolicyKind::parse(first)?)),
+            None => Some(PolicyKind::parse(first)?.into()),
             Some(replacement) => Some(PolicySpec::new(
                 parse_admission(first)?,
                 PolicyKind::parse(replacement)?,
@@ -129,9 +105,10 @@ impl PolicySpec {
     }
 }
 
+/// A bare replacement kind is the admit-everything spec.
 impl From<PolicyKind> for PolicySpec {
-    fn from(kind: PolicyKind) -> Self {
-        PolicySpec::replacement_only(kind)
+    fn from(replacement: PolicyKind) -> Self {
+        PolicySpec::new(AdmissionSpec::All, replacement)
     }
 }
 
@@ -277,15 +254,6 @@ mod tests {
         }
         let err = "tinylfu".parse::<PolicySpec>().unwrap_err();
         assert!(err.to_string().contains("tinylfu"), "{err}");
-    }
-
-    #[test]
-    fn admission_precedence_prefers_the_spec() {
-        let composed = PolicySpec::new(AdmissionSpec::TinyLfu, PolicyKind::Lru);
-        let bare = PolicySpec::replacement_only(PolicyKind::Lru);
-        let fallback = AdmissionSpec::SecondHit(8);
-        assert_eq!(composed.admission_or(fallback), AdmissionSpec::TinyLfu);
-        assert_eq!(bare.admission_or(fallback), fallback);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use webcache_core::policy::{
     BetaMode, GdStarRule, GdsRule, GdsfRule, KeyRule, KeyedPolicy, LfuDaRule, LfuRule, SizeRule,
 };
 use webcache_core::pqueue::IndexedHeap;
-use webcache_core::{Cache, CostModel, PolicyKind, ReplacementPolicy};
+use webcache_core::{AdmissionSpec, Cache, CostModel, PolicyKind, ReplacementPolicy};
 use webcache_obs::{FlightSink, Reason, ReasonChannel};
 use webcache_trace::{ByteSize, DocId, DocumentType};
 
@@ -157,7 +157,7 @@ proptest! {
         capacity in 1_000u64..50_000,
         ops in prop::collection::vec(arb_op(), 1..400),
     ) {
-        let mut cache = Cache::new(ByteSize::new(capacity), kind.build());
+        let mut cache = Cache::new(ByteSize::new(capacity), kind.build(), AdmissionSpec::All);
         apply(&mut cache, &ops);
         cache.debug_validate();
         prop_assert!(cache.used_bytes() <= cache.capacity());
@@ -170,7 +170,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
         let run = || {
-            let mut cache = Cache::new(ByteSize::new(10_000), kind.build());
+            let mut cache = Cache::new(ByteSize::new(10_000), kind.build(), AdmissionSpec::All);
             apply(&mut cache, &ops);
             let mut docs: Vec<u64> = (0..64)
                 .filter(|&d| cache.contains(DocId::new(d)))
@@ -342,7 +342,7 @@ proptest! {
 
 mod admission_props {
     use proptest::prelude::*;
-    use webcache_core::admission::{AdmissionController, AdmissionRule};
+    use webcache_core::{AdmissionController, AdmissionSpec};
     use webcache_trace::{ByteSize, DocId};
 
     proptest! {
@@ -354,11 +354,11 @@ mod admission_props {
             window in 1usize..64,
             fetches in prop::collection::vec(0u64..40, 1..500),
         ) {
-            let mut c = AdmissionController::new(AdmissionRule::SecondHit(window));
+            let mut c = AdmissionController::new(AdmissionSpec::SecondHit(window));
             let mut pending: std::collections::HashSet<u64> =
                 std::collections::HashSet::new();
             for doc in fetches {
-                let admitted = c.admit(DocId::new(doc), ByteSize::new(1));
+                let admitted = c.admit(DocId::new(doc), ByteSize::new(1), true);
                 prop_assert!(c.remembered() <= window);
                 if admitted {
                     // Must have been pending (seen once and not yet
@@ -376,10 +376,10 @@ mod admission_props {
             limit in 1u64..1_000_000,
             sizes in prop::collection::vec(0u64..2_000_000, 1..100),
         ) {
-            let mut c = AdmissionController::new(AdmissionRule::MaxSize(ByteSize::new(limit)));
+            let mut c = AdmissionController::new(AdmissionSpec::MaxSize(ByteSize::new(limit)));
             for (i, &s) in sizes.iter().enumerate() {
                 prop_assert_eq!(
-                    c.admit(DocId::new(i as u64), ByteSize::new(s)),
+                    c.admit(DocId::new(i as u64), ByteSize::new(s), true),
                     s <= limit
                 );
             }

@@ -245,15 +245,11 @@ pub struct ConcurrentSimulator {
 impl ConcurrentSimulator {
     /// A concurrent simulator without lock probes or reason channels.
     /// Accepts a bare [`PolicyKind`](webcache_core::PolicyKind) or a
-    /// composed spec; a spec-level admission filter overrides
-    /// [`SimulationConfig::admission_rule`], mirroring
-    /// [`Simulator::from_spec`](crate::Simulator::from_spec).
+    /// composed spec, as [`Simulator::from_spec`](crate::Simulator::from_spec)
+    /// does.
     pub fn new(spec: impl Into<PolicySpec>, config: SimulationConfig) -> ConcurrentSimulator {
-        let spec = spec.into();
-        let mut config = config;
-        config.admission_rule = spec.admission_or(config.admission_rule);
         ConcurrentSimulator {
-            spec,
+            spec: spec.into(),
             config,
             lock_probes: None,
             reasons: None,
@@ -333,7 +329,6 @@ impl ConcurrentSimulator {
         let mut engine = ShardedEngine::with_dense_shards(
             self.config.capacity,
             self.spec,
-            self.config.admission_rule,
             sharded.per_shard_distinct(),
             self.reasons.as_deref(),
         )
@@ -638,11 +633,6 @@ mod tests {
         assert_eq!(concurrent.policy, "TinyLFU+LRU");
         assert_eq!(concurrent.policy, serial.policy);
         assert_eq!(concurrent.by_type(), serial.by_type());
-        assert_eq!(
-            concurrent.config.admission_rule,
-            webcache_core::AdmissionSpec::TinyLfu,
-            "spec admission folds into the effective config"
-        );
     }
 
     #[test]

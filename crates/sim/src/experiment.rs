@@ -162,7 +162,6 @@ pub struct SweepProgress {
 pub struct CacheSizeSweep {
     policies: Vec<PolicySpec>,
     capacities: Vec<ByteSize>,
-    template: SimulationConfig,
     shards: usize,
 }
 
@@ -186,17 +185,8 @@ impl CacheSizeSweep {
         CacheSizeSweep {
             policies,
             capacities,
-            template: SimulationConfig::new(ByteSize::new(1)),
             shards: 1,
         }
-    }
-
-    /// Overrides the simulation config template (its capacity field is
-    /// replaced per grid cell).
-    #[must_use]
-    pub fn with_config(mut self, template: SimulationConfig) -> Self {
-        self.template = template;
-        self
     }
 
     /// Does nothing: every cell replays through [`Simulator::run_dense`].
@@ -310,10 +300,7 @@ impl CacheSizeSweep {
                     let Some(&(policy, capacity)) = tasks.get(i) else {
                         break;
                     };
-                    let config = SimulationConfig {
-                        capacity,
-                        ..self.template
-                    };
+                    let config = SimulationConfig::new(capacity);
                     if let Some(rec) = recorder.as_deref_mut() {
                         rec.begin(format!("{} @ {capacity}", policy.label()));
                     }

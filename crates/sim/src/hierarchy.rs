@@ -132,9 +132,9 @@ impl HierarchyReport {
 /// One cache of the hierarchy, addressed by the trace's dense document
 /// slots so no request hashes an id. Each level numbers the slots it
 /// stores in its own first-insert-attempt order, the numbering a
-/// sparse-id [`Cache`] interns, so its policy and admission rule see
-/// the same handles (and make the same decisions) as a
-/// [`Cache::with_spec`] fed the trace's ids.
+/// sparse-id [`Cache`] interns, so its policy and admission filter see
+/// the same handles (and make the same decisions) as a [`Cache::new`]
+/// fed the trace's ids.
 struct Level {
     cache: Cache,
     /// Per trace slot: this cache's slot + 1, or 0 before the first
@@ -148,7 +148,7 @@ impl Level {
     /// and grows to the slots it numbers, as a sparse-id cache would.
     fn new(capacity: ByteSize, spec: PolicySpec, documents: usize) -> Self {
         Level {
-            cache: Cache::with_dense_spec(capacity, spec, 0),
+            cache: Cache::with_dense_slots(capacity, spec.build(), spec.admission, 0),
             local: vec![0; documents],
             assigned: 0,
         }
@@ -344,10 +344,11 @@ mod tests {
     /// The hierarchy loop over sparse-id caches fed the trace's own ids:
     /// the reference the dense levels must reproduce exactly.
     fn sparse_reference(trace: &Trace, config: HierarchyConfig) -> HierarchyReport {
+        let cache = |capacity, spec: PolicySpec| Cache::new(capacity, spec.build(), spec.admission);
         let mut leaves: Vec<Cache> = (0..config.leaf_count)
-            .map(|_| Cache::with_spec(config.leaf_capacity, config.leaf_policy))
+            .map(|_| cache(config.leaf_capacity, config.leaf_policy))
             .collect();
-        let mut parent = Cache::with_spec(config.parent_capacity, config.parent_policy);
+        let mut parent = cache(config.parent_capacity, config.parent_policy);
         let warmup_end = trace.warmup_boundary(config.warmup_fraction);
         let (mut leaf_stats, mut parent_stats) = (HitStats::default(), HitStats::default());
         let mut last_transfer = std::collections::HashMap::new();

@@ -380,15 +380,15 @@ mod tests {
 
     #[test]
     fn admission_rejects_are_observed() {
-        use webcache_core::AdmissionRule;
+        use webcache_core::{AdmissionSpec, PolicySpec};
         let trace: Trace = vec![req(1, 100), req(1, 100)].into();
         let mut rec = Recorder::default();
         let config = SimulationConfig::builder()
             .capacity(ByteSize::new(1_000))
             .warmup_fraction(0.0)
-            .admission_rule(AdmissionRule::SecondHit(16))
             .build();
-        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut rec);
+        let spec = PolicySpec::new(AdmissionSpec::SecondHit(16), PolicyKind::Lru);
+        Simulator::from_spec(spec, config).run_observed(&trace, &mut rec);
         assert_eq!(rec.rejects.len(), 1, "first offer is filtered");
         assert_eq!(rec.inserts.len(), 1, "second offer is admitted");
     }

@@ -310,8 +310,12 @@ mod tests {
     #[test]
     fn occupancy_csv_shape() {
         use crate::occupancy::OccupancySample;
-        use webcache_core::Cache;
-        let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build());
+        use webcache_core::{AdmissionSpec, Cache};
+        let mut cache = Cache::new(
+            ByteSize::new(100),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::All,
+        );
         cache.insert(DocId::new(1), DocumentType::Html, ByteSize::new(10));
         let mut series = OccupancySeries::new();
         series.push(OccupancySample::capture(5, &cache));

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use webcache_core::{prefetch_read, AdmissionRule, Cache, Eviction, PolicySpec, ReplacementPolicy};
+use webcache_core::{prefetch_read, AdmissionSpec, Cache, Eviction, PolicySpec, ReplacementPolicy};
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
 
 use crate::metrics::HitStats;
@@ -59,9 +59,6 @@ pub struct SimulationConfig {
     pub warmup_fraction: f64,
     /// Modification-detection rule.
     pub modification_rule: ModificationRule,
-    /// Admission rule applied in front of the store (default: admit
-    /// everything, as in the paper).
-    pub admission_rule: AdmissionRule,
     /// Number of occupancy snapshots to take over the measured part of
     /// the trace (0 disables the Figure 1 series).
     pub occupancy_samples: usize,
@@ -75,14 +72,13 @@ impl SimulationConfig {
             capacity,
             warmup_fraction: 0.10,
             modification_rule: ModificationRule::default(),
-            admission_rule: AdmissionRule::default(),
             occupancy_samples: 0,
         }
     }
 
     /// Starts a builder pre-loaded with the paper's defaults (10%
-    /// warm-up, [`ModificationRule::SizeDelta`], admit-everything, no
-    /// occupancy sampling). Only the capacity must be supplied.
+    /// warm-up, [`ModificationRule::SizeDelta`], no occupancy sampling).
+    /// Only the capacity must be supplied.
     ///
     /// ```
     /// use webcache_sim::{ModificationRule, SimulationConfig};
@@ -110,7 +106,6 @@ pub struct SimulationConfigBuilder {
     capacity: Option<ByteSize>,
     warmup_fraction: Option<f64>,
     modification_rule: Option<ModificationRule>,
-    admission_rule: Option<AdmissionRule>,
     occupancy_samples: Option<usize>,
 }
 
@@ -144,13 +139,6 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Sets the admission rule (default: admit everything).
-    #[must_use]
-    pub fn admission_rule(mut self, rule: AdmissionRule) -> Self {
-        self.admission_rule = Some(rule);
-        self
-    }
-
     /// Sets the number of occupancy snapshots (default 0 — disabled).
     #[must_use]
     pub fn occupancy_samples(mut self, samples: usize) -> Self {
@@ -173,9 +161,6 @@ impl SimulationConfigBuilder {
         }
         if let Some(r) = self.modification_rule {
             config.modification_rule = r;
-        }
-        if let Some(r) = self.admission_rule {
-            config.admission_rule = r;
         }
         if let Some(s) = self.occupancy_samples {
             config.occupancy_samples = s;
@@ -240,6 +225,8 @@ pub(crate) const NO_TRANSFER: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct Simulator {
     policy: Box<dyn ReplacementPolicy>,
+    /// The admission filter in front of the store.
+    admission: AdmissionSpec,
     config: SimulationConfig,
     /// Flight-recorder seam: handed to the cache so admission verdicts
     /// push their reasons for the
@@ -249,29 +236,22 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator that will drive a fresh cache.
+    /// Creates a simulator that will drive a fresh cache admitting every
+    /// document, as the paper's caches do.
     pub fn new(policy: Box<dyn ReplacementPolicy>, config: SimulationConfig) -> Self {
         Simulator {
             policy,
+            admission: AdmissionSpec::All,
             config,
             admit_reasons: None,
         }
     }
 
     /// Creates a simulator from a composed [`PolicySpec`] (or a bare
-    /// [`PolicyKind`](webcache_core::PolicyKind)) — the redesigned entry
-    /// point. A spec-level admission filter overrides
-    /// [`SimulationConfig::admission_rule`]; a bare replacement spec
-    /// keeps the config's rule (see [`PolicySpec::admission_or`]).
+    /// [`PolicyKind`](webcache_core::PolicyKind)), which chooses both the
+    /// replacement policy and the admission filter.
     pub fn from_spec(spec: impl Into<PolicySpec>, config: SimulationConfig) -> Self {
-        let spec = spec.into();
-        let mut config = config;
-        config.admission_rule = spec.admission_or(config.admission_rule);
-        Simulator {
-            policy: spec.build(),
-            config,
-            admit_reasons: None,
-        }
+        Simulator::from_spec_instrumented(spec, config, ())
     }
 
     /// Like [`Simulator::from_spec`], but building the replacement
@@ -283,10 +263,9 @@ impl Simulator {
         sink: M,
     ) -> Self {
         let spec = spec.into();
-        let mut config = config;
-        config.admission_rule = spec.admission_or(config.admission_rule);
         Simulator {
             policy: spec.build_instrumented(sink),
+            admission: spec.admission,
             config,
             admit_reasons: None,
         }
@@ -357,7 +336,7 @@ impl Simulator {
         let mut cache = Cache::with_dense_slots(
             self.config.capacity,
             self.policy,
-            self.config.admission_rule,
+            self.admission,
             trace.distinct_documents(),
         );
         if let Some(reasons) = self.admit_reasons {
@@ -413,11 +392,7 @@ impl Simulator {
             warmup_end,
             capacity: self.config.capacity,
         });
-        let mut cache = Cache::with_admission(
-            self.config.capacity,
-            self.policy,
-            self.config.admission_rule,
-        );
+        let mut cache = Cache::new(self.config.capacity, self.policy, self.admission);
         if let Some(reasons) = self.admit_reasons {
             cache.set_admit_reasons(reasons);
         }
@@ -837,19 +812,16 @@ mod tests {
 
     #[test]
     fn builder_overrides_every_field() {
-        use webcache_core::AdmissionRule;
         let built = SimulationConfig::builder()
             .capacity(ByteSize::new(10))
             .warmup_fraction(0.25)
             .modification_rule(ModificationRule::AnyChange)
-            .admission_rule(AdmissionRule::SecondHit(8))
             .occupancy_samples(7)
             .build();
         let by_hand = SimulationConfig {
             capacity: ByteSize::new(10),
             warmup_fraction: 0.25,
             modification_rule: ModificationRule::AnyChange,
-            admission_rule: AdmissionRule::SecondHit(8),
             occupancy_samples: 7,
         };
         assert_eq!(built, by_hand);
@@ -878,15 +850,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_rule_reduces_first_insertions() {
-        use webcache_core::AdmissionRule;
+    fn admission_filter_reduces_first_insertions() {
         // doc 1 appears three times; with the second-hit filter the first
         // request cannot populate the cache, so only the third hits.
         let trace = vec![req(1, 100), req(1, 100), req(1, 100)];
-        let config = no_warmup(1000)
-            .admission_rule(AdmissionRule::SecondHit(16))
-            .build();
-        let report = run(trace, config);
+        let spec = PolicySpec::new(AdmissionSpec::SecondHit(16), PolicyKind::Lru);
+        let report = Simulator::from_spec(spec, no_warmup(1000).build()).run(&trace.into());
         assert_eq!(report.overall().hits, 1);
 
         // The same trace without admission control hits twice.
@@ -908,25 +877,14 @@ mod tests {
 
     #[test]
     fn from_spec_composes_admission_and_label() {
-        use webcache_core::PolicySpec;
         let trace: Trace = vec![req(1, 10)].into();
         let spec: PolicySpec = "tinylfu+slru".parse().unwrap();
         let report =
             Simulator::from_spec(spec, SimulationConfig::new(ByteSize::new(100))).run(&trace);
         assert_eq!(report.policy, "TinyLFU+SLRU");
-        assert_eq!(
-            report.config.admission_rule,
-            webcache_core::AdmissionSpec::TinyLfu,
-            "spec admission must land in the effective config"
-        );
-
-        // A bare kind inherits the config's admission rule.
-        let config = SimulationConfig::builder()
-            .capacity(ByteSize::new(100))
-            .admission_rule(AdmissionRule::SecondHit(8))
-            .build();
-        let report = Simulator::from_spec(PolicyKind::Lru, config).run(&trace);
-        assert_eq!(report.policy, "2HIT:8+LRU");
-        assert_eq!(report.config.admission_rule, AdmissionRule::SecondHit(8));
+        let report =
+            Simulator::from_spec(PolicyKind::Lru, SimulationConfig::new(ByteSize::new(100)))
+                .run(&trace);
+        assert_eq!(report.policy, "LRU", "a bare kind admits everything");
     }
 }

@@ -450,15 +450,15 @@ mod tests {
 
     #[test]
     fn admission_rejects_are_counted() {
-        use webcache_core::AdmissionRule;
+        use webcache_core::{AdmissionSpec, PolicySpec};
         let trace: Trace = (0..6u64).map(|i| req(i, DocumentType::Html, 50)).collect();
         let config = SimulationConfig::builder()
             .capacity(ByteSize::new(1_000))
             .warmup_fraction(0.0)
-            .admission_rule(AdmissionRule::SecondHit(16))
             .build();
         let mut metrics = WindowedMetrics::per_requests(3);
-        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut metrics);
+        let spec = PolicySpec::new(AdmissionSpec::SecondHit(16), PolicyKind::Lru);
+        Simulator::from_spec(spec, config).run_observed(&trace, &mut metrics);
         assert_eq!(
             metrics.total_churn().admission_rejects,
             6,

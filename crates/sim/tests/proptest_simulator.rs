@@ -160,7 +160,7 @@ proptest! {
 
 mod dense_vs_hashed {
     use proptest::prelude::*;
-    use webcache_core::{AdmissionRule, PolicyKind};
+    use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
     use webcache_sim::{ModificationRule, SimulationConfig, Simulator};
     use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
@@ -187,12 +187,12 @@ mod dense_vs_hashed {
         })
     }
 
-    fn arb_admission() -> impl Strategy<Value = AdmissionRule> {
+    fn arb_admission() -> impl Strategy<Value = AdmissionSpec> {
         prop_oneof![
-            Just(AdmissionRule::All),
-            Just(AdmissionRule::TinyLfu),
-            (1u64..50_000).prop_map(|s| AdmissionRule::MaxSize(ByteSize::new(s))),
-            (1usize..64).prop_map(AdmissionRule::SecondHit),
+            Just(AdmissionSpec::All),
+            Just(AdmissionSpec::TinyLfu),
+            (1u64..50_000).prop_map(|s| AdmissionSpec::MaxSize(ByteSize::new(s))),
+            (1usize..64).prop_map(AdmissionSpec::SecondHit),
         ]
     }
 
@@ -201,7 +201,7 @@ mod dense_vs_hashed {
 
         /// The hash-free dense replay is *bit-identical* to the sparse
         /// hashed replay — same hits, same evictions, same occupancy
-        /// samples — for every policy, admission rule and config.
+        /// samples — for every policy, admission filter and config.
         #[test]
         fn dense_replay_matches_hashed_replay(
             trace in arb_sparse_trace(),
@@ -220,12 +220,12 @@ mod dense_vs_hashed {
             let config = SimulationConfig::builder()
                 .capacity(ByteSize::new(capacity))
                 .warmup_fraction(warmup)
-                .admission_rule(admission)
                 .modification_rule(rule)
                 .occupancy_samples(samples)
                 .build();
-            let dense = Simulator::new(kind.build(), config).run(&trace);
-            let hashed = Simulator::new(kind.build(), config).run_hashed(&trace);
+            let spec = PolicySpec::new(admission, kind);
+            let dense = Simulator::from_spec(spec, config).run(&trace);
+            let hashed = Simulator::from_spec(spec, config).run_hashed(&trace);
             prop_assert_eq!(dense, hashed);
         }
     }
