@@ -20,6 +20,8 @@ pub struct Args {
 pub enum ArgError {
     /// A non-flag token appeared where a `--flag` was expected.
     Unexpected(String),
+    /// A flag the subcommand does not read (carries its name).
+    Unknown(String),
     /// The same flag appeared twice.
     Duplicate(String),
     /// A required flag is absent.
@@ -37,6 +39,7 @@ impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArgError::Unexpected(tok) => write!(f, "unexpected argument `{tok}`"),
+            ArgError::Unknown(flag) => write!(f, "unknown flag `--{flag}` for this subcommand"),
             ArgError::Duplicate(flag) => write!(f, "flag `--{flag}` given twice"),
             ArgError::Missing(flag) => write!(f, "missing required flag `--{flag}`"),
             ArgError::Invalid { flag, message } => {
@@ -61,20 +64,35 @@ impl Args {
     /// value, or a value that itself looks like a flag (the usual shape
     /// of a misplaced switch).
     pub fn parse(tokens: &[String], switches: &[&str]) -> Result<Args, ArgError> {
-        Args::parse_with_repeats(tokens, switches, &[])
+        Args::parse_flags(tokens, switches, None, &[])
     }
 
-    /// Like [`Args::parse`], but the flags in `repeatable` may appear
-    /// any number of times; their values accumulate in command-line
-    /// order (read them back with [`Args::get_all`]). Every other flag
-    /// keeps the appear-at-most-once rule.
+    /// Like [`Args::parse`], but for a subcommand that reads exactly the
+    /// value flags in `values` and `repeatable`: any other flag is an
+    /// [`ArgError::Unknown`] naming it, so a misspelt flag never silently
+    /// runs the default. The flags in `repeatable` may appear any number
+    /// of times; their values accumulate in command-line order (read them
+    /// back with [`Args::get_all`]). Every other flag keeps the
+    /// appear-at-most-once rule.
     ///
     /// # Errors
     ///
-    /// As [`Args::parse`].
-    pub fn parse_with_repeats(
+    /// As [`Args::parse`], and on the first undeclared flag.
+    pub fn parse_declared(
         tokens: &[String],
         switches: &[&str],
+        values: &[&str],
+        repeatable: &[&str],
+    ) -> Result<Args, ArgError> {
+        Args::parse_flags(tokens, switches, Some(values), repeatable)
+    }
+
+    /// The parser behind [`Args::parse`] (`values: None` accepts any
+    /// value flag) and [`Args::parse_declared`].
+    fn parse_flags(
+        tokens: &[String],
+        switches: &[&str],
+        values: Option<&[&str]>,
         repeatable: &[&str],
     ) -> Result<Args, ArgError> {
         let mut args = Args::default();
@@ -83,7 +101,14 @@ impl Args {
             let Some(flag) = token.strip_prefix("--") else {
                 return Err(ArgError::Unexpected(token.clone()));
             };
-            if switches.contains(&flag) {
+            let is_switch = switches.contains(&flag);
+            let known = is_switch
+                || repeatable.contains(&flag)
+                || values.is_none_or(|values| values.contains(&flag));
+            if !known {
+                return Err(ArgError::Unknown(flag.to_owned()));
+            }
+            if is_switch {
                 if args.switches.iter().any(|s| s == flag) {
                     return Err(ArgError::Duplicate(flag.to_owned()));
                 }
@@ -203,9 +228,10 @@ mod tests {
 
     #[test]
     fn repeatable_flags_accumulate_in_order() {
-        let a = Args::parse_with_repeats(
+        let a = Args::parse_declared(
             &toks("--policy tinylfu+slru --policy arc --seed 7"),
             &[],
+            &["seed"],
             &["policy"],
         )
         .unwrap();
@@ -215,8 +241,35 @@ mod tests {
         assert_eq!(a.get_all("absent"), [] as [&str; 0]);
         // Non-repeatable flags still reject duplicates.
         assert_eq!(
-            Args::parse_with_repeats(&toks("--seed 1 --seed 2"), &[], &["policy"]).unwrap_err(),
+            Args::parse_declared(&toks("--seed 1 --seed 2"), &[], &["seed"], &["policy"])
+                .unwrap_err(),
             ArgError::Duplicate("seed".into())
+        );
+    }
+
+    #[test]
+    fn declared_parsing_rejects_the_first_unread_flag() {
+        let parse = |line: &str| Args::parse_declared(&toks(line), &["csv"], &["capacity"], &[]);
+        let a = parse("--capacity 5% --csv").unwrap();
+        assert_eq!(a.get("capacity"), Some("5%"));
+        assert!(a.switch("csv"));
+        assert_eq!(
+            parse("--capactiy 1% --bogus 3").unwrap_err(),
+            ArgError::Unknown("capactiy".into())
+        );
+        // An unread flag is named even where it would lack a value.
+        assert_eq!(
+            parse("--capacity 5% --json").unwrap_err(),
+            ArgError::Unknown("json".into())
+        );
+        let message = ArgError::Unknown("capactiy".into()).to_string();
+        assert!(message.contains("`--capactiy`"), "{message}");
+        // Undeclared parsing keeps accepting any value flag.
+        assert_eq!(
+            Args::parse(&toks("--capactiy 1%"), &[])
+                .unwrap()
+                .get("capactiy"),
+            Some("1%")
         );
     }
 

@@ -21,8 +21,8 @@ use crate::metrics::HitStats;
 use crate::simulator::{SimulationConfig, NO_TRANSFER};
 
 /// Runs the clairvoyant policy over `trace` under `config` (capacity,
-/// warm-up and modification rule are honoured; occupancy sampling and
-/// admission rules are ignored).
+/// warm-up and modification rule are honoured; occupancy sampling is
+/// ignored). It admits every document.
 ///
 /// Per-document state lives in vectors indexed by the trace's dense
 /// slots. Returns per-type hit statistics, comparable to an online
