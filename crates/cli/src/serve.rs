@@ -1101,3 +1101,89 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     };
     serve_with(opts, shutdown, |_| {})
 }
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use webcache_obs::{DecisionRecord, EventKind, Reason};
+
+    use super::*;
+
+    /// Keys and values for `key=value&...` query strings: the keys
+    /// `/query` and `/debug/doc` read and others, a known and an unknown
+    /// metric, counts at and past the integer limits, signs, escapes and
+    /// multi-byte text.
+    const KEYS: &[&str] = &["metric", "last", "id", "doc", ""];
+    const VALUES: &[&str] = &[
+        "hits_total",
+        "nope",
+        "",
+        "0",
+        "7",
+        "-1",
+        "+3",
+        "1e3",
+        "18446744073709551615",
+        "18446744073709551616",
+        "%20",
+        "é=😀",
+        "\u{0}",
+    ];
+
+    /// No query, arbitrary text, or a run of `key=value` pairs.
+    fn query() -> impl Strategy<Value = Option<String>> {
+        let pair = (
+            prop::sample::select(KEYS.to_vec()),
+            prop::sample::select(VALUES.to_vec()),
+        )
+            .prop_map(|(key, value)| format!("{key}={value}"));
+        prop::option::of(prop_oneof![
+            "\\PC{0,40}",
+            prop::collection::vec(pair, 0..4).prop_map(|pairs| pairs.join("&")),
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever a client puts after the `?`, both handlers answer
+        /// 200, 400 or 404.
+        #[test]
+        fn query_handlers_answer_every_query_string(query in query()) {
+            let registry = Registry::new();
+            registry.counter("hits_total", "Hits.", &[]).inc();
+            let ring = SnapshotRing::new(4);
+            ring.capture(&registry, 0);
+            let flight = [SharedRecorder::new(4)];
+            flight[0].record(DecisionRecord {
+                index: 0,
+                doc: 7,
+                doc_type: 0,
+                size: 100,
+                event: EventKind::Insert,
+                reason: Reason::none(),
+            });
+            let status = LiveStatus::new();
+            let ctx = RouteContext {
+                registry: &registry,
+                status: &status,
+                policy: "LRU",
+                started: Instant::now(),
+                flight: &flight,
+                ring: &ring,
+            };
+            let counters: Vec<Counter> = (0..=ROUTES.len())
+                .map(|_| registry.counter("requests_total", "Requests.", &[]))
+                .collect();
+            for path in ["/query", "/debug/doc"] {
+                let request = HttpRequest {
+                    method: "GET".to_owned(),
+                    path: path.to_owned(),
+                    query: query.clone(),
+                };
+                let answer = respond(&request, &ctx, &counters).status;
+                prop_assert!(matches!(answer, 200 | 400 | 404), "{path} {query:?}: {answer}");
+            }
+        }
+    }
+}

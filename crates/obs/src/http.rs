@@ -296,8 +296,10 @@ enum ReadError {
     Io(std::io::Error),
 }
 
-/// Reads and parses the request head (up to the blank line).
-fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, ReadError> {
+/// Reads and parses the request head (up to the blank line). It reads
+/// 512 bytes at a time and stops once the head passes [`MAX_HEAD`], so
+/// it buffers less than `MAX_HEAD + 512` bytes whatever the client sends.
+fn read_request(stream: &mut impl Read) -> Result<HttpRequest, ReadError> {
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     while !head_complete(&head) {
@@ -497,5 +499,113 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         shutdown.store(true, Ordering::Relaxed);
         join.join().unwrap();
+    }
+
+    /// Totality of the request-head parser over untrusted bytes.
+    mod fuzz {
+        use std::io::Read;
+
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        use super::super::{read_request, MAX_HEAD};
+
+        /// A client that sends `input`, then hangs up or (`endless`)
+        /// keeps sending `x` forever; counts the bytes the parser read.
+        struct Client<R> {
+            bytes: R,
+            read: usize,
+        }
+
+        impl<R: Read> Read for Client<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.bytes.read(buf)?;
+                self.read += n;
+                Ok(n)
+            }
+        }
+
+        /// Whether `needle` occurs in `haystack`.
+        fn occurs(haystack: &[u8], needle: &[u8]) -> bool {
+            needle.is_empty() || haystack.windows(needle.len()).any(|w| w == needle)
+        }
+
+        /// `read_request` returns rather than panics, buffers less than
+        /// `MAX_HEAD` + one 512-byte read, and takes an accepted
+        /// request's path and query from the input.
+        fn check(input: &[u8], endless: bool) -> Result<(), TestCaseError> {
+            let tail = std::io::repeat(b'x').take(if endless { u64::MAX } else { 0 });
+            let mut client = Client {
+                bytes: input.chain(tail),
+                read: 0,
+            };
+            let verdict = read_request(&mut client);
+            prop_assert!(client.read < MAX_HEAD + 512, "read {} bytes", client.read);
+            if let Ok(request) = verdict {
+                prop_assert!(occurs(input, request.path.as_bytes()), "{request:?}");
+                let query = request.query.unwrap_or_default();
+                prop_assert!(occurs(input, query.as_bytes()), "{query:?}");
+            }
+            Ok(())
+        }
+
+        /// A well-formed head (request line, a header, blank line) with
+        /// the path and query of its request target.
+        fn head() -> impl Strategy<Value = (String, String, Option<String>)> {
+            (
+                prop::sample::select(vec!["GET", "POST", "HEAD"]),
+                "/[a-z/_.]{0,16}",
+                prop::option::of("[a-z0-9=&%_.]{0,24}"),
+                prop::sample::select(vec!["HTTP/1.0", "HTTP/1.1"]),
+                prop::sample::select(vec!["\r\n", "\n"]),
+            )
+                .prop_map(|(method, path, query, version, eol)| {
+                    let target = match &query {
+                        Some(q) => format!("{path}?{q}"),
+                        None => path.clone(),
+                    };
+                    let head = format!("{method} {target} {version}{eol}Host: test{eol}{eol}");
+                    (head, path, query)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary bytes, with or without an endless tail.
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                input in prop::collection::vec(0u8..=255, 0..2 * MAX_HEAD),
+                endless in prop_oneof![Just(false), Just(true)],
+            ) {
+                check(&input, endless)?;
+            }
+
+            /// A valid head is accepted whole, and cut at a random offset
+            /// or with random bit flips it still returns.
+            #[test]
+            fn damaged_heads_never_panic(
+                (head, path, query) in head(),
+                cut in 0.0f64..=1.0,
+                flips in prop::collection::vec((0usize..1 << 16, 0u8..8), 0..8),
+                endless in prop_oneof![Just(false), Just(true)],
+            ) {
+                let mut bytes = head.into_bytes();
+                let whole = read_request(&mut bytes.as_slice());
+                prop_assert!(
+                    whole.is_ok_and(|r| r.path == path && r.query == query),
+                    "{path:?} {query:?}"
+                );
+                bytes.truncate((bytes.len() as f64 * cut) as usize);
+                check(&bytes, endless)?;
+                if !bytes.is_empty() {
+                    let len = bytes.len();
+                    for (at, bit) in flips {
+                        bytes[at % len] ^= 1 << bit;
+                    }
+                }
+                check(&bytes, endless)?;
+            }
+        }
     }
 }
