@@ -96,16 +96,6 @@ impl LatencyModel {
     pub fn estimate(&self, report: &SimulationReport) -> LatencyEstimate {
         self.estimate_stats(&report.overall())
     }
-
-    /// Per-document-type latency estimates — shows which type's misses
-    /// dominate user-perceived latency (multi media, invariably: few
-    /// requests, enormous transfer times).
-    pub fn estimate_by_type(
-        &self,
-        report: &SimulationReport,
-    ) -> webcache_trace::TypeMap<LatencyEstimate> {
-        webcache_trace::TypeMap::from_fn(|ty| self.estimate_stats(&report.by_type()[ty]))
-    }
 }
 
 /// Latency totals for one bucket of requests.
@@ -204,34 +194,6 @@ mod tests {
         assert_eq!(e.mean_ms(), 0.0);
         assert_eq!(e.savings(), 0.0);
         assert_eq!(e.speedup(), 1.0);
-    }
-
-    #[test]
-    fn per_type_estimates_sum_to_overall() {
-        use webcache_core::PolicyKind;
-        use webcache_trace::{DocId, DocumentType, Request, Timestamp, Trace};
-        let trace: Trace = (0..60u64)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(i % 9),
-                    DocumentType::ALL[(i % 5) as usize],
-                    ByteSize::new(500 + i * 13),
-                )
-            })
-            .collect();
-        let report = crate::Simulator::new(
-            PolicyKind::Lru.build(),
-            crate::SimulationConfig::builder()
-                .capacity(ByteSize::from_kib(64))
-                .warmup_fraction(0.0)
-                .build(),
-        )
-        .run(&trace);
-        let m = LatencyModel::campus_2001();
-        let per_type = m.estimate_by_type(&report);
-        let total: f64 = per_type.iter().map(|(_, e)| e.total_ms).sum();
-        assert!((total - m.estimate(&report).total_ms).abs() < 1e-6);
     }
 
     #[test]

@@ -123,32 +123,13 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LogEntry, TraceError> {
 ///
 /// # Errors
 ///
-/// Fails on the first malformed line; use [`parse_log_lossy`] to skip
-/// malformed lines instead.
+/// Fails on the first malformed line.
 pub fn parse_log(text: &str) -> Result<Vec<LogEntry>, TraceError> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
         .map(|(i, l)| parse_line(l, i + 1))
         .collect()
-}
-
-/// Parses a Squid log, silently dropping malformed lines.
-///
-/// Returns the parsed entries and the number of lines dropped.
-pub fn parse_log_lossy(text: &str) -> (Vec<LogEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut dropped = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line, i + 1) {
-            Ok(e) => entries.push(e),
-            Err(_) => dropped += 1,
-        }
-    }
-    (entries, dropped)
 }
 
 /// Formats an entry back into the Squid native log format.
@@ -259,14 +240,6 @@ mod tests {
         let text = format!("{LINE}\n\n{LINE}\n");
         let entries = parse_log(&text).unwrap();
         assert_eq!(entries.len(), 2);
-    }
-
-    #[test]
-    fn parse_log_lossy_skips_garbage() {
-        let text = format!("{LINE}\nthis is not a log line\n{LINE}\n");
-        let (entries, dropped) = parse_log_lossy(&text);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(dropped, 1);
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Trace transformations: filtering, slicing, sampling and merging.
+//! Trace transformations: filtering and slicing.
 //!
 //! The characterization and simulation layers often want a *view* of a
-//! trace — one document type, a time window, a sampled thinning for a
-//! quick look, or several traces merged into one proxy stream. These
-//! transforms all return new [`Trace`]s in arrival order.
+//! trace — one document type, or a prefix. These transforms all return
+//! new [`Trace`]s in arrival order.
 
 use crate::doctype::{DocumentType, TypeMap};
-use crate::record::{Request, Trace};
-use crate::types::Timestamp;
+use crate::record::Trace;
 
 /// Keeps only requests for documents of `doc_type`.
 pub fn filter_by_type(trace: &Trace, doc_type: DocumentType) -> Trace {
@@ -27,70 +25,16 @@ pub fn split_by_type(trace: &Trace) -> TypeMap<Trace> {
     out
 }
 
-/// Keeps requests with `start ≤ timestamp < end`.
-///
-/// # Panics
-///
-/// Panics when `start > end`.
-pub fn time_window(trace: &Trace, start: Timestamp, end: Timestamp) -> Trace {
-    assert!(start <= end, "window start must not exceed its end");
-    trace
-        .iter()
-        .filter(|r| r.timestamp >= start && r.timestamp < end)
-        .copied()
-        .collect()
-}
-
 /// The first `n` requests.
 pub fn head(trace: &Trace, n: usize) -> Trace {
     trace.iter().take(n).copied().collect()
 }
 
-/// Keeps every `k`-th request (systematic sampling, starting with the
-/// first). `k = 1` is the identity.
-///
-/// Note that sampling *thins re-references*: hit rates measured on a
-/// sampled trace underestimate the original's. Use for quick structural
-/// looks, not for simulation results.
-///
-/// # Panics
-///
-/// Panics when `k` is zero.
-pub fn sample_every(trace: &Trace, k: usize) -> Trace {
-    assert!(k > 0, "sampling interval must be positive");
-    trace.iter().step_by(k).copied().collect()
-}
-
-/// Merges traces into one stream ordered by timestamp (stable for equal
-/// timestamps: earlier input trace first). Document-id spaces are
-/// remapped to avoid collisions: the `i`-th input's ids are offset by
-/// the number of distinct id values in earlier inputs... (kept verbatim;
-/// callers merging traces from one generator seed family should remap
-/// beforehand if ids overlap intentionally).
-pub fn merge(traces: &[&Trace]) -> Trace {
-    // Offset each trace's ids by the running max+1 of previous traces so
-    // the merged stream has disjoint document populations.
-    let mut offset = 0u64;
-    let mut tagged: Vec<Request> = Vec::new();
-    for t in traces {
-        let max_id = t.iter().map(|r| r.doc.as_u64()).max();
-        for r in *t {
-            let mut r = *r;
-            r.doc = crate::types::DocId::new(r.doc.as_u64() + offset);
-            tagged.push(r);
-        }
-        if let Some(m) = max_id {
-            offset += m + 1;
-        }
-    }
-    tagged.sort_by_key(|r| r.timestamp);
-    tagged.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ByteSize, DocId};
+    use crate::record::Request;
+    use crate::types::{ByteSize, DocId, Timestamp};
 
     fn req(ts: u64, doc: u64, ty: DocumentType) -> Request {
         Request::new(
@@ -130,63 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn window_is_half_open() {
-        let t = time_window(
-            &sample(),
-            Timestamp::from_millis(10),
-            Timestamp::from_millis(30),
-        );
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[0].timestamp.as_millis(), 10);
-        assert_eq!(t.requests()[1].timestamp.as_millis(), 20);
-    }
-
-    #[test]
-    fn head_and_sampling() {
+    fn head_takes_a_prefix() {
         assert_eq!(head(&sample(), 3).len(), 3);
         assert_eq!(head(&sample(), 100).len(), 5);
-        let every2 = sample_every(&sample(), 2);
-        assert_eq!(every2.len(), 3);
-        assert_eq!(every2.requests()[1].timestamp.as_millis(), 20);
-        assert_eq!(sample_every(&sample(), 1), sample());
-    }
-
-    #[test]
-    fn merge_interleaves_and_remaps_ids() {
-        let a: Trace = vec![
-            req(0, 0, DocumentType::Image),
-            req(20, 0, DocumentType::Image),
-        ]
-        .into();
-        let b: Trace = vec![req(10, 0, DocumentType::Html)].into();
-        let merged = merge(&[&a, &b]);
-        assert_eq!(merged.len(), 3);
-        let ts: Vec<u64> = merged.iter().map(|r| r.timestamp.as_millis()).collect();
-        assert_eq!(ts, vec![0, 10, 20]);
-        // b's doc 0 must not collide with a's doc 0.
-        assert_eq!(merged.distinct_documents(), 2);
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(merge(&[]).is_empty());
-        let empty = Trace::new();
-        assert!(merge(&[&empty, &empty]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "window start")]
-    fn inverted_window_rejected() {
-        let _ = time_window(
-            &sample(),
-            Timestamp::from_millis(30),
-            Timestamp::from_millis(10),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling interval")]
-    fn zero_sampling_rejected() {
-        let _ = sample_every(&sample(), 0);
     }
 }
