@@ -168,8 +168,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(denom) if denom >= 1.0 => scale = Some(1.0 / denom),
-                _ => return usage("--scale expects a denominator >= 1"),
+                Some(denom) if denom.is_finite() && denom >= 1.0 => scale = Some(1.0 / denom),
+                _ => return usage("--scale expects a finite denominator >= 1"),
             },
             "--seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(s) => seed = s,

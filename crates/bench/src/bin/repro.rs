@@ -3,28 +3,28 @@
 //! ```text
 //! repro [EXPERIMENT ...] [--scale DENOM] [--seed SEED]
 //!
-//! EXPERIMENT: table1 table2 table3 table4 table5
-//!             figure1 figure2 figure3 rtp
-//!             ablation-beta ablation-modification all   (default: all)
+//! EXPERIMENT: a name in `experiments::ALL`, or all   (default: all)
 //! --scale DENOM   run at 1/DENOM of the full trace size (default 32)
 //! --seed SEED     generator seed (default 20020623)
 //! ```
 
 use std::process::ExitCode;
 
-use webcache_bench::{experiments, SCALE_DEFAULT, SEED_DEFAULT};
+use webcache_bench::experiments::{self, Experiment};
+use webcache_bench::{SCALE_DEFAULT, SEED_DEFAULT};
 
 fn main() -> ExitCode {
     let mut scale = SCALE_DEFAULT;
     let mut seed = SEED_DEFAULT;
-    let mut wanted: Vec<String> = Vec::new();
+    let mut all = false;
+    let mut wanted: Vec<Experiment> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(denom) if denom >= 1.0 => scale = 1.0 / denom,
-                _ => return usage("--scale expects a denominator ≥ 1"),
+                Some(denom) if denom.is_finite() && denom >= 1.0 => scale = 1.0 / denom,
+                _ => return usage("--scale expects a finite denominator ≥ 1"),
             },
             "--seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(s) => seed = s,
@@ -34,55 +34,23 @@ fn main() -> ExitCode {
             other if other.starts_with('-') => {
                 return usage(&format!("unknown flag `{other}`"));
             }
-            other => wanted.push(other.to_owned()),
+            "all" => all = true,
+            other => match experiments::ALL.iter().find(|&&(name, _)| name == other) {
+                Some(&(_, experiment)) => wanted.push(experiment),
+                None => return usage(&format!("unknown experiment `{other}`")),
+            },
         }
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "figure1",
-            "figure2",
-            "figure3",
-            "rtp",
-            "ablation-beta",
-            "ablation-modification",
-            "ablation-admission",
-            "future",
-            "loglike",
-            "per-type-beta",
-            "oracle",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if all || wanted.is_empty() {
+        wanted = experiments::ALL
+            .iter()
+            .map(|&(_, experiment)| experiment)
+            .collect();
     }
 
     eprintln!("# scale = {scale:.6} (1/{:.0}), seed = {seed}", 1.0 / scale);
-    for name in &wanted {
-        let output = match name.as_str() {
-            "table1" => experiments::table1(scale, seed),
-            "table2" => experiments::table2(scale, seed),
-            "table3" => experiments::table3(scale, seed),
-            "table4" => experiments::table4(scale, seed),
-            "table5" => experiments::table5(scale, seed),
-            "figure1" => experiments::figure1(scale, seed),
-            "figure2" => experiments::figure2(scale, seed),
-            "figure3" => experiments::figure3(scale, seed),
-            "rtp" => experiments::rtp_summary(scale, seed),
-            "ablation-beta" => experiments::ablation_beta(scale, seed),
-            "ablation-modification" => experiments::ablation_modification(scale, seed),
-            "ablation-admission" => experiments::ablation_admission(scale, seed),
-            "future" => experiments::future_workload(scale, seed),
-            "loglike" => experiments::loglike_growth(scale, seed),
-            "per-type-beta" => experiments::per_type_beta(scale, seed),
-            "oracle" => experiments::oracle_efficiency(scale, seed),
-            other => return usage(&format!("unknown experiment `{other}`")),
-        };
-        println!("{output}");
+    for experiment in wanted {
+        println!("{}", experiment(scale, seed));
     }
     ExitCode::SUCCESS
 }
@@ -91,10 +59,11 @@ fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
+    let names: Vec<&str> = experiments::ALL.iter().map(|&(name, _)| name).collect();
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--scale DENOM] [--seed SEED]\n\
-         experiments: table1..table5 figure1..figure3 rtp ablation-beta \
-         ablation-modification future all"
+         experiments: {} all",
+        names.join(" ")
     );
     if error.is_empty() {
         ExitCode::SUCCESS

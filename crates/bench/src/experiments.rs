@@ -16,6 +16,30 @@ use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace};
 
 use crate::{dfn_trace, rtp_trace};
 
+/// One experiment: trace scale and seed in, the rendered artifact out.
+pub type Experiment = fn(f64, u64) -> String;
+
+/// Every experiment by its `repro` name, in the order `repro all` runs
+/// them.
+pub const ALL: [(&str, Experiment); 16] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("figure1", figure1),
+    ("figure2", figure2),
+    ("figure3", figure3),
+    ("rtp", rtp_summary),
+    ("ablation-beta", ablation_beta),
+    ("ablation-modification", ablation_modification),
+    ("ablation-admission", ablation_admission),
+    ("future", future_workload),
+    ("loglike", loglike_growth),
+    ("per-type-beta", per_type_beta),
+    ("oracle", oracle_efficiency),
+];
+
 fn characterize(trace: &Trace) -> TraceCharacterization {
     TraceCharacterization::measure(&DenseTrace::build(trace))
 }
@@ -81,12 +105,12 @@ pub fn table5(scale: f64, seed: u64) -> String {
 }
 
 /// The cache size of the Figure 1 experiment: 1 GB at full scale.
-pub fn figure1_capacity(scale: f64) -> ByteSize {
+fn figure1_capacity(scale: f64) -> ByteSize {
     ByteSize::new((ByteSize::from_gib(1).as_f64() * scale).round().max(1024.0) as u64)
 }
 
 /// Runs one GD\* variant for Figure 1 and returns its report.
-pub fn figure1_run(trace: &Trace, cost: CostModel, capacity: ByteSize) -> SimulationReport {
+fn figure1_run(trace: &Trace, cost: CostModel, capacity: ByteSize) -> SimulationReport {
     let config = SimulationConfig::builder()
         .capacity(capacity)
         .occupancy_samples(50)
@@ -136,7 +160,7 @@ pub fn figure1(scale: f64, seed: u64) -> String {
 }
 
 /// Runs the Figure 2/3 sweep grid for the given policies.
-pub fn sweep(trace: &DenseTrace, policies: Vec<PolicyKind>) -> webcache_sim::SweepReport {
+fn sweep(trace: &DenseTrace, policies: Vec<PolicyKind>) -> webcache_sim::SweepReport {
     let overall = trace.overall_size();
     let capacities = PAPER_SIZE_FRACTIONS.map(|f| overall.fraction(f)).to_vec();
     CacheSizeSweep::new(policies, capacities).run(trace)

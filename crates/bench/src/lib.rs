@@ -1,9 +1,9 @@
 //! # webcache-bench
 //!
 //! The reproduction harness: one function per table and figure of the
-//! paper, shared between the Criterion benches (`cargo bench -p
-//! webcache-bench`) and the `repro` binary
+//! paper, run by the `repro` binary
 //! (`cargo run --release -p webcache-bench --bin repro -- <experiment>`).
+//! The `hotpath` binary times the replay paths over the same DFN workload.
 //!
 //! All experiments run on synthetic DFN/RTP workloads at a configurable
 //! scale; `SCALE_DEFAULT` (1/32) keeps a full figure sweep within
@@ -20,7 +20,7 @@ pub mod experiments;
 use webcache_trace::Trace;
 use webcache_workload::WorkloadProfile;
 
-/// Default trace scale for benches and the repro binary.
+/// Default trace scale of the repro binary.
 pub const SCALE_DEFAULT: f64 = 1.0 / 32.0;
 
 /// Default generator seed (any fixed value reproduces the same numbers).

@@ -87,6 +87,25 @@ impl Args {
         Args::parse_flags(tokens, switches, Some(values), repeatable)
     }
 
+    /// Checks arguments from [`Args::parse`], which accepts any value
+    /// flag, against the space-separated lists of the switches and the
+    /// value flags a subcommand reads.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::Unknown`] naming a flag outside both lists (the first
+    /// in name order, when there are several).
+    pub(crate) fn check_declared(&self, switches: &str, values: &str) -> Result<(), ArgError> {
+        let declared = |list: &str, flag: &str| list.split_whitespace().any(|word| word == flag);
+        let undeclared = self
+            .switches
+            .iter()
+            .filter(|flag| !declared(switches, flag))
+            .chain(self.values.keys().filter(|flag| !declared(values, flag)))
+            .min();
+        undeclared.map_or(Ok(()), |flag| Err(ArgError::Unknown(flag.clone())))
+    }
+
     /// The parser behind [`Args::parse`] (`values: None` accepts any
     /// value flag) and [`Args::parse_declared`].
     fn parse_flags(
@@ -264,13 +283,19 @@ mod tests {
         );
         let message = ArgError::Unknown("capactiy".into()).to_string();
         assert!(message.contains("`--capactiy`"), "{message}");
-        // Undeclared parsing keeps accepting any value flag.
+        // Undeclared parsing keeps accepting any value flag, and a later
+        // check against the declared lists names the first unread one.
+        let lenient = Args::parse(&toks("--capactiy 1% --bogus 3 --csv"), &["csv"]).unwrap();
+        assert_eq!(lenient.get("capactiy"), Some("1%"));
         assert_eq!(
-            Args::parse(&toks("--capactiy 1%"), &[])
-                .unwrap()
-                .get("capactiy"),
-            Some("1%")
+            lenient.check_declared("csv", "capacity"),
+            Err(ArgError::Unknown("bogus".into()))
         );
+        assert_eq!(
+            lenient.check_declared("", "bogus capactiy"),
+            Err(ArgError::Unknown("csv".into()))
+        );
+        assert_eq!(lenient.check_declared("csv", "capactiy bogus"), Ok(()));
     }
 
     #[test]

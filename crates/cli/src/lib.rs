@@ -85,12 +85,13 @@ subcommands:
   characterize (--trace FILE | --squid FILE) [--name NAME]
                print the Section-2 tables (properties, per-type mix,
                size statistics, alpha, beta)
-  simulate     --trace FILE --policy SPEC [--capacity SIZE|PCT%]
-               [--warmup FRAC] [--occupancy N] [--markdown]
+  simulate     (--trace FILE | --squid FILE) --policy SPEC
+               [--capacity SIZE|PCT%] [--warmup FRAC] [--occupancy N]
+               [--markdown]
                run one policy over a trace and report per-type rates
                (--markdown: as a Markdown table)
-  sweep        --trace FILE [--policies a,b,c] [--policy SPEC ...]
-               [--fractions f1,f2,...]
+  sweep        (--trace FILE | --squid FILE) [--policies a,b,c]
+               [--policy SPEC ...] [--fractions f1,f2,...]
                [--csv] [--progress] [--shards N]
                policy x cache-size grid (the Figure 2/3 engine);
                --progress reports per-cell completion on stderr;
@@ -100,9 +101,9 @@ subcommands:
                bit-identical to the default);
                --policy is repeatable and takes full specs
                (--policy tinylfu+slru --policy arc)
-  stats        --trace FILE --policy SPEC [--capacity SIZE|PCT%]
-               [--warmup FRAC] [--window N | --window-bytes SIZE]
-               [--json] [--csv]
+  stats        (--trace FILE | --squid FILE) --policy SPEC
+               [--capacity SIZE|PCT%] [--warmup FRAC]
+               [--window N | --window-bytes SIZE] [--json] [--csv]
                windowed per-type hit-rate / byte-hit-rate time series
                plus eviction and admission churn (JSON and CSV;
                default window: a tenth of the measured region)
@@ -119,9 +120,9 @@ subcommands:
                (Prometheus text) and metrics.json to --out-dir
                (default profile-out); with no input trace a synthetic
                DFN workload is generated (--quick: a smaller one)
-  hierarchy    --trace FILE [--leaves N (1..=1024)] [--leaf-capacity SIZE|PCT%]
-               [--parent-capacity SIZE|PCT%] [--leaf-policy P]
-               [--parent-policy P]
+  hierarchy    (--trace FILE | --squid FILE) [--leaves N (1..=1024)]
+               [--leaf-capacity SIZE|PCT%] [--parent-capacity SIZE|PCT%]
+               [--leaf-policy P] [--parent-policy P]
                simulate institutional leaves behind a backbone parent
   serve        (--trace FILE | --workload dfn|rtp) [--policy SPEC]
                [--capacity SIZE|PCT%] [--warmup FRAC] [--scale DENOM]
@@ -243,14 +244,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 "trace squid policies capacity scale seed out-dir",
                 "policy",
             ),
-            "serve" => (
-                serve::serve,
-                "quick",
-                "trace workload policy capacity warmup scale seed rate passes port log-level \
-                 log-file anomaly-window shards clients flight-capacity bundle-dir max-bundles \
-                 slo-hit-rate slo-p99-ms slo-window slo-burn dash-history",
-                "",
-            ),
+            "serve" => (serve::serve, serve::SWITCHES, serve::VALUES, ""),
             "top" => (top::top, "once", "host port interval frames", ""),
             "inspect" => (forensics::inspect, "", "bundle window top", ""),
             "help" | "--help" | "-h" => return Ok(USAGE.to_owned()),
@@ -277,6 +271,42 @@ mod tests {
     fn empty_and_help_print_usage() {
         assert!(run(&[]).unwrap().contains("subcommands"));
         assert!(run(&argv("help")).unwrap().contains("policies:"));
+    }
+
+    #[test]
+    fn usage_names_squid_for_every_subcommand_that_reads_it() {
+        // A subcommand reads `--squid` when `--squid` with no value is a
+        // missing-value error rather than an unknown flag.
+        let section = USAGE
+            .split_once("subcommands:\n")
+            .and_then(|(_, rest)| rest.split_once("\npolicies:"))
+            .expect("usage has a subcommands section")
+            .0;
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in section.lines() {
+            match line
+                .strip_prefix("  ")
+                .filter(|rest| !rest.starts_with(' '))
+            {
+                Some(head) => {
+                    let name = head.split_whitespace().next().expect("a subcommand name");
+                    blocks.push((name, head.to_owned()));
+                }
+                None => blocks.last_mut().expect("a block").1.push_str(line),
+            }
+        }
+        assert_eq!(blocks.len(), 12, "{blocks:?}");
+        for (name, block) in blocks.iter().filter(|(name, _)| *name != "help") {
+            let reads_squid = !matches!(
+                run(&argv(&format!("{name} --squid"))),
+                Err(CliError::Usage(msg)) if msg.contains("unknown flag `--squid`")
+            );
+            assert_eq!(
+                block.contains("--squid FILE"),
+                reads_squid,
+                "{name}: {block}"
+            );
+        }
     }
 
     #[test]

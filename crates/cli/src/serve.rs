@@ -240,16 +240,26 @@ impl std::fmt::Debug for ServeOptions {
     }
 }
 
+/// The switches `serve` reads.
+pub(crate) const SWITCHES: &str = "quick";
+
+/// The value flags `serve` reads.
+pub(crate) const VALUES: &str = "trace workload policy capacity warmup scale seed rate passes \
+     port log-level log-file anomaly-window shards clients flight-capacity bundle-dir \
+     max-bundles slo-hit-rate slo-p99-ms slo-window slo-burn dash-history";
+
 impl ServeOptions {
     /// Resolves options from parsed arguments. See the usage text for
     /// the flag reference.
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on contradictory or malformed flags,
-    /// [`CliError::Input`] on an empty `--trace`, I/O errors from reading
-    /// `--trace` or opening `--log-file`.
+    /// [`CliError::Usage`] on a flag serve does not read and on
+    /// contradictory or malformed flags, [`CliError::Input`] on an empty
+    /// `--trace`, I/O errors from reading `--trace` or opening
+    /// `--log-file`.
     pub fn from_args(args: &Args) -> Result<ServeOptions, CliError> {
+        args.check_declared(SWITCHES, VALUES)?;
         let quick = args.switch("quick");
         let level = match args.get("log-level") {
             None => Level::Info,

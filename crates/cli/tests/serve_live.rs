@@ -17,7 +17,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use webcache_cli::capacity::CapacitySpec;
-use webcache_cli::{serve_with, Args, ServeOptions};
+use webcache_cli::{serve_with, Args, CliError, ServeOptions};
 use webcache_core::PolicyKind;
 use webcache_sim::{SimulationConfig, Simulator};
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
@@ -819,4 +819,12 @@ fn serve_usage_errors() {
             "`{bad}` should fail"
         );
     }
+    // `Args::parse` accepts any value flag; `from_args` names the one
+    // serve does not read.
+    let args = Args::parse(&argv("--workload dfn --capactiy 1%"), &["quick"]).unwrap();
+    let err = ServeOptions::from_args(&args).unwrap_err();
+    assert!(
+        matches!(&err, CliError::Usage(msg) if msg.contains("`--capactiy`")),
+        "{err:?}"
+    );
 }

@@ -36,7 +36,7 @@
 //! The recorder itself is single-threaded; [`SharedRecorder`] wraps it
 //! in `Arc<Mutex<..>>` for the serve path where the replay thread writes
 //! and HTTP handlers read. [`ReasonChannel`] is the FIFO seam carrying
-//! policy-emitted reasons from a [`MetricsSink`](crate::MetricsSink)
+//! policy-emitted reasons from a [`MetricsSink`]
 //! ([`FlightSink`]) to the observer that stamps them onto events: the
 //! cache pushes exactly one reason per eviction (in victim order) and
 //! one per admission verdict, and the observer pops in the same order.

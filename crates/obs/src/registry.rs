@@ -199,9 +199,9 @@ struct SeriesCells {
 /// `L` over the run).
 ///
 /// Pushes are recorded at a deterministic stride: once the retained
-/// vector reaches twice [`SERIES_TARGET`] samples, every other sample is
-/// dropped and the stride doubles, so memory stays bounded while the
-/// retained points remain evenly spaced over the whole run.
+/// vector reaches twice `SERIES_TARGET` (256) samples, every other
+/// sample is dropped and the stride doubles, so memory stays bounded
+/// while the retained points remain evenly spaced over the whole run.
 #[derive(Debug, Clone)]
 pub struct Series(Arc<Mutex<SeriesCells>>);
 

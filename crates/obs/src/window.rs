@@ -1,9 +1,10 @@
 //! Windowed percentile histograms.
 //!
 //! A [`WindowedHistogram`] is a ring of `K` log2-bucket histograms (the
-//! same fixed buckets as [`registry::Histogram`]) rotated explicitly by
-//! the owner — one rotation per anomaly window, replay pass, or
-//! whatever cadence the caller picks. The record path is lock-free:
+//! same fixed buckets as
+//! [`registry::Histogram`](crate::registry::Histogram)) rotated
+//! explicitly by the owner — one rotation per anomaly window, replay
+//! pass, or whatever cadence the caller picks. The record path is lock-free:
 //! load the current slot index, then a handful of relaxed `fetch_add`s.
 //! Quantile estimation aggregates all `K` windows, so an estimate
 //! always covers the trailing `K` rotation periods and old traffic ages

@@ -1,6 +1,6 @@
 //! The profiling observer: simulator events → metrics registry.
 //!
-//! [`ProfileObserver`] is an [`Observer`](crate::Observer) that folds the
+//! [`ProfileObserver`] is an [`Observer`] that folds the
 //! replay's event stream into [`webcache_obs::Registry`] handles — hit /
 //! miss / insert / rejection counts, evicted bytes, and a histogram of
 //! the *evict-scan length* (how many victims each admitted miss had to

@@ -8,7 +8,7 @@
 //!   document type, since the paper's schemes discriminate by type.
 //! * **Gap to clairvoyant** — every `gap_every` requests, the last
 //!   `gap_window` requests are replayed through
-//!   [`oracle::clairvoyant`](crate::oracle::clairvoyant) and the
+//!   [`oracle::clairvoyant`] and the
 //!   oracle's hit rate over that window is compared with the live hit
 //!   rate over the same window. The gap (oracle − actual, in hit-rate
 //!   points) is the online analogue of the offline "fraction of

@@ -321,7 +321,7 @@ impl Simulator {
     /// monomorphizes to exactly the unobserved loop — the hooks cost
     /// nothing unless an observer actually uses them. Events carry the
     /// **dense slot** as the document id (see
-    /// [`AccessEvent`](crate::observe::AccessEvent)).
+    /// [`AccessEvent`]).
     pub fn run_dense_observed<O: Observer>(
         self,
         trace: &DenseTrace,

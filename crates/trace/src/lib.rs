@@ -40,7 +40,6 @@
 
 pub mod cacheability;
 pub mod canonical;
-pub mod clf;
 pub mod dense;
 pub mod doctype;
 pub mod error;

@@ -222,12 +222,6 @@ mod canonical_props {
                 }
             }
         }
-
-        /// The CLF parser never panics on arbitrary input.
-        #[test]
-        fn clf_parser_is_total(line in "\\PC{0,200}") {
-            let _ = webcache_trace::clf::parse_line(&line, 1);
-        }
     }
 }
 

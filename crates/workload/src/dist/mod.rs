@@ -5,16 +5,13 @@
 //!
 //! * [`Zipf`] — bounded Zipf-like rank-frequency law (popularity),
 //! * [`LogNormal`] — document sizes (calibrated from mean and median),
-//! * [`BoundedPareto`] — heavy-tailed alternative size model,
 //! * [`BoundedPowerLaw`] — discrete power-law inter-reference gaps
 //!   (temporal correlation).
 
 mod lognormal;
-mod pareto;
 mod powerlaw;
 mod zipf;
 
 pub use lognormal::LogNormal;
-pub use pareto::BoundedPareto;
 pub use powerlaw::BoundedPowerLaw;
 pub use zipf::Zipf;

@@ -115,7 +115,6 @@ impl TraceGenerator {
             let doc = r.doc as usize;
             let ty = doc_type[doc];
             let tp = &self.profile.types[ty];
-            let (min_size, _) = tp.size_model.bounds();
 
             if seen[doc] && rng.gen::<f64>() < tp.modification_rate {
                 // Origin-server modification: perturb the document size by
@@ -126,7 +125,7 @@ impl TraceGenerator {
                 doc_size[doc] = if rng.gen::<bool>() {
                     size.saturating_add(delta)
                 } else {
-                    size.saturating_sub(delta).max(min_size.max(1))
+                    size.saturating_sub(delta).max(tp.size_model.min.max(1))
                 };
             }
             let size = doc_size[doc];

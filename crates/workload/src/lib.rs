@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arrivals;
 pub mod dist;
 pub mod generator;
 pub mod mix;
@@ -44,7 +43,6 @@ pub mod sizes;
 pub mod stream;
 pub mod temporal;
 
-pub use arrivals::ArrivalModel;
 pub use generator::TraceGenerator;
 pub use mix::{blend, shift_mix};
 pub use profiles::{TypeProfile, WorkloadProfile};

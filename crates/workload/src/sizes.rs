@@ -5,35 +5,21 @@ use serde::{Deserialize, Serialize};
 
 use webcache_trace::ByteSize;
 
-use crate::dist::{BoundedPareto, LogNormal};
+use crate::dist::LogNormal;
 
-/// A document-size distribution with hard clamping bounds.
-///
-/// The default body is log-normal, calibrated directly from the mean and
-/// median the paper reports per document type (Tables 4/5); a bounded
-/// Pareto variant is available for tail-sensitivity experiments.
+/// A log-normal document-size distribution with hard clamping bounds,
+/// calibrated directly from the mean and median the paper reports per
+/// document type (Tables 4/5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SizeModel {
-    /// Log-normal body calibrated from mean and median.
-    LogNormal {
-        /// Target mean size in bytes.
-        mean: f64,
-        /// Target median size in bytes.
-        median: f64,
-        /// Smallest generated size in bytes.
-        min: u64,
-        /// Largest generated size in bytes.
-        max: u64,
-    },
-    /// Truncated Pareto with tail index `shape` over `[min, max]`.
-    Pareto {
-        /// Tail index (smaller = heavier tail).
-        shape: f64,
-        /// Smallest generated size in bytes.
-        min: u64,
-        /// Largest generated size in bytes.
-        max: u64,
-    },
+pub struct SizeModel {
+    /// Target mean size in bytes.
+    pub mean: f64,
+    /// Target median size in bytes.
+    pub median: f64,
+    /// Smallest generated size in bytes.
+    pub min: u64,
+    /// Largest generated size in bytes.
+    pub max: u64,
 }
 
 impl SizeModel {
@@ -46,7 +32,7 @@ impl SizeModel {
         assert!(min < max, "need min < max clamp bounds");
         // Validate the calibration eagerly.
         let _ = LogNormal::from_mean_median(mean, median);
-        SizeModel::LogNormal {
+        SizeModel {
             mean,
             median,
             min,
@@ -54,48 +40,10 @@ impl SizeModel {
         }
     }
 
-    /// The clamping bounds `(min, max)` in bytes.
-    pub fn bounds(&self) -> (u64, u64) {
-        match *self {
-            SizeModel::LogNormal { min, max, .. } | SizeModel::Pareto { min, max, .. } => {
-                (min, max)
-            }
-        }
-    }
-
     /// Draws one document size.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ByteSize {
-        let raw = match *self {
-            SizeModel::LogNormal { mean, median, .. } => {
-                LogNormal::from_mean_median(mean, median).sample(rng)
-            }
-            SizeModel::Pareto { shape, min, max } => {
-                BoundedPareto::new(shape, min.max(1) as f64, max as f64).sample(rng)
-            }
-        };
-        let (min, max) = self.bounds();
-        ByteSize::new((raw.round() as u64).clamp(min, max))
-    }
-
-    /// Scales the model's target sizes by `factor` (used when deriving
-    /// reduced-scale workloads; bounds are preserved).
-    #[must_use]
-    pub fn scaled_sizes(&self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "bad scale factor");
-        match *self {
-            SizeModel::LogNormal {
-                mean,
-                median,
-                min,
-                max,
-            } => SizeModel::LogNormal {
-                mean: mean * factor,
-                median: median * factor,
-                min,
-                max,
-            },
-            pareto @ SizeModel::Pareto { .. } => pareto,
-        }
+        let raw = LogNormal::from_mean_median(self.mean, self.median).sample(rng);
+        ByteSize::new((raw.round() as u64).clamp(self.min, self.max))
     }
 }
 
@@ -122,33 +70,6 @@ mod tests {
         for _ in 0..5_000 {
             let s = m.sample(&mut rng).as_u64();
             assert!((5_000..=20_000).contains(&s));
-        }
-    }
-
-    #[test]
-    fn pareto_variant_samples_in_bounds() {
-        let m = SizeModel::Pareto {
-            shape: 1.2,
-            min: 100,
-            max: 1_000_000,
-        };
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..5_000 {
-            let s = m.sample(&mut rng).as_u64();
-            assert!((100..=1_000_000).contains(&s));
-        }
-        assert_eq!(m.bounds(), (100, 1_000_000));
-    }
-
-    #[test]
-    fn scaled_sizes_shifts_lognormal_targets() {
-        let m = SizeModel::log_normal(8_000.0, 2_000.0, 30, 1 << 30).scaled_sizes(0.5);
-        match m {
-            SizeModel::LogNormal { mean, median, .. } => {
-                assert_eq!(mean, 4_000.0);
-                assert_eq!(median, 1_000.0);
-            }
-            SizeModel::Pareto { .. } => panic!("variant must be preserved"),
         }
     }
 

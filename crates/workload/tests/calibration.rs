@@ -46,9 +46,7 @@ fn size_statistics_match_size_models() {
         DocumentType::Html,
         DocumentType::Application,
     ] {
-        let SizeModel::LogNormal { mean, median, .. } = p.types[ty].size_model else {
-            panic!("profiles use log-normal models");
-        };
+        let SizeModel { mean, median, .. } = p.types[ty].size_model;
         let got = &ch.statistics[ty].document_size;
         // Application sizes are extremely heavy-tailed (mean/median ≈ 12):
         // the sample mean of a few thousand documents is noisy and the

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use webcache_trace::DocumentType;
-use webcache_workload::dist::{BoundedPareto, BoundedPowerLaw, LogNormal, Zipf};
+use webcache_workload::dist::{BoundedPowerLaw, LogNormal, Zipf};
 use webcache_workload::temporal::place_references;
 use webcache_workload::{SizeModel, TypeProfile, WorkloadProfile};
 
@@ -96,18 +96,13 @@ proptest! {
         }
     }
 
-    /// Log-normal and Pareto samples respect their supports.
+    /// Log-normal samples respect their support.
     #[test]
     fn size_distributions_support(seed in 0u64..50) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ln = LogNormal::from_mean_median(10_000.0, 2_500.0);
         for _ in 0..100 {
             prop_assert!(ln.sample(&mut rng) > 0.0);
-        }
-        let pareto = BoundedPareto::new(1.1, 100.0, 1e8);
-        for _ in 0..100 {
-            let x = pareto.sample(&mut rng);
-            prop_assert!((100.0..=1e8).contains(&x));
         }
     }
 
@@ -163,10 +158,10 @@ proptest! {
     }
 }
 
-mod mix_and_arrival_props {
+mod mix_props {
     use proptest::prelude::*;
     use webcache_trace::{DocumentType, TypeMap};
-    use webcache_workload::{blend, shift_mix, ArrivalModel, WorkloadProfile};
+    use webcache_workload::{blend, shift_mix, WorkloadProfile};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -206,46 +201,6 @@ mod mix_and_arrival_props {
             shifted.validate();
             let ratio = shifted.total_requests() as f64 / dfn.total_requests() as f64;
             prop_assert!((ratio - 1.0).abs() < 0.01, "volume ratio {ratio}");
-        }
-
-        /// Re-timed traces are monotone in time and preserve payload, for
-        /// every arrival model.
-        #[test]
-        fn retime_laws(
-            n in 1u64..500,
-            model_sel in 0u8..3,
-            rate in 1.0f64..200.0,
-            seed in 0u64..50,
-        ) {
-            let model = match model_sel {
-                0 => ArrivalModel::Uniform { spacing_ms: rate as u64 + 1 },
-                1 => ArrivalModel::Poisson { rate_per_sec: rate },
-                _ => ArrivalModel::daily(rate / 2.0, rate),
-            };
-            let mut p = WorkloadProfile::empty("prop");
-            p.types[DocumentType::Html] = webcache_workload::TypeProfile {
-                distinct_documents: (n / 2).max(1),
-                requests: n.max(1),
-                alpha: 0.7,
-                beta: 0.8,
-                size_model: webcache_workload::SizeModel::log_normal(
-                    8_192.0, 2_048.0, 30, 1 << 24,
-                ),
-                modification_rate: 0.0,
-                interrupt_rate: 0.0,
-                size_popularity_correlation: 0.0,
-            };
-            let trace = p.build_trace(seed);
-            let retimed = model.retime(&trace, seed);
-            prop_assert_eq!(retimed.len(), trace.len());
-            for w in retimed.requests().windows(2) {
-                prop_assert!(w[0].timestamp <= w[1].timestamp);
-            }
-            for (a, b) in retimed.iter().zip(trace.iter()) {
-                prop_assert_eq!(a.doc, b.doc);
-                prop_assert_eq!(a.size, b.size);
-                prop_assert_eq!(a.doc_type, b.doc_type);
-            }
         }
     }
 }
