@@ -312,7 +312,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     let capacities = fractions.iter().map(|&f| overall.fraction(f)).collect();
 
     let shards: usize = args.get_parsed("shards")?.unwrap_or(1);
-    webcache_core::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
+    webcache_sim::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
     let sweep = CacheSizeSweep::new(policies, capacities).with_shards(shards);
     let report = if args.switch("progress") {
         let threads = std::thread::available_parallelism()

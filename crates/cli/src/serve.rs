@@ -1,9 +1,13 @@
 //! `webcache serve` — the live observability daemon.
 //!
-//! Runs a continuous replay ([`ReplayLoop`]) on a background thread
-//! while the calling thread answers HTTP requests (each accepted as
-//! soon as it arrives; see [`HttpServer`]). Every endpoint lives in one
-//! routing table ([`route_paths`] lists them):
+//! Replays pass after pass on a background thread while the calling
+//! thread answers HTTP requests (each accepted as soon as it arrives;
+//! see [`HttpServer`]). Every pass is one
+//! [`ConcurrentSimulator::run_sharded_controlled`] call over a cold
+//! cache, and its bookkeeping records the daemon's progress in the
+//! registry: `/healthz` and `/dash` read the same counters and gauges
+//! that `/metrics` exports. Every endpoint lives in one routing table
+//! ([`route_paths`] lists them):
 //!
 //! * `GET /metrics` — Prometheus text exposition of the live registry
 //!   (simulator counters, anomaly totals, regret gauges, serve-loop
@@ -36,10 +40,11 @@
 //! rendezvous channel, so epoch k+1 is built while pass k replays and a
 //! pass costs the longer of the two stages rather than their sum; the
 //! daemon holds one extra epoch for it. A `--trace` daemon starts no
-//! producer. There is one replay driver: without `--shards`, every pass is
-//! the one-shard, one-client pass of the sharded loop, replayed on the
-//! replay thread itself; `--shards N --clients M` runs the same loop,
-//! pass callback and pacer. Each shard has one observer chain: its
+//! producer. There is one pass loop: without `--shards`, every pass is
+//! the one-shard, one-client replay, run on the replay thread itself;
+//! `--shards N --clients M` runs the same loop, bookkeeping and pacer.
+//! The shutdown flag and the `--rate` pacer are checked every 128
+//! requests of a shard. Each shard has one observer chain: its
 //! flight recorder (stamped with reasons from that shard's policy and
 //! admission filter), the latency observer and the SLO tracker, plus —
 //! on a one-shard daemon only, since they read one ordered event stream
@@ -61,22 +66,23 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use webcache_core::{PolicySpec, ShardLockProbe, ShardReasons};
+use webcache_core::PolicySpec;
 use webcache_obs::{
     merge_sorted, Counter, Gauge, HttpRequest, HttpResponse, HttpServer, Level, Logger, Registry,
     SharedRecorder, SnapshotRing,
 };
 use webcache_sim::latency_obs::DEFAULT_LATENCY_WINDOWS;
 use webcache_sim::{
-    AnomalyConfig, AnomalyObserver, AnomalyTrigger, FixedSource, FlightObserver, LatencyModel,
-    LatencyObserver, LiveStatus, LogObserver, ProfileObserver, RegretConfig, RegretTracker,
-    ReplayLoop, SimulationConfig, SloConfig, SloTracker, SloTrigger, TraceSource,
+    AnomalyConfig, AnomalyObserver, AnomalyTrigger, ConcurrentSimulator, FlightObserver,
+    LatencyModel, LatencyObserver, LogObserver, ProfileObserver, RegretConfig, RegretTracker,
+    ShardLockProbe, ShardReasons, ShardedTrace, SimulationConfig, SloConfig, SloTracker,
+    SloTrigger,
 };
 use webcache_trace::{DenseTrace, Trace};
 use webcache_workload::{WorkloadProfile, WorkloadStream};
@@ -111,7 +117,7 @@ static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
 extern "C" fn on_sigint(_signum: i32) {
-    SIGINT_FLAG.store(true, std::sync::atomic::Ordering::SeqCst);
+    SIGINT_FLAG.store(true, Ordering::SeqCst);
 }
 
 /// Installs the SIGINT handler (idempotent) and returns the flag it
@@ -130,10 +136,10 @@ pub fn sigint_flag() -> &'static AtomicBool {
     &SIGINT_FLAG
 }
 
-/// What feeds the replay loop.
+/// What feeds the pass loop.
 enum Source {
     /// One trace file, replayed on every pass.
-    Fixed(FixedSource),
+    Fixed(DenseTrace),
     /// The endless workload generator, one epoch per pass, built on a
     /// producer thread (see [`feed`]). The stream is boxed to keep the
     /// two variants comparably sized.
@@ -145,20 +151,21 @@ enum Source {
     },
 }
 
-/// The replay thread's [`TraceSource`]: the fixed trace, or the epochs
+/// The replay thread's trace source: the fixed trace, or the epochs
 /// the producer hands over.
 enum Feed {
-    Fixed(FixedSource),
+    Fixed(DenseTrace),
     Epochs {
         epochs: Receiver<DenseTrace>,
         current: Option<DenseTrace>,
     },
 }
 
-impl TraceSource for Feed {
-    fn next_pass(&mut self, pass: u64) -> Option<&DenseTrace> {
+impl Feed {
+    /// The next pass's trace; `None` once the producer has stopped.
+    fn next_pass(&mut self) -> Option<&DenseTrace> {
         match self {
-            Feed::Fixed(fixed) => fixed.next_pass(pass),
+            Feed::Fixed(dense) => Some(dense),
             Feed::Epochs { epochs, current } => {
                 // Free the replayed epoch before taking the next.
                 *current = None;
@@ -279,7 +286,7 @@ impl ServeOptions {
                     return Err(CliError::Input(format!("trace `{path}` is empty")));
                 }
                 let bytes = dense.overall_size();
-                (Source::Fixed(FixedSource::from_dense(dense)), bytes)
+                (Source::Fixed(dense), bytes)
             }
             (None, Some(name)) => {
                 let profile = match name.to_ascii_lowercase().as_str() {
@@ -322,7 +329,7 @@ impl ServeOptions {
             return Err(usage("--rate expects a finite requests/second > 0"));
         }
         let shards: usize = args.get_parsed("shards")?.unwrap_or(1);
-        webcache_core::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
+        webcache_sim::validate_shard_count(shards).map_err(|e| usage(format!("--shards: {e}")))?;
         let clients: usize = args.get_parsed("clients")?.unwrap_or(1);
         if clients == 0 {
             return Err(usage("--clients expects a thread count ≥ 1"));
@@ -479,7 +486,13 @@ impl BundleWriter {
 /// daemon's state.
 struct RouteContext<'a> {
     registry: &'a Registry,
-    status: &'a LiveStatus,
+    /// The registry's progress series, which the pass loop's bookkeeping
+    /// sets: completed passes, requests replayed, whether the loop is
+    /// running and the last pass's request rate.
+    passes: &'a Counter,
+    requests: &'a Counter,
+    replaying: &'a Gauge,
+    last_pass_req_per_sec: &'a Gauge,
     policy: &'a str,
     started: Instant,
     /// One flight ring per shard (exactly one in serial mode).
@@ -527,10 +540,10 @@ fn route_healthz(ctx: &RouteContext<'_>, _req: &HttpRequest) -> HttpResponse {
         "{{\"status\": \"ok\", \"replaying\": {}, \"passes\": {}, \
          \"requests_replayed\": {}, \"last_pass_req_per_sec\": {:.1}, \
          \"uptime_ms\": {}, \"policy\": \"{}\"}}",
-        ctx.status.replaying(),
-        ctx.status.passes(),
-        ctx.status.requests(),
-        ctx.status.last_pass_req_per_sec(),
+        ctx.replaying.get() != 0.0,
+        ctx.passes.get(),
+        ctx.requests.get(),
+        ctx.last_pass_req_per_sec.get(),
         ctx.started.elapsed().as_millis(),
         ctx.policy,
     ))
@@ -713,8 +726,8 @@ fn route_dash(ctx: &RouteContext<'_>, _req: &HttpRequest) -> HttpResponse {
          <p class=\"meta\">policy {} · pass {} · {} requests replayed · \
          up {} s · {} snapshots retained (refreshes every 2 s)</p>\n<div class=\"grid\">",
         ctx.policy,
-        ctx.status.passes(),
-        ctx.status.requests(),
+        ctx.passes.get(),
+        ctx.requests.get(),
         ctx.started.elapsed().as_secs(),
         ctx.ring.len(),
     );
@@ -985,18 +998,9 @@ pub fn serve_with(
         })
         .collect();
 
-    let replay = ReplayLoop {
-        config,
-        spec,
-        rate,
-        max_passes,
-        shards,
-        clients,
-        lock_probes: Some(lock_probes.clone()),
-        reasons: Some(reasons),
-    };
-    let status = LiveStatus::new();
-    status.set_replaying(true);
+    let simulator = ConcurrentSimulator::new(spec, config)
+        .with_lock_probes(lock_probes.clone())
+        .with_reasons(reasons);
     logger.info(
         "serve",
         "listening",
@@ -1007,72 +1011,96 @@ pub fn serve_with(
     );
     replaying_gauge.set(1.0);
 
-    let (summary, http_served) = std::thread::scope(|scope| {
+    let http_served = std::thread::scope(|scope| {
         let source = feed(scope, source);
         let replay_handle = scope.spawn(|| {
             // Owned by this thread, so the producer stops as soon as the
-            // loop returns.
+            // loop ends.
             let mut source = source;
-            // The pass callback publishes the pass's counters and
-            // gauges before its `pass complete` record, then does the
-            // pass-boundary bookkeeping: rotate the latency windows,
-            // fold the pass into the SLO burn windows (fired breaches
-            // are logged here; the bundle side effect rides the
-            // trigger), refresh the contention gauges, and sample the
-            // registry into the snapshot ring.
-            let summary = replay
-                .run(&mut source, &mut observers, &status, shutdown, |pass| {
-                    let hit_rate = pass.report.overall().hit_rate();
-                    passes_total.inc();
-                    requests_total.add(pass.requests);
-                    rps_gauge.set(pass.req_per_sec);
-                    hit_rate_gauge.set(hit_rate);
-                    for summary in &pass.report.per_shard {
-                        let (requests, bytes, rate) = &shard_metrics[summary.shard];
-                        requests.add(summary.requests);
-                        bytes.add(u64::try_from(summary.bytes_requested).unwrap_or(u64::MAX));
-                        rate.set(if summary.requests > 0 {
-                            summary.hits as f64 / summary.requests as f64
-                        } else {
-                            0.0
-                        });
-                    }
-                    let balance = pass.report.balance();
-                    request_imbalance_gauge.set(balance.request_imbalance);
-                    byte_imbalance_gauge.set(balance.byte_imbalance);
-                    logger.info(
+            while !shutdown.load(Ordering::Relaxed)
+                && max_passes.is_none_or(|max| passes_total.get() < max)
+            {
+                let Some(dense) = source.next_pass() else {
+                    break;
+                };
+                // Rebuilt per pass: a generator hands out a new epoch each
+                // pass, and the split is one O(n) sweep — noise next to
+                // the replay itself.
+                let sharded =
+                    ShardedTrace::build(dense, shards).expect("shard count validated in from_args");
+                let report = simulator.run_sharded_controlled(
+                    dense,
+                    &sharded,
+                    clients,
+                    rate,
+                    Some(shutdown),
+                    &mut observers,
+                );
+                if !report.completed {
+                    // An interrupted pass is discarded, not reported.
+                    break;
+                }
+                // Publish the pass's counters and gauges before its
+                // `pass complete` record, then do the pass-boundary
+                // bookkeeping: rotate the latency windows, fold the pass
+                // into the SLO burn windows (fired breaches are logged
+                // here; the bundle side effect rides the trigger),
+                // refresh the contention gauges, and sample the registry
+                // into the snapshot ring.
+                let pass = passes_total.get();
+                let req_per_sec = report.requests_per_sec();
+                let hit_rate = report.overall().hit_rate();
+                passes_total.inc();
+                requests_total.add(report.requests);
+                rps_gauge.set(req_per_sec);
+                hit_rate_gauge.set(hit_rate);
+                for summary in &report.per_shard {
+                    let (requests, bytes, rate) = &shard_metrics[summary.shard];
+                    requests.add(summary.requests);
+                    bytes.add(u64::try_from(summary.bytes_requested).unwrap_or(u64::MAX));
+                    rate.set(if summary.requests > 0 {
+                        summary.hits as f64 / summary.requests as f64
+                    } else {
+                        0.0
+                    });
+                }
+                let balance = report.balance();
+                request_imbalance_gauge.set(balance.request_imbalance);
+                byte_imbalance_gauge.set(balance.byte_imbalance);
+                logger.info(
+                    "serve",
+                    "pass complete",
+                    &[
+                        ("pass", pass.into()),
+                        ("requests", report.requests.into()),
+                        ("req_per_sec", req_per_sec.into()),
+                        ("hit_rate", hit_rate.into()),
+                        ("request_imbalance", balance.request_imbalance.into()),
+                    ],
+                );
+                latency_obs.rotate_and_publish();
+                for breach in slo_tracker.evaluate() {
+                    logger.warn(
                         "serve",
-                        "pass complete",
-                        &[
-                            ("pass", pass.pass.into()),
-                            ("requests", pass.requests.into()),
-                            ("req_per_sec", pass.req_per_sec.into()),
-                            ("hit_rate", hit_rate.into()),
-                            ("request_imbalance", balance.request_imbalance.into()),
-                        ],
+                        "slo breach",
+                        &[("slo", breach.slo.into()), ("detail", breach.detail.into())],
                     );
-                    latency_obs.rotate_and_publish();
-                    for breach in slo_tracker.evaluate() {
-                        logger.warn(
-                            "serve",
-                            "slo breach",
-                            &[("slo", breach.slo.into()), ("detail", breach.detail.into())],
-                        );
-                    }
-                    for (probe, gauge) in lock_probes.iter().zip(contention_gauges.iter()) {
-                        gauge.set(probe.contention_ratio());
-                    }
-                    ring.capture(&registry, unix_ms_now());
-                })
-                .expect("shard count validated in from_args");
+                }
+                for (probe, gauge) in lock_probes.iter().zip(contention_gauges.iter()) {
+                    gauge.set(probe.contention_ratio());
+                }
+                ring.capture(&registry, unix_ms_now());
+            }
             replaying_gauge.set(0.0);
-            summary
         });
         on_ready(addr);
         let served = server.serve(shutdown, |req| {
             let ctx = RouteContext {
                 registry: &registry,
-                status: &status,
+                passes: &passes_total,
+                requests: &requests_total,
+                replaying: &replaying_gauge,
+                last_pass_req_per_sec: &rps_gauge,
                 policy: &label,
                 started,
                 flight: &recorders,
@@ -1080,22 +1108,22 @@ pub fn serve_with(
             };
             respond(req, &ctx, &http_counters)
         });
-        let summary = replay_handle.join().expect("replay thread");
-        served.map(|n| (summary, n))
+        replay_handle.join().expect("replay thread");
+        served
     })?;
 
+    let (passes, requests) = (passes_total.get(), requests_total.get());
     logger.info(
         "serve",
         "shut down",
         &[
-            ("passes", summary.passes.into()),
-            ("requests_replayed", summary.requests.into()),
+            ("passes", passes.into()),
+            ("requests_replayed", requests.into()),
             ("http_requests", http_served.into()),
         ],
     );
     Ok(format!(
-        "served {http_served} HTTP requests on {addr}; replayed {} requests over {} passes\n",
-        summary.requests, summary.passes,
+        "served {http_served} HTTP requests on {addr}; replayed {requests} requests over {passes} passes\n",
     ))
 }
 
@@ -1116,6 +1144,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 mod tests {
     use proptest::prelude::*;
     use webcache_obs::{DecisionRecord, EventKind, Reason};
+    use webcache_trace::DocumentType;
 
     use super::*;
 
@@ -1153,6 +1182,24 @@ mod tests {
         ])
     }
 
+    #[test]
+    fn epoch_feed_runs_dry_when_its_producer_stops() {
+        let (sender, epochs) = sync_channel(2);
+        let epoch = DenseTrace::from_requests(
+            (0..30usize).map(|i| (i as u64 % 4, 700, DocumentType::Html)),
+        );
+        sender.send(epoch.clone()).unwrap();
+        sender.send(epoch).unwrap();
+        drop(sender);
+        let mut feed = Feed::Epochs {
+            epochs,
+            current: None,
+        };
+        assert_eq!(feed.next_pass().map(DenseTrace::len), Some(30));
+        assert_eq!(feed.next_pass().map(DenseTrace::len), Some(30));
+        assert!(feed.next_pass().is_none(), "the pass loop ends here");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1173,10 +1220,14 @@ mod tests {
                 event: EventKind::Insert,
                 reason: Reason::none(),
             });
-            let status = LiveStatus::new();
+            let (passes, requests) = (Counter::detached(), Counter::detached());
+            let (replaying, last_pass_req_per_sec) = (Gauge::detached(), Gauge::detached());
             let ctx = RouteContext {
                 registry: &registry,
-                status: &status,
+                passes: &passes,
+                requests: &requests,
+                replaying: &replaying,
+                last_pass_req_per_sec: &last_pass_req_per_sec,
                 policy: "LRU",
                 started: Instant::now(),
                 flight: &flight,

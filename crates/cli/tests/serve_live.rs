@@ -89,6 +89,35 @@ fn sample(metrics: &str, series: &str) -> f64 {
         .unwrap_or_else(|| panic!("missing sample {series}: {metrics}"))
 }
 
+/// Checks that a finished run's `/healthz` progress equals the
+/// `/metrics` samples of the same registry series, the request rate to
+/// the 0.1 that `/healthz` prints.
+fn assert_healthz_matches_metrics(health: &str, metrics: &str) {
+    let health = webcache_obs::json::parse(health).expect("healthz parses");
+    let field = |name: &str| {
+        let value = health.get(name).unwrap_or_else(|| panic!("no {name}"));
+        match value {
+            webcache_obs::json::Value::Bool(on) => f64::from(u8::from(*on)),
+            other => other
+                .as_f64()
+                .unwrap_or_else(|| panic!("{name}: {other:?}")),
+        }
+    };
+    for (name, series) in [
+        ("passes", "webcache_serve_passes_total"),
+        ("requests_replayed", "webcache_serve_requests_total"),
+        ("replaying", "webcache_serve_replaying"),
+    ] {
+        assert_eq!(field(name), sample(metrics, series), "{name}");
+    }
+    let rps = sample(metrics, "webcache_serve_last_pass_req_per_sec");
+    assert!(rps > 0.0, "{metrics}");
+    assert!(
+        (field("last_pass_req_per_sec") - rps).abs() <= 0.05 + 1e-6,
+        "{rps}"
+    );
+}
+
 /// A single-type trace with a hit-rate cliff: with a 500-request anomaly
 /// window, window 1 cycles an 8-document hot set (~98% hit rate, seeds
 /// the EWMA baseline) and window 2 is almost entirely cold distinct
@@ -440,6 +469,7 @@ fn sharded_daemon_exports_per_shard_balance_metrics() {
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
+    assert_healthz_matches_metrics(&health, &metrics);
     for shard in 0..4 {
         assert!(
             metrics.contains(&format!(
@@ -558,6 +588,7 @@ fn workload_mode_replays_the_endless_generator() {
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
+    assert_healthz_matches_metrics(&health, &metrics);
     assert!(
         metrics.contains(&format!("webcache_serve_passes_total {PASSES}")),
         "{metrics}"
@@ -567,11 +598,16 @@ fn workload_mode_replays_the_endless_generator() {
         "{metrics}"
     );
     // A plain daemon is a one-shard replay: shard 0 carries every
-    // request and takes its lock once per pass.
+    // request and takes its lock once per pass, and its observers persist
+    // across passes, so the profiler saw every pass's requests.
+    let requests = sample(&metrics, "webcache_serve_requests_total");
     assert_eq!(
         sample(&metrics, "webcache_serve_shard_requests_total{shard=\"0\"}"),
-        sample(&metrics, "webcache_serve_requests_total"),
+        requests
     );
+    let profiled = sample(&metrics, "webcache_sim_hits_total{policy=\"LRU\"}")
+        + sample(&metrics, "webcache_sim_misses_total{policy=\"LRU\"}");
+    assert_eq!(profiled, requests);
     assert_eq!(
         sample(&metrics, "webcache_shard_lock_acquire_total{shard=\"0\"}"),
         PASSES as f64
@@ -586,6 +622,8 @@ fn workload_mode_replays_the_endless_generator() {
     let mut stream = WorkloadStream::new(WorkloadProfile::dfn().scaled(1.0 / 4096.0), 5);
     let per_pass = stream.epoch_len();
     let epochs: Vec<Trace> = (0..PASSES).map(|_| stream.take_trace(per_pass)).collect();
+    let replayed: usize = epochs.iter().map(Trace::len).sum();
+    assert_eq!(requests, replayed as f64);
     let config = SimulationConfig::builder()
         .capacity(CapacitySpec::FractionOfTrace(0.05).resolve(epochs[0].overall_size()))
         .warmup_fraction(0.10)
@@ -657,6 +695,21 @@ fn unbounded_workload_daemon_shuts_down_promptly() {
         .expect("serve_with returned within 10 s of the flag");
     let summary = daemon.join().expect("daemon thread");
     assert!(summary.contains("passes"), "{summary}");
+}
+
+#[test]
+fn raised_flag_stops_the_daemon_before_its_first_pass() {
+    let args = Args::parse(
+        &argv("--workload dfn --quick --port 0 --log-level error"),
+        &["quick"],
+    )
+    .unwrap();
+    let opts = ServeOptions::from_args(&args).unwrap();
+    let summary = serve_with(opts, &AtomicBool::new(true), |_| {}).unwrap();
+    assert!(
+        summary.ends_with("replayed 0 requests over 0 passes\n"),
+        "{summary}"
+    );
 }
 
 /// All-cold traffic: every request misses, so the hit rate is flat at

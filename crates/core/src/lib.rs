@@ -53,7 +53,6 @@ pub mod cost;
 pub mod policy;
 pub mod pqueue;
 pub mod prefetch;
-pub mod sharded;
 pub mod sketch;
 pub mod spec;
 
@@ -62,9 +61,5 @@ pub use cache::{Cache, Eviction, EvictionOutcome, InsertDisposition, Occupancy};
 pub use cost::CostModel;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
 pub use prefetch::prefetch_read;
-pub use sharded::{
-    validate_shard_count, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
-    ShardedEngine,
-};
 pub use sketch::FrequencySketch;
 pub use spec::{ParseSpecError, PolicySpec, DEFAULT_SECOND_HIT_WINDOW};

@@ -8,7 +8,7 @@
 //!
 //! The sketch is sized at construction and never reallocates, so its
 //! estimates are a pure function of the recorded key sequence — the
-//! property the dense-vs-hashed and sharded-vs-serial differential
+//! property the dense-vs-hashed and concurrent-vs-serial differential
 //! proptests rely on when a TinyLFU admission filter is attached.
 //!
 //! All state is deterministic: hashing is a fixed splitmix64-style mix,

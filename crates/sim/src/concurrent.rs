@@ -1,21 +1,35 @@
-//! Multi-threaded replay against the sharded engine.
+//! Multi-threaded replay through a shard-striped cache.
 //!
-//! [`ConcurrentSimulator::run`] replays a [`DenseTrace`] through a
-//! [`ShardedEngine`] with `M` clients. The trace is first split into
-//! per-shard request subsequences by a [`ShardedTrace`] view (fx-hash
-//! routing, identical to [`ShardedEngine::route`]); clients then take
-//! shards round-robin (client `c` owns shards `c`, `c + M`, `c + 2M`,
-//! …) and replay each owned shard's subsequence through the serial
-//! simulator's per-request step, holding that shard's stripe lock for
-//! the duration. Client 0 runs on the calling thread and only clients
-//! `1..M` get threads of their own, so a one-shard, one-client replay
-//! spawns nothing. Only the slot mapping differs from the serial
-//! simulator: each shard's cache addresses its documents by
-//! shard-local slot.
+//! [`ConcurrentSimulator::run`] splits one logical cache into `N`
+//! independent shards (`N` a power of two, at most 1024) and replays a
+//! [`DenseTrace`] through them with `M` clients. Each shard owns a full
+//! [`Cache`] — its own slab store and its own replacement-policy
+//! instance — sized at `capacity / N` (at least one byte), behind its
+//! own stripe `Mutex`. A [`ShardedTrace`] view first splits the trace
+//! into per-shard request subsequences: a document routes to the shard
+//! named by the top `log2 N` bits of its fx-hashed id, so it only ever
+//! lives in, and contends on, one shard. Clients then take shards
+//! round-robin (client `c` owns shards `c`, `c + M`, `c + 2M`, …), lock
+//! each owned shard's stripe once and replay its subsequence through the
+//! serial simulator's per-request step. Client 0 runs on the calling
+//! thread and only clients `1..M` get threads of their own, so a
+//! one-shard, one-client replay spawns nothing. Only the slot mapping
+//! differs from the serial simulator: each shard's cache addresses its
+//! documents by shard-local slot.
 //!
-//! Each shard has its own observer, borrowed for the replay, so
-//! observer state persists across the passes of the
-//! [`ReplayLoop`](crate::live::ReplayLoop) that drives `webcache serve`.
+//! Two opt-in attachments observe a replay without changing it:
+//! [`ShardLockProbe`]s time each stripe-lock acquisition, and per-shard
+//! [`ShardReasons`] carry each shard's eviction reasons and admission
+//! verdicts to a flight recorder. Each shard also has its own observer,
+//! borrowed for the replay, so observer state persists across the
+//! passes of `webcache serve`, which builds every shard cold again per
+//! pass.
+//!
+//! Sharding is not free in *quality*: each shard evicts against its own
+//! `capacity / N` budget with only its own documents' recency and
+//! frequency state, so decisions that a global policy would make across
+//! the whole population are approximated per shard. `sweep --shards N`
+//! measures exactly this delta against the single-shard case.
 //!
 //! ## Determinism
 //!
@@ -25,29 +39,190 @@
 //! depend only on per-document previous transfer sizes — is a fixed
 //! function of the trace and the shard count. Each shard replays its
 //! subsequence in trace order against its own cache and policy, and the
-//! merged per-type counters are a commutative sum over shards. The
-//! `N = 1` engine therefore reproduces the serial simulator's report
-//! bit-for-bit, and any `M` produces the same merged report as `M = 1`
-//! (both pinned by differential tests).
+//! merged per-type counters are a commutative sum over shards. `N = 1`
+//! therefore reproduces the serial simulator's report bit-for-bit, and
+//! any `M` produces the same merged report as `M = 1` (both pinned by
+//! differential tests).
 //!
 //! Warm-up stays **global**: a request is measured iff its *global*
 //! trace index is past the warm-up boundary, so the merged report uses
 //! exactly the same measured set as the serial simulator.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
-use webcache_core::{
-    Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
-    ShardedEngine,
-};
-use webcache_trace::{DenseTrace, TypeMap};
+use webcache_core::{Cache, Eviction, PolicySpec};
+use webcache_obs::{Counter, FlightSink, Histogram, ReasonChannel};
+use webcache_trace::{fxhash, ByteSize, DenseTrace, DocId, TypeMap};
 
 use crate::metrics::HitStats;
 use crate::observe::{NoopObserver, Observer, RunMeta};
 use crate::simulator::{Replay, SimulationConfig, SimulationReport, SlotMap, LOOKAHEAD};
 
-/// A [`DenseTrace`] pre-split for an `N`-shard engine.
+/// The largest shard count [`validate_shard_count`] accepts. Every shard
+/// owns a cache, a policy instance and per-shard vectors, and replay
+/// drivers start up to one client thread per shard, so a count read from
+/// a command line must not size those allocations unchecked.
+const MAX_SHARDS: usize = 1024;
+
+/// Rejected shard configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardConfigError {
+    /// A shard count of zero.
+    Zero,
+    /// A shard count that is not a power of two (carries the value).
+    NotPowerOfTwo(usize),
+    /// A shard count above the largest supported one (carries the value).
+    TooMany(usize),
+}
+
+impl std::fmt::Display for ShardConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardConfigError::Zero => write!(f, "shard count must be at least 1"),
+            ShardConfigError::NotPowerOfTwo(n) => {
+                write!(f, "shard count must be a power of two, got {n}")
+            }
+            ShardConfigError::TooMany(n) => {
+                write!(f, "shard count must be at most {MAX_SHARDS}, got {n}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShardConfigError {}
+
+/// Validates a shard count: positive, a power of two, and at most 1024.
+///
+/// Power-of-two counts keep the router a shift of the hash's top bits —
+/// no modulo — and make capacity splitting exact in the common case.
+///
+/// # Errors
+///
+/// [`ShardConfigError`] describing the rejected value.
+pub fn validate_shard_count(shards: usize) -> Result<(), ShardConfigError> {
+    if shards == 0 {
+        Err(ShardConfigError::Zero)
+    } else if shards > MAX_SHARDS {
+        Err(ShardConfigError::TooMany(shards))
+    } else if !shards.is_power_of_two() {
+        Err(ShardConfigError::NotPowerOfTwo(shards))
+    } else {
+        Ok(())
+    }
+}
+
+/// Which of `shard_count` shards owns `doc`.
+///
+/// Fx-hashes the id and keeps the hash's **top** `log2(shard_count)`
+/// bits — the single-multiply fx hash mixes upward, so the low bits of
+/// sequential ids are not usable as a bucket index. `shard_count` is a
+/// validated power of two.
+#[inline]
+fn route(doc: DocId, shard_count: usize) -> usize {
+    debug_assert!(shard_count.is_power_of_two());
+    if shard_count == 1 {
+        return 0;
+    }
+    let bits = shard_count.trailing_zeros();
+    (fxhash::hash_u64(doc.as_u64()) >> (64 - bits)) as usize
+}
+
+/// How evenly requests and bytes spread across shards.
+///
+/// `imbalance` metrics are `max / mean` over all shards: `1.0` is a
+/// perfect spread, `N` means one shard took everything.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardBalance {
+    /// Requests routed to the busiest shard.
+    pub max_requests: u64,
+    /// Mean requests per shard.
+    pub mean_requests: f64,
+    /// `max_requests / mean_requests` (1.0 when no shard saw traffic).
+    pub request_imbalance: f64,
+    /// Bytes requested from the heaviest shard.
+    pub max_bytes: u128,
+    /// Mean bytes requested per shard.
+    pub mean_bytes: f64,
+    /// `max_bytes / mean_bytes` (1.0 when no bytes moved).
+    pub byte_imbalance: f64,
+}
+
+impl ShardBalance {
+    /// Computes the balance of per-shard `(requests, bytes_requested)`
+    /// counts. Bytes sum in `u128`, exact past `u64::MAX`.
+    pub fn from_counts(per_shard: &[(u64, u128)]) -> ShardBalance {
+        let shards = per_shard.len().max(1);
+        let total_requests: u64 = per_shard.iter().map(|&(r, _)| r).sum();
+        let total_bytes: u128 = per_shard.iter().map(|&(_, b)| b).sum();
+        let max_requests = per_shard.iter().map(|&(r, _)| r).max().unwrap_or(0);
+        let max_bytes = per_shard.iter().map(|&(_, b)| b).max().unwrap_or(0);
+        let mean_requests = total_requests as f64 / shards as f64;
+        let mean_bytes = total_bytes as f64 / shards as f64;
+        let ratio = |max: f64, mean: f64| if mean > 0.0 { max / mean } else { 1.0 };
+        ShardBalance {
+            max_requests,
+            mean_requests,
+            request_imbalance: ratio(max_requests as f64, mean_requests),
+            max_bytes,
+            mean_bytes,
+            byte_imbalance: ratio(max_bytes as f64, mean_bytes),
+        }
+    }
+}
+
+/// Contention instrumentation for one shard's stripe lock.
+///
+/// All four handles are the `webcache-obs` relaxed-atomic cells, so the
+/// probe can record from the replay while a registry exports the same
+/// cells (attach the handles with `Registry::attach_histogram` /
+/// `attach_counter`). Probes are opt-in
+/// ([`ConcurrentSimulator::with_lock_probes`]); without them the lock
+/// path is a single well-predicted branch over the plain `Mutex::lock`,
+/// the same no-op-by-default discipline as the policies' `MetricsSink`.
+#[derive(Debug, Clone, Default)]
+pub struct ShardLockProbe {
+    /// Microseconds spent blocked waiting for the stripe lock
+    /// (uncontended acquisitions observe 0).
+    pub wait_us: Histogram,
+    /// Microseconds the stripe lock was held per critical section.
+    pub hold_us: Histogram,
+    /// Total lock acquisitions through the probed paths.
+    pub acquisitions: Counter,
+    /// Acquisitions that found the lock held (`try_lock` failed).
+    pub contended: Counter,
+}
+
+impl ShardLockProbe {
+    /// Fresh, detached probe cells.
+    pub fn new() -> ShardLockProbe {
+        ShardLockProbe::default()
+    }
+
+    /// Fraction of acquisitions that had to block (0 when idle).
+    pub fn contention_ratio(&self) -> f64 {
+        let acquisitions = self.acquisitions.get();
+        if acquisitions == 0 {
+            0.0
+        } else {
+            self.contended.get() as f64 / acquisitions as f64
+        }
+    }
+}
+
+/// One shard's flight-recorder reason channels.
+#[derive(Debug, Clone, Default)]
+pub struct ShardReasons {
+    /// Eviction reasons, pushed by the shard's policy through a
+    /// [`FlightSink`] (one per victim, in victim order).
+    pub evictions: ReasonChannel,
+    /// Admission verdicts, pushed by the shard's cache (see
+    /// [`Cache::set_admit_reasons`]).
+    pub admissions: ReasonChannel,
+}
+
+/// A [`DenseTrace`] pre-split for `N` shards.
 ///
 /// Built once per (trace, shard count) and shared read-only across the
 /// client threads, exactly like the dense view itself. Holds, per
@@ -84,7 +259,7 @@ impl ShardedTrace {
     /// Panics when the trace exceeds `u32::MAX` requests (the per-shard
     /// subsequences store 32-bit indices).
     pub fn build(trace: &DenseTrace, shard_count: usize) -> Result<ShardedTrace, ShardConfigError> {
-        webcache_core::validate_shard_count(shard_count)?;
+        validate_shard_count(shard_count)?;
         assert!(
             trace.len() <= u32::MAX as usize,
             "trace too long for 32-bit request indices"
@@ -98,7 +273,7 @@ impl ShardedTrace {
         // order within each shard too.
         let mut global_of_local: Vec<Vec<u32>> = vec![Vec::new(); shard_count];
         for slot in 0..distinct {
-            let shard = ShardedEngine::route(DenseTrace::slot_doc(slot as u32), shard_count);
+            let shard = route(DenseTrace::slot_doc(slot as u32), shard_count);
             shard_of_slot[slot] = shard as u32;
             local_slot[slot] = per_shard_distinct[shard] as u32;
             global_of_local[shard].push(slot as u32);
@@ -167,13 +342,13 @@ pub struct ConcurrentReport {
     /// Configuration the run used (capacity is the **total** budget;
     /// each shard held `capacity / shards`).
     pub config: SimulationConfig,
-    /// Shard count of the engine.
+    /// Shard count of the replay.
     pub shards: usize,
     /// Clients that drove the replay (client 0 on the calling thread).
     pub clients: usize,
     /// Requests replayed (equals the trace length when `completed`).
     pub requests: u64,
-    /// Wall-clock duration of the replay (engine build included).
+    /// Wall-clock duration of the replay (shard cache build included).
     pub elapsed: Duration,
     /// Whether the replay ran to completion (`false` when a shutdown
     /// flag stopped it mid-pass; counters then cover a prefix).
@@ -221,8 +396,8 @@ impl ConcurrentReport {
     }
 }
 
-/// Replays dense traces through a sharded engine with client threads.
-/// See the [module docs](self).
+/// Replays dense traces through shard-striped caches with client
+/// threads. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ConcurrentSimulator {
     /// The policy spec; the replacement half is instantiated once per
@@ -231,15 +406,8 @@ pub struct ConcurrentSimulator {
     /// Simulation parameters; `capacity` is the total budget split
     /// evenly across shards, `occupancy_samples` is ignored.
     pub config: SimulationConfig,
-    /// Optional per-shard lock-contention probes, cloned onto each
-    /// pass's engine (the handles share cells, so stats accumulate
-    /// across passes). `None` leaves the engine's lock path
-    /// uninstrumented.
-    pub lock_probes: Option<Vec<ShardLockProbe>>,
-    /// Optional per-shard flight-recorder reason channels, handed to
-    /// each pass's engine (see [`ShardedEngine::with_dense_shards`]).
-    /// `None` builds uninstrumented policies.
-    pub reasons: Option<Vec<ShardReasons>>,
+    lock_probes: Option<Vec<ShardLockProbe>>,
+    reasons: Option<Vec<ShardReasons>>,
 }
 
 impl ConcurrentSimulator {
@@ -256,16 +424,20 @@ impl ConcurrentSimulator {
         }
     }
 
-    /// Installs per-shard lock probes (one per shard; see
-    /// [`ShardedEngine::set_lock_probes`]).
+    /// Installs one [`ShardLockProbe`] per shard: every replay times
+    /// each shard's stripe-lock wait and hold into its probe. The
+    /// handles share cells, so the stats accumulate across replays.
     #[must_use]
     pub fn with_lock_probes(mut self, probes: Vec<ShardLockProbe>) -> ConcurrentSimulator {
         self.lock_probes = Some(probes);
         self
     }
 
-    /// Installs per-shard reason channels (one per shard; see
-    /// [`ShardedEngine::with_dense_shards`]).
+    /// Installs one reason pair per shard: shard `s`'s policy pushes
+    /// its eviction reasons into `reasons[s].evictions` and its cache
+    /// pushes admission verdicts into `reasons[s].admissions`, which
+    /// [`FlightObserver::with_reasons`](crate::FlightObserver::with_reasons)
+    /// drains.
     #[must_use]
     pub fn with_reasons(mut self, reasons: Vec<ShardReasons>) -> ConcurrentSimulator {
         self.reasons = Some(reasons);
@@ -312,7 +484,8 @@ impl ConcurrentSimulator {
     ///
     /// # Panics
     ///
-    /// Panics when `observers` does not hold one observer per shard.
+    /// Panics when `observers`, or the installed probes or reason
+    /// channels, do not hold one entry per shard.
     pub fn run_sharded_controlled<O: Observer + Send>(
         &self,
         trace: &DenseTrace,
@@ -324,19 +497,39 @@ impl ConcurrentSimulator {
     ) -> ConcurrentReport {
         let shards = sharded.shard_count();
         assert_eq!(observers.len(), shards, "one observer per shard");
+        let probes = self.lock_probes.as_deref();
+        assert!(
+            probes.is_none_or(|p| p.len() == shards),
+            "one lock probe per shard"
+        );
+        let reasons = self.reasons.as_deref();
+        assert!(
+            reasons.is_none_or(|r| r.len() == shards),
+            "one reason pair per shard"
+        );
         let clients = clients.clamp(1, shards);
         let started = Instant::now();
-        let mut engine = ShardedEngine::with_dense_shards(
-            self.config.capacity,
-            self.spec,
-            sharded.per_shard_distinct(),
-            self.reasons.as_deref(),
-        )
-        .expect("ShardedTrace shard count is validated");
-        if let Some(probes) = &self.lock_probes {
-            engine.set_lock_probes(probes.clone());
-        }
-        let engine = engine;
+        // Every replay starts cold: a fresh cache, policy and admission
+        // state per shard, behind the shard's stripe lock.
+        let shard_capacity = ByteSize::new((self.config.capacity.as_u64() / shards as u64).max(1));
+        let stripes: Vec<Mutex<Cache>> = (0..shards)
+            .map(|shard| {
+                let reasons = reasons.map(|r| &r[shard]);
+                let policy = match reasons {
+                    Some(r) => self
+                        .spec
+                        .build_instrumented(FlightSink::new(r.evictions.clone())),
+                    None => self.spec.build(),
+                };
+                let distinct = sharded.per_shard_distinct[shard];
+                let mut cache =
+                    Cache::with_dense_slots(shard_capacity, policy, self.spec.admission, distinct);
+                if let Some(r) = reasons {
+                    cache.set_admit_reasons(r.admissions.clone());
+                }
+                Mutex::new(cache)
+            })
+            .collect();
         let warmup_end = ((trace.len() as f64) * self.config.warmup_fraction).floor() as usize;
 
         // Client `c` owns shards `c, c + M, c + 2M, …` and their observers.
@@ -354,9 +547,10 @@ impl ConcurrentSimulator {
                 let meta = RunMeta {
                     total_requests: sharded.shard_len(shard),
                     warmup_end,
-                    capacity: engine.shard_capacity(),
+                    capacity: shard_capacity,
                 };
-                let outcome = engine.with_shard(shard, |cache| {
+                let probe = probes.map(|p| &p[shard]);
+                let outcome = lock_stripe(&stripes[shard], probe, |cache| {
                     replay_shard(
                         cache,
                         trace,
@@ -405,7 +599,7 @@ impl ConcurrentSimulator {
         }
 
         ConcurrentReport {
-            policy: engine.policy_label(),
+            policy: self.spec.label(),
             config: self.config,
             shards,
             clients,
@@ -416,6 +610,45 @@ impl ConcurrentSimulator {
             by_type,
         }
     }
+}
+
+/// Runs `f` on the value behind `stripe`, timing the lock wait and hold
+/// into `probe` when one is given.
+///
+/// A client takes each owned shard's stripe lock once per replay, so a
+/// probe costs one timed acquisition per shard per replay — nothing per
+/// request. The probed path is `try_lock`-then-block: an uncontended
+/// acquisition observes a zero wait without reading the clock; only the
+/// contended slow path, which already pays a blocking park, times the
+/// wait.
+fn lock_stripe<T, R>(
+    stripe: &Mutex<T>,
+    probe: Option<&ShardLockProbe>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let Some(probe) = probe else {
+        return f(&mut stripe.lock().expect("shard mutex poisoned"));
+    };
+    probe.acquisitions.inc();
+    let mut guard = match stripe.try_lock() {
+        Ok(guard) => {
+            probe.wait_us.observe(0);
+            guard
+        }
+        Err(TryLockError::WouldBlock) => {
+            probe.contended.inc();
+            let blocked = Instant::now();
+            let guard = stripe.lock().expect("shard mutex poisoned");
+            probe.wait_us.observe(blocked.elapsed().as_micros() as u64);
+            guard
+        }
+        Err(TryLockError::Poisoned(_)) => panic!("shard mutex poisoned"),
+    };
+    let held = Instant::now();
+    let result = f(&mut guard);
+    drop(guard);
+    probe.hold_us.observe(held.elapsed().as_micros() as u64);
+    result
 }
 
 /// What [`replay_shard`] hands back per shard.
@@ -557,8 +790,9 @@ impl Throttle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_core::PolicyKind;
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+    use crate::observe::AccessEvent;
+    use webcache_core::{CostModel, PolicyKind};
+    use webcache_trace::{DocumentType, Request, Timestamp, Trace};
 
     fn mixed_trace(requests: usize, distinct: u64) -> Trace {
         (0..requests as u64)
@@ -577,6 +811,123 @@ mod tests {
         SimulationConfig::builder()
             .capacity(ByteSize::new(capacity))
             .build()
+    }
+
+    #[test]
+    fn shard_count_validation() {
+        assert_eq!(validate_shard_count(0), Err(ShardConfigError::Zero));
+        assert_eq!(
+            validate_shard_count(3),
+            Err(ShardConfigError::NotPowerOfTwo(3))
+        );
+        assert_eq!(
+            validate_shard_count(12),
+            Err(ShardConfigError::NotPowerOfTwo(12))
+        );
+        for n in [1, 2, 4, 8, 64, 1024] {
+            assert_eq!(validate_shard_count(n), Ok(()));
+        }
+        for n in [2048, 1 << 62] {
+            assert_eq!(validate_shard_count(n), Err(ShardConfigError::TooMany(n)));
+        }
+        let err = ShardConfigError::NotPowerOfTwo(6).to_string();
+        assert!(err.contains("power of two") && err.contains('6'), "{err}");
+    }
+
+    #[test]
+    fn routing_is_stable_and_in_range() {
+        for n in [1usize, 2, 4, 8, 256] {
+            for id in 0..1_000u64 {
+                let shard = route(DocId::new(id), n);
+                assert!(shard < n);
+                assert_eq!(shard, route(DocId::new(id), n));
+            }
+        }
+    }
+
+    #[test]
+    fn routing_spreads_sequential_ids() {
+        let n = 8;
+        let mut counts = vec![0usize; n];
+        for id in 0..8_000u64 {
+            counts[route(DocId::new(id), n)] += 1;
+        }
+        let max = *counts.iter().max().unwrap();
+        let min = *counts.iter().min().unwrap();
+        assert!(
+            max < 2 * min.max(1),
+            "sequential ids skewed across shards: {counts:?}"
+        );
+    }
+
+    #[test]
+    fn balance_of_empty_and_skewed_counts() {
+        let empty = ShardBalance::from_counts(&[(0, 0), (0, 0)]);
+        assert_eq!(empty.request_imbalance, 1.0);
+        assert_eq!(empty.byte_imbalance, 1.0);
+        let skewed = ShardBalance::from_counts(&[(30, 300), (10, 100)]);
+        assert_eq!(skewed.max_requests, 30);
+        assert!((skewed.request_imbalance - 1.5).abs() < 1e-12);
+        assert!((skewed.byte_imbalance - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_splits_evenly_with_a_floor_of_one() {
+        /// The capacity its shard's replay started with.
+        #[derive(Default)]
+        struct Capacity(u64);
+        impl Observer for Capacity {
+            fn on_run_start(&mut self, meta: RunMeta) {
+                self.0 = meta.capacity.as_u64();
+            }
+        }
+        let dense = DenseTrace::build(&mixed_trace(500, 41));
+        for (capacity, shards, each) in [(8_000, 4, 2_000), (3, 8, 1)] {
+            let sharded = ShardedTrace::build(&dense, shards).unwrap();
+            let mut observers: Vec<Capacity> = (0..shards).map(|_| Capacity::default()).collect();
+            let report = ConcurrentSimulator::new(PolicyKind::Lru, config(capacity))
+                .run_sharded_controlled(&dense, &sharded, 1, None, None, &mut observers);
+            assert_eq!(report.config.capacity.as_u64(), capacity);
+            assert!(observers.iter().all(|o| o.0 == each), "{capacity}/{shards}");
+        }
+        let odd = ShardedTrace::build(&dense, 3).unwrap_err();
+        assert_eq!(odd, ShardConfigError::NotPowerOfTwo(3));
+    }
+
+    #[test]
+    fn reason_channels_reach_each_shards_policy_and_cache() {
+        /// Counts the events that push a reason: insert attempts push an
+        /// admission verdict, evictions an eviction reason.
+        #[derive(Default)]
+        struct Pushes {
+            admissions: usize,
+            evictions: usize,
+        }
+        impl Observer for Pushes {
+            fn on_insert(&mut self, _event: AccessEvent) {
+                self.admissions += 1;
+            }
+            fn on_admission_reject(&mut self, _event: AccessEvent) {
+                self.admissions += 1;
+            }
+            fn on_evict(&mut self, _at: AccessEvent, _evicted: Eviction) {
+                self.evictions += 1;
+            }
+        }
+        let dense = DenseTrace::build(&mixed_trace(2_000, 131));
+        let sharded = ShardedTrace::build(&dense, 2).unwrap();
+        let reasons: Vec<ShardReasons> = (0..2).map(|_| ShardReasons::default()).collect();
+        let mut observers = [Pushes::default(), Pushes::default()];
+        // Nothing drains the channels, so each holds all of its shard's
+        // pushes.
+        ConcurrentSimulator::new(PolicyKind::Gds(CostModel::Constant), config(6_000))
+            .with_reasons(reasons.clone())
+            .run_sharded_controlled(&dense, &sharded, 2, None, None, &mut observers);
+        for (reasons, seen) in reasons.iter().zip(&observers) {
+            assert!(seen.evictions > 0, "every shard evicts at this capacity");
+            assert_eq!(reasons.admissions.len(), seen.admissions);
+            assert_eq!(reasons.evictions.len(), seen.evictions);
+        }
     }
 
     #[test]
@@ -729,25 +1080,65 @@ mod tests {
     }
 
     #[test]
+    fn contended_lock_registers_wait_time() {
+        let stripe = Mutex::new(());
+        let probe = ShardLockProbe::new();
+        std::thread::scope(|scope| {
+            // One holder pins the stripe while another thread asks for it:
+            // the second must block, and the probe must see the contention.
+            let (stripe, probe) = (&stripe, Some(&probe));
+            let holder = scope.spawn(move || {
+                lock_stripe(stripe, probe, |_| {
+                    std::thread::sleep(Duration::from_millis(30));
+                });
+            });
+            std::thread::sleep(Duration::from_millis(5));
+            let waiter = scope.spawn(move || lock_stripe(stripe, probe, |_| ()));
+            holder.join().unwrap();
+            waiter.join().unwrap();
+        });
+        assert_eq!(probe.acquisitions.get(), 2);
+        assert_eq!(probe.contended.get(), 1);
+        assert!((probe.contention_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(probe.wait_us.count(), 2);
+        assert_eq!(probe.hold_us.count(), 2);
+        // The blocked acquisition waited most of the 30ms hold.
+        assert!(probe.wait_us.sum() >= 10_000, "{}", probe.wait_us.sum());
+        assert!(probe.hold_us.sum() >= 20_000, "{}", probe.hold_us.sum());
+    }
+
+    #[test]
+    #[should_panic(expected = "one lock probe per shard")]
+    fn probe_count_must_match_shards() {
+        let dense = DenseTrace::build(&mixed_trace(100, 17));
+        let _ = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
+            .with_lock_probes(vec![ShardLockProbe::new()])
+            .run(&dense, 4, 1);
+    }
+
+    #[test]
     fn throttled_replay_holds_the_aggregate_rate() {
         let dense = DenseTrace::build(&mixed_trace(600, 31));
-        let sharded = ShardedTrace::build(&dense, 2).unwrap();
-        let started = Instant::now();
-        let report = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
-            .run_sharded_controlled(
-                &dense,
-                &sharded,
-                2,
-                Some(20_000.0),
-                None,
-                &mut [NoopObserver; 2],
+        for shards in [1, 4] {
+            let sharded = ShardedTrace::build(&dense, shards).unwrap();
+            let started = Instant::now();
+            let report = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
+                .run_sharded_controlled(
+                    &dense,
+                    &sharded,
+                    2,
+                    Some(20_000.0),
+                    None,
+                    &mut vec![NoopObserver; shards],
+                );
+            // 600 requests at 20k req/s aggregate ≈ 30 ms; allow wide slack.
+            assert!(
+                started.elapsed() >= Duration::from_millis(15),
+                "throttle had no effect at {shards} shards: {:?}",
+                started.elapsed()
             );
-        // 600 requests at 20k req/s aggregate ≈ 30 ms; allow wide slack.
-        assert!(
-            started.elapsed() >= Duration::from_millis(15),
-            "throttle had no effect: {:?}",
-            started.elapsed()
-        );
-        assert!(report.completed);
+            assert!(report.completed);
+            assert!(report.requests_per_sec() < 40_000.0, "{shards} shards");
+        }
     }
 }

@@ -197,8 +197,8 @@ impl CacheSizeSweep {
         self
     }
 
-    /// Runs every grid cell through an `N`-shard
-    /// [`ShardedEngine`](webcache_core::ShardedEngine) instead of the
+    /// Runs every grid cell through `N` shard-striped caches
+    /// ([`ConcurrentSimulator`](crate::ConcurrentSimulator)) instead of the
     /// single serial cache (capacity split evenly across shards). The
     /// default of 1 is bit-identical to the serial sweep; larger counts
     /// quantify the eviction-quality cost of sharding.
@@ -208,7 +208,7 @@ impl CacheSizeSweep {
     /// Panics when `shards` is zero, not a power of two or above 1024.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
-        webcache_core::validate_shard_count(shards).expect("sweep shard count");
+        crate::validate_shard_count(shards).expect("sweep shard count");
         self.shards = shards;
         self
     }

@@ -15,7 +15,9 @@
 //!   sampled over time (the Figure 1 adaptability experiment).
 //!
 //! [`CacheSizeSweep`] runs a policy × cache-size grid in parallel — the
-//! engine behind Figures 2 and 3.
+//! engine behind Figures 2 and 3. [`ConcurrentSimulator`] replays one
+//! trace through `N` shard-striped caches with `M` client threads — the
+//! engine behind `sweep --shards` and every pass of `webcache serve`.
 //!
 //! ```
 //! use webcache_core::PolicyKind;
@@ -48,7 +50,6 @@ pub mod flight;
 pub mod hierarchy;
 pub mod latency;
 pub mod latency_obs;
-pub mod live;
 pub mod logobs;
 pub mod metrics;
 pub mod observe;
@@ -62,13 +63,15 @@ pub mod slo;
 pub mod windowed;
 
 pub use anomaly::{AnomalyConfig, AnomalyKind, AnomalyObserver, AnomalyTrigger};
-pub use concurrent::{ConcurrentReport, ConcurrentSimulator, ShardSummary, ShardedTrace};
+pub use concurrent::{
+    validate_shard_count, ConcurrentReport, ConcurrentSimulator, ShardBalance, ShardConfigError,
+    ShardLockProbe, ShardReasons, ShardSummary, ShardedTrace,
+};
 pub use experiment::{CacheSizeSweep, SweepPoint, SweepProgress, SweepReport};
 pub use flight::FlightObserver;
 pub use hierarchy::{simulate_hierarchy, HierarchyConfig, HierarchyReport};
 pub use latency::{LatencyEstimate, LatencyModel, LinkModel};
 pub use latency_obs::LatencyObserver;
-pub use live::{FixedSource, LiveStatus, LiveSummary, PassSummary, ReplayLoop, TraceSource};
 pub use logobs::LogObserver;
 pub use metrics::HitStats;
 pub use observe::{AccessEvent, AccessKind, NoopObserver, Observer, RunMeta};

@@ -15,11 +15,11 @@
 
 use proptest::prelude::*;
 
-use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec, ShardReasons};
+use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
 use webcache_obs::{FlightSink, ReasonChannel, SharedRecorder};
 use webcache_sim::{
-    ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig, Simulator, WindowSpec,
-    WindowedMetrics,
+    ConcurrentSimulator, FlightObserver, ShardReasons, ShardedTrace, SimulationConfig, Simulator,
+    WindowSpec, WindowedMetrics,
 };
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 

@@ -13,12 +13,13 @@
 
 use proptest::prelude::*;
 
-use webcache_core::{PolicyKind, ShardReasons};
+use webcache_core::PolicyKind;
 use webcache_obs::{
     merge_sorted, DecisionRecord, EventKind, FlightRecorder, Reason, SharedRecorder,
 };
 use webcache_sim::{
-    ConcurrentReport, ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig,
+    ConcurrentReport, ConcurrentSimulator, FlightObserver, ShardReasons, ShardedTrace,
+    SimulationConfig,
 };
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
