@@ -152,7 +152,8 @@ pub fn format_line(entry: &LogEntry) -> String {
     )
 }
 
-/// Parses a `seconds[.millis]` UNIX-style timestamp into a [`Timestamp`].
+/// Parses a `seconds[.millis]` UNIX-style timestamp into a [`Timestamp`];
+/// `None` for malformed text or a time past `u64::MAX` milliseconds.
 fn parse_timestamp(raw: &str) -> Option<Timestamp> {
     match raw.split_once('.') {
         Some((secs, frac)) => {
@@ -167,9 +168,13 @@ fn parse_timestamp(raw: &str) -> Option<Timestamp> {
             for _ in frac.len()..3 {
                 millis *= 10;
             }
-            Some(Timestamp::from_millis(secs * 1000 + millis))
+            let ms = secs.checked_mul(1000)?.checked_add(millis)?;
+            Some(Timestamp::from_millis(ms))
         }
-        None => raw.parse::<u64>().ok().map(Timestamp::from_secs),
+        None => {
+            let secs: u64 = raw.parse().ok()?;
+            secs.checked_mul(1000).map(Timestamp::from_millis)
+        }
     }
 }
 
@@ -207,6 +212,14 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("line 7"), "{msg}");
         assert!(msg.contains("size"), "{msg}");
+        // One millisecond past `u64::MAX`, with and without a fraction.
+        for ts in ["18446744073709552", "18446744073709552.5"] {
+            let line = format!("{ts} 5 c TCP_MISS/200 1 GET http://e.de/x - DIRECT/- -");
+            let msg = parse_line(&line, 3).unwrap_err().to_string();
+            assert!(msg.contains("bad timestamp"), "{msg}");
+        }
+        let last = parse_line("18446744073709551.615 5 c TCP_MISS/200 1 GET u - D/- -", 1);
+        assert_eq!(last.unwrap().timestamp.as_millis(), u64::MAX);
     }
 
     #[test]

@@ -233,12 +233,6 @@ impl Timestamp {
         Timestamp(ms)
     }
 
-    /// Creates a timestamp from whole seconds since the trace origin.
-    #[inline]
-    pub const fn from_secs(secs: u64) -> Self {
-        Timestamp(secs * 1000)
-    }
-
     /// Milliseconds since the trace origin.
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -341,7 +335,7 @@ mod tests {
 
     #[test]
     fn timestamp_conversions() {
-        let t = Timestamp::from_secs(2);
+        let t = Timestamp::from_millis(2000);
         assert_eq!(t.as_millis(), 2000);
         assert_eq!(t.as_secs_f64(), 2.0);
         assert_eq!(t.to_string(), "2.000s");

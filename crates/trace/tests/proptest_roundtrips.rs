@@ -86,6 +86,23 @@ proptest! {
         let _ = squid::parse_line(&line, 1);
     }
 
+    /// A valid line with any `u64` of seconds and 0–6 fraction digits
+    /// parses exactly when its time fits in `u64` milliseconds.
+    #[test]
+    fn squid_timestamps_parse_or_fail_cleanly(
+        secs in prop_oneof![0..=u64::MAX, u64::MAX / 1000 - 1..=u64::MAX / 1000 + 1],
+        frac in prop::option::of("[0-9]{1,6}"),
+    ) {
+        let (ts, millis) = match &frac {
+            Some(f) => (format!("{secs}.{f}"), format!("{:0<3}", &f[..f.len().min(3)])),
+            None => (secs.to_string(), "0".to_owned()),
+        };
+        let line = format!("{ts} 5 c TCP_MISS/200 1 GET http://e.de/x - DIRECT/- -");
+        let want = u128::from(secs) * 1000 + millis.parse::<u128>().unwrap();
+        let got = squid::parse_line(&line, 1).ok().map(|e| e.timestamp.as_millis());
+        prop_assert_eq!(got, u64::try_from(want).ok());
+    }
+
     /// The text trace reader never panics on arbitrary bytes.
     #[test]
     fn text_reader_is_total(bytes in prop::collection::vec(0u8..=255, 0..512)) {
