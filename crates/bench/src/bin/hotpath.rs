@@ -76,12 +76,12 @@
 //! --quick           CI mode: same trace, 5 iterations instead of 9, and no
 //!                   JSON written unless --out is given explicitly
 //! --check-regress   before writing, compare the paired normalized columns
-//!                   against the committed BENCH_hotpath.json; exit
-//!                   non-zero (and leave the file untouched) if the
-//!                   geometric mean over all policies regressed beyond the
-//!                   tolerance, or any single cell beyond 4x the tolerance;
-//!                   also enforce GD*(P) conc8 >= the core-scaled
-//!                   concurrency bar
+//!                   against the committed BENCH_hotpath.json; exit 1
+//!                   (and leave the file untouched) if the geometric mean
+//!                   over all policies regressed beyond the tolerance, or
+//!                   any single cell beyond 4x the tolerance; also enforce
+//!                   GD*(P) conc8 >= the core-scaled concurrency bar. A bad
+//!                   command line exits 2
 //! --tolerance FRAC  allowed relative regression of the paired-ratio
 //!                   geometric mean for --check-regress (default 0.05);
 //!                   individual cells get 4x this slack
@@ -740,6 +740,6 @@ fn usage(error: &str) -> ExitCode {
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     }
 }
