@@ -1,5 +1,5 @@
-//! Hot-path throughput harness: hashed vs dense replay, per policy, with
-//! a noise-immune paired regression gate.
+//! Hot-path throughput harness: hashed vs dense replay, per policy, and
+//! a paired regression gate that compares two builds' runs.
 //!
 //! Replays the scaled DFN workload through the simulator paths and
 //! reports requests per second, writing the results to a JSON file
@@ -21,14 +21,13 @@
 //!   records, reason channel drained per event): what the flight
 //!   recorder costs when switched ON. The paired `recorder_overhead`
 //!   column (median of `t_recorder / t_serial`) is the honest price;
-//!   the recorder-OFF price is the `instr-off` column, which the
-//!   `--check-regress` gate holds to the `dense` baseline.
+//!   the recorder-OFF price is the `instr-off` column.
 //! * `latency-obs` — dense replay with a [`LatencyObserver`] attached
 //!   (two-link latency model driven per request, log2-bucket windowed
 //!   histograms): the serve daemon's tail-latency instrumentation
 //!   switched ON. The paired `latency_obs_overhead` column (median of
 //!   `t_latency / t_serial`) prices it; observer-OFF stays the `dense`
-//!   column, which the gate holds to baseline.
+//!   column.
 //! * `conc1/2/4/8` — the concurrent sharded replay
 //!   ([`ConcurrentSimulator`], 8 shards) driven by 1/2/4/8 clients
 //!   (client 0 on the timing thread), aggregate req/s. The paired `conc8_speedup` column
@@ -53,46 +52,49 @@
 //!   (paired: both legs saw the same machine conditions, so
 //!   CPU-frequency drift and co-tenant load cancel).
 //!
-//! An earlier version of `--check-regress` compared absolute dense
-//! req/s against the committed JSON. That was abandoned: on a loaded
-//! container the same binary on the same tree varied by well over the
-//! tolerance between runs, so the gate failed on an *unmodified* seed
-//! tree — a gate that cries wolf is worse than no gate. The check now
-//! compares the anchor-normalized medians (`dense_norm`, plus
-//! `conc8_norm` against a baseline recorded on the same core count),
-//! which are stable under machine-wide slowdowns; baselines that
-//! predate the paired columns are skipped with a notice rather than
-//! failed.
+//! # Regression gate
+//!
+//! The gate compares a candidate (*head*) build against its merge base
+//! (*base*), both measured on the same host in alternation: pair `N`
+//! is `base-N.json` and `head-N.json`, each written by
+//! `hotpath --quick --out`, for `N` in `1..=10`. `--check-regress DIR`
+//! judges those twenty files and measures nothing itself. Quick runs of
+//! one build spread wider than a regression worth catching, so no
+//! single run is compared against a recorded file: a cell (one
+//! policy's `dense_norm` or `conc8_norm`, compared only when both
+//! builds measure it) regresses when the head reads lower in at least
+//! 9 of the 10 pairs *and* the median head/base ratio is below 0.90.
+//! The geometric mean of every cell's median ratio must stay at or
+//! above 0.95, and the median of the head's ten GD*(P)
+//! `conc8_speedup` values must reach `conc8_bar`.
 //!
 //! ```text
 //! hotpath [--scale DENOM] [--seed SEED] [--iters N] [--out PATH] [--quick]
-//!         [--check-regress] [--tolerance FRAC]
+//! hotpath --check-regress DIR
 //!
-//! --scale DENOM     run at 1/DENOM of the full trace size (default 256)
-//! --seed SEED       generator seed (default 20020623)
-//! --iters N         timed repetitions per cell; rps columns keep the best,
-//!                   paired columns the median (default 9)
-//! --out PATH        output JSON path (default BENCH_hotpath.json)
-//! --quick           CI mode: same trace, 5 iterations instead of 9, and no
-//!                   JSON written unless --out is given explicitly
-//! --check-regress   before writing, compare the paired normalized columns
-//!                   against the committed BENCH_hotpath.json; exit 1
-//!                   (and leave the file untouched) if the geometric mean
-//!                   over all policies regressed beyond the tolerance, or
-//!                   any single cell beyond 4x the tolerance; also enforce
-//!                   GD*(P) conc8 >= the core-scaled concurrency bar. A bad
-//!                   command line exits 2
-//! --tolerance FRAC  allowed relative regression of the paired-ratio
-//!                   geometric mean for --check-regress (default 0.05);
-//!                   individual cells get 4x this slack
+//! --scale DENOM        run at 1/DENOM of the full trace size (default 256)
+//! --seed SEED          generator seed (default 20020623)
+//! --iters N            timed repetitions per cell; rps columns keep the
+//!                      best, paired columns the median (default 9)
+//! --out PATH           output JSON path (default BENCH_hotpath.json)
+//! --quick              CI mode: same trace, 5 iterations instead of 9, and
+//!                      no JSON written unless --out is given explicitly
+//! --check-regress DIR  judge DIR's base-N.json/head-N.json pairs (N = 1..10)
+//!                      and exit 1, naming every failed cell and bound, on
+//!                      a regression. Takes no other flag
 //! ```
+//!
+//! A bad command line, including a DIR without ten complete pairs,
+//! exits 2.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use webcache_bench::{dfn_trace, SEED_DEFAULT};
 use webcache_core::PolicyKind;
+use webcache_obs::json::Value;
 use webcache_obs::{FlightSink, ReasonChannel, SharedRecorder};
 use webcache_sim::latency_obs::DEFAULT_LATENCY_WINDOWS;
 use webcache_sim::{
@@ -101,10 +103,26 @@ use webcache_sim::{
 };
 use webcache_trace::{ByteSize, DenseTrace, Trace};
 
-/// Seed-commit GD*(P) throughput (requests/s) on this harness's default
-/// workload, recorded before the hash-free hot path landed. The issue's
-/// acceptance bar was 2x this number on the dense path.
-const SEED_BASELINE_GDSTAR_PACKET_RPS: u64 = 1_968_196;
+/// Alternating base/head pairs the gate judges.
+const GATE_PAIRS: usize = 10;
+
+/// A cell regresses when the head reads lower in at least this many of
+/// the [`GATE_PAIRS`] pairs...
+const GATE_LOWER_IN: usize = 9;
+
+/// ... and its median head/base ratio is below this.
+const GATE_CELL_BOUND: f64 = 0.90;
+
+/// Floor on the geometric mean of every cell's median head/base ratio.
+const GATE_GEOMEAN_BOUND: f64 = 0.95;
+
+/// The columns the gate reads from each policy of a run: the two
+/// anchor-normalized cells it compares, then the speedup its GD*(P) bar
+/// reads.
+const GATE_COLUMNS: [&str; 3] = ["dense_norm", "conc8_norm", "conc8_speedup"];
+
+/// Where `conc8_speedup` sits in [`GATE_COLUMNS`].
+const SPEEDUP: usize = 2;
 
 /// Anchor spin steps per trace request: enough integer work that the
 /// anchor is measured over milliseconds, small enough to keep the
@@ -161,8 +179,7 @@ fn main() -> ExitCode {
     let mut iters: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut quick = false;
-    let mut check_regress = false;
-    let mut tolerance = 0.05;
+    let mut gate_dir: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -184,25 +201,30 @@ fn main() -> ExitCode {
                 None => return usage("--out expects a path"),
             },
             "--quick" => quick = true,
-            "--check-regress" => check_regress = true,
-            "--tolerance" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                _ => return usage("--tolerance expects a fraction in [0, 1)"),
+            "--check-regress" => match args.next() {
+                Some(dir) => gate_dir = Some(dir),
+                None => return usage("--check-regress expects a directory"),
             },
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
+    if let Some(dir) = gate_dir {
+        if std::env::args().len() != 3 {
+            return usage("--check-regress DIR takes no other flag");
+        }
+        return check_regress(Path::new(&dir));
+    }
     // Quick mode keeps the full trace scale: the paired normalized
     // columns depend on the workload (hit ratio, eviction mix), so a
-    // smaller quick trace could not be compared against the committed
-    // full-scale baseline. Quickness comes from fewer iterations.
+    // quick run measures the workload a full run records. Quickness
+    // comes from fewer iterations.
     let scale = scale.unwrap_or(1.0 / 256.0);
     // Paired columns are medians; odd sample counts give a clean one.
     // A full replay is ~3ms, so samples are cheap even in quick mode.
     let iters = iters.unwrap_or(if quick { 5 } else { 9 });
-    // Quick mode is a smoke test: never overwrite the recorded baseline
-    // unless a path is asked for explicitly.
+    // Quick mode never overwrites the recorded BENCH_hotpath.json unless
+    // a path is asked for explicitly.
     let out = match (out, quick) {
         (Some(path), _) => Some(path),
         (None, true) => None,
@@ -275,12 +297,6 @@ fn main() -> ExitCode {
 
     if let Some(gdsp) = cells.iter().find(|c| c.label == "GD*(P)") {
         eprintln!(
-            "# GD*(P): dense {:.0} req/s = {:.1}x the seed hashed baseline \
-             ({SEED_BASELINE_GDSTAR_PACKET_RPS} req/s)",
-            gdsp.dense_rps,
-            gdsp.dense_rps / SEED_BASELINE_GDSTAR_PACKET_RPS as f64,
-        );
-        eprintln!(
             "# GD*(P): 8-client/{CONC_SHARDS}-shard {:.0} req/s = {:.2}x single-thread \
              dense (paired); acceptance bar 4x applies on hosts with >= 8 cores, this \
              host has {cores} — scaled bar {:.2}x",
@@ -288,37 +304,6 @@ fn main() -> ExitCode {
             gdsp.conc8_speedup,
             conc8_bar(cores),
         );
-    }
-
-    if check_regress {
-        // Always the committed file: `--out` names only the fresh run.
-        let baseline_path = "BENCH_hotpath.json";
-        let mut verdict = check_against_baseline(&cells, baseline_path, tolerance, trace.len())
-            .and_then(|()| check_conc8_bar(&cells, cores));
-        if let Err(msg) = &verdict {
-            // A co-tenant burst lasting longer than one cell's measurement
-            // window defeats both the anchor (ALU-bound, blind to memory
-            // contention) and the median. Such bursts do not reproduce;
-            // real regressions do — so one full re-measurement separates
-            // them.
-            eprintln!("# check-regress: failed ({msg}); re-measuring once to rule out a burst");
-            cells.clear();
-            for kind in PolicyKind::ALL {
-                cells.push(measure(kind, &trace, &dense, &sharded, capacity, iters));
-            }
-            verdict = check_against_baseline(&cells, baseline_path, tolerance, trace.len())
-                .and_then(|()| check_conc8_bar(&cells, cores));
-        }
-        match verdict {
-            Ok(()) => eprintln!(
-                "# no paired-column regression beyond {:.0}% vs {baseline_path}",
-                tolerance * 100.0
-            ),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     match out {
@@ -351,9 +336,11 @@ fn anchor_spin(steps: u64) -> u64 {
     acc
 }
 
+/// The median; of an even count, the mean of the middle two.
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+    let n = samples.len();
+    (samples[(n - 1) / 2] + samples[n / 2]) / 2.0
 }
 
 /// The scaled acceptance bar for the paired `conc8_speedup` of GD*(P):
@@ -366,23 +353,6 @@ fn conc8_bar(cores: usize) -> f64 {
     match cores.min(CONC_SHARDS) {
         1 => 0.70,
         n => (n as f64 / 2.0).max(1.0),
-    }
-}
-
-/// The explicit absolute expectation on the paired speedup column:
-/// GD*(P) `conc8_speedup` ≥ [`conc8_bar`] for this host's core count —
-/// on an 8-core host that is the issue's 4x acceptance bar.
-fn check_conc8_bar(cells: &[Cell], cores: usize) -> Result<(), String> {
-    let bar = conc8_bar(cores);
-    match cells.iter().find(|c| c.label == "GD*(P)") {
-        Some(gdsp) if gdsp.conc8_speedup < bar => Err(format!(
-            "GD*(P): conc8_speedup {:.3} below the {cores}-core bar {bar:.2}",
-            gdsp.conc8_speedup
-        )),
-        _ => {
-            eprintln!("# speedup bar: GD*(P) conc8 at or above {bar:.2}");
-            Ok(())
-        }
     }
 }
 
@@ -524,130 +494,144 @@ fn measure(
     }
 }
 
-/// Compares the freshly measured paired normalized columns against the
-/// committed JSON at `path`, failing on any policy whose `dense_norm`
-/// (or `conc8_norm`, against a baseline recorded on the same core
-/// count) fell by more than `tolerance` (relative).
-///
-/// Baseline entries that predate the paired columns (no `dense_norm`)
-/// are skipped with a notice, so the gate is a no-op until a paired
-/// baseline is committed. A baseline recorded over a different request
-/// count is skipped entirely: the normalized columns depend on the
-/// workload, so comparing across workloads would only produce noise.
-///
-/// Two bounds are enforced. The *geometric mean* of all fresh/baseline
-/// ratios (every compared norm column, every policy) must stay within
-/// `tolerance`: averaging ~26 cells shrinks per-cell timing jitter
-/// about five-fold, so the tight bound is trustworthy even on a noisy
-/// container, and any broad regression moves it. Each *individual*
-/// cell gets a bound of `4 * tolerance` — wide enough for the
-/// 10-15% per-cell jitter measured on an idle container, tight enough
-/// to catch a single policy falling off a cliff.
-fn check_against_baseline(
-    cells: &[Cell],
-    path: &str,
-    tolerance: f64,
-    requests: usize,
-) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("--check-regress: cannot read baseline {path}: {e}"))?;
-    let value = webcache_obs::json::parse(&text)
-        .map_err(|e| format!("--check-regress: {path} is not valid JSON: {e}"))?;
-    if let Some(base_requests) = value.get("requests").and_then(|v| v.as_f64()) {
-        if base_requests as usize != requests {
-            eprintln!(
-                "# check-regress: baseline covers {} requests, this run {} — \
-                 different workloads, nothing to compare (skipped)",
-                base_requests as usize, requests
-            );
-            return Ok(());
-        }
-    }
-    // The conc8 column scales with hardware parallelism, so it is only
-    // comparable against a baseline recorded on the same core count.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let conc_comparable = value.get("cores").and_then(|v| v.as_f64()) == Some(cores as f64);
-    if !conc_comparable {
-        eprintln!(
-            "# check-regress: baseline recorded on a different core count — \
-             conc8_norm not compared"
-        );
-    }
-    let policies = value
-        .get("policies")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| format!("--check-regress: {path} has no `policies` array"))?;
-    let cell_tolerance = 4.0 * tolerance;
-    let mut failures = Vec::new();
-    let mut log_ratio_sum = 0.0;
-    let mut ratio_count = 0usize;
-    for cell in cells {
-        let baseline = policies
+/// What the gate reads from one run's JSON.
+struct Run {
+    /// The measuring host's core count.
+    cores: usize,
+    /// Each policy's label and its [`GATE_COLUMNS`] values.
+    policies: Vec<(String, [f64; GATE_COLUMNS.len()])>,
+}
+
+impl Run {
+    fn value(&self, policy: &str, column: usize) -> Option<f64> {
+        self.policies
             .iter()
-            .find(|p| p.get("policy").and_then(|v| v.as_str()) == Some(&cell.label));
-        let Some(baseline) = baseline else {
-            eprintln!("# check-regress: no baseline for {} (skipped)", cell.label);
-            continue;
-        };
-        let Some(base_dense) = baseline.get("dense_norm").and_then(|v| v.as_f64()) else {
-            eprintln!(
-                "# check-regress: baseline for {} has no paired columns (skipped)",
-                cell.label
-            );
-            continue;
-        };
-        let mut columns = vec![("dense_norm", cell.dense_norm, base_dense)];
-        if conc_comparable {
-            if let Some(base_conc) = baseline.get("conc8_norm").and_then(|v| v.as_f64()) {
-                columns.push(("conc8_norm", cell.conc8_norm, base_conc));
-            }
+            .find(|(label, _)| label == policy)
+            .map(|(_, values)| values[column])
+    }
+}
+
+/// Reads one `hotpath --out` JSON; every value the gate reads must be a
+/// positive finite number.
+fn read_run(path: &Path) -> Result<Run, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let json = webcache_obs::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let positive = |v: &Value| v.as_f64().filter(|x| x.is_finite() && *x > 0.0);
+    let policy = |p: &Value| {
+        let mut values = [0.0; GATE_COLUMNS.len()];
+        for (value, column) in values.iter_mut().zip(GATE_COLUMNS) {
+            *value = positive(p.get(column)?)?;
         }
-        for (what, fresh, base) in columns {
-            log_ratio_sum += (fresh / base).ln();
-            ratio_count += 1;
-            if fresh < base * (1.0 - cell_tolerance) {
+        Some((p.get("policy")?.as_str()?.to_string(), values))
+    };
+    let policies = json
+        .get("policies")
+        .and_then(Value::as_array)
+        .and_then(|policies| policies.iter().map(policy).collect::<Option<Vec<_>>>());
+    match (json.get("cores").and_then(positive), policies) {
+        (Some(cores), Some(policies)) => Ok(Run {
+            cores: cores as usize,
+            policies,
+        }),
+        _ => Err(format!("{}: not a complete hotpath run", path.display())),
+    }
+}
+
+/// The gate's verdict over `base[i]`/`head[i]` pairs.
+struct Verdict {
+    /// Cells that both builds measure.
+    compared: usize,
+    /// Every failed cell and bound, named.
+    failures: Vec<String>,
+}
+
+/// Judges the head's runs against the base's, pair by pair (see the
+/// [module docs](self)), printing each compared cell.
+fn judge(base: &[Run], head: &[Run]) -> Verdict {
+    let mut failures = Vec::new();
+    let mut log_sum = 0.0;
+    let mut compared = 0;
+    for (policy, _) in &head[0].policies {
+        for (column, name) in GATE_COLUMNS.iter().enumerate().take(SPEEDUP) {
+            let ratios: Option<Vec<f64>> = base
+                .iter()
+                .zip(head)
+                .map(|(b, h)| Some(h.value(policy, column)? / b.value(policy, column)?))
+                .collect();
+            let Some(mut ratios) = ratios else {
+                continue;
+            };
+            let lower = ratios.iter().filter(|&&r| r < 1.0).count();
+            let ratio = median(&mut ratios);
+            eprintln!(
+                "# gate: {policy:<10} {name:<10} median head/base {ratio:.3}, lower in {lower} of {}",
+                ratios.len()
+            );
+            log_sum += ratio.ln();
+            compared += 1;
+            if lower >= GATE_LOWER_IN && ratio < GATE_CELL_BOUND {
                 failures.push(format!(
-                    "{}: {what} {:.3} is {:.1}% of baseline {:.3}",
-                    cell.label,
-                    fresh,
-                    fresh / base * 100.0,
-                    base
+                    "{policy} {name}: lower in {lower} of {} pairs at a median ratio of {ratio:.3} \
+                     (bound {GATE_CELL_BOUND:.2} when lower in {GATE_LOWER_IN})",
+                    ratios.len()
                 ));
             }
         }
-        eprintln!(
-            "# check-regress: {:<10} dense_norm {:.1}% of baseline",
-            cell.label,
-            cell.dense_norm / base_dense * 100.0,
-        );
     }
-    if ratio_count > 0 {
-        let geomean = (log_ratio_sum / ratio_count as f64).exp();
-        eprintln!(
-            "# check-regress: geometric mean of {ratio_count} paired ratios: {:.1}% \
-             of baseline (bound {:.1}%)",
-            geomean * 100.0,
-            (1.0 - tolerance) * 100.0
-        );
-        if geomean < 1.0 - tolerance {
+    if compared == 0 {
+        failures.push("no cell is measured by both builds".to_string());
+    } else {
+        let geomean = (log_sum / compared as f64).exp();
+        eprintln!("# gate: geometric mean of {compared} median ratios {geomean:.3}");
+        if geomean < GATE_GEOMEAN_BOUND {
             failures.push(format!(
-                "geometric mean of paired ratios {:.3} fell below {:.3}",
-                geomean,
-                1.0 - tolerance
+                "geometric mean of the {compared} median ratios {geomean:.3} is below \
+                 {GATE_GEOMEAN_BOUND:.2}"
             ));
         }
     }
-    if failures.is_empty() {
-        Ok(())
+    let bar = conc8_bar(head[0].cores);
+    let speedups: Option<Vec<f64>> = head.iter().map(|h| h.value("GD*(P)", SPEEDUP)).collect();
+    match speedups.map(|mut s| median(&mut s)) {
+        Some(speedup) if speedup >= bar => {
+            eprintln!("# gate: GD*(P) median conc8_speedup {speedup:.3}, bar {bar:.2}");
+        }
+        Some(speedup) => failures.push(format!(
+            "GD*(P) conc8_speedup: the head's median {speedup:.3} is below the {}-core bar \
+             {bar:.2}",
+            head[0].cores
+        )),
+        None => failures.push("GD*(P) conc8_speedup: not in every head run".to_string()),
+    }
+    Verdict { compared, failures }
+}
+
+/// `--check-regress DIR`: reads the [`GATE_PAIRS`] `base-N.json` /
+/// `head-N.json` pairs and judges them.
+fn check_regress(dir: &Path) -> ExitCode {
+    let load = |side: &str| -> Result<Vec<Run>, String> {
+        (1..=GATE_PAIRS)
+            .map(|n| read_run(&dir.join(format!("{side}-{n}.json"))))
+            .collect()
+    };
+    let (base, head) = match (load("base"), load("head")) {
+        (Ok(base), Ok(head)) => (base, head),
+        (Err(e), _) | (_, Err(e)) => {
+            return usage(&format!(
+                "--check-regress needs {GATE_PAIRS} complete base-N.json/head-N.json pairs: {e}"
+            ))
+        }
+    };
+    let verdict = judge(&base, &head);
+    if verdict.failures.is_empty() {
+        eprintln!(
+            "# gate passed: {} cells over {GATE_PAIRS} pairs",
+            verdict.compared
+        );
+        ExitCode::SUCCESS
     } else {
-        Err(format!(
-            "paired columns regressed (geomean bound {:.0}%, per-cell bound {:.0}%): {}",
-            tolerance * 100.0,
-            cell_tolerance * 100.0,
-            failures.join("; ")
-        ))
+        eprintln!("error: regression: {}", verdict.failures.join("; "));
+        ExitCode::FAILURE
     }
 }
 
@@ -670,10 +654,6 @@ fn render_json(
     // host's core count makes the conc8 numbers interpretable.
     let _ = writeln!(s, "  \"cores\": {cores},");
     let _ = writeln!(s, "  \"conc_shards\": {CONC_SHARDS},");
-    let _ = writeln!(
-        s,
-        "  \"seed_baseline_rps_gdstar_packet\": {SEED_BASELINE_GDSTAR_PACKET_RPS},"
-    );
     s.push_str("  \"policies\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let _ = writeln!(
@@ -719,7 +699,7 @@ fn usage(error: &str) -> ExitCode {
     }
     eprintln!(
         "hotpath [--scale DENOM] [--seed SEED] [--iters N] [--out PATH] [--quick]\n\
-         \x20       [--check-regress] [--tolerance FRAC]\n\
+         hotpath --check-regress DIR\n\
          \n\
          Times every replacement policy over the scaled DFN workload through\n\
          the hashed, dense and 8-shard concurrent simulator paths (plus the\n\
@@ -731,15 +711,147 @@ fn usage(error: &str) -> ExitCode {
          medians (dense_norm, conc8_norm, conc8_speedup) are immune to\n\
          machine-wide load swings. --quick keeps the same trace but takes\n\
          5 samples instead of 9 and skips the JSON unless --out is given.\n\
-         --check-regress compares the normalized paired columns against the\n\
-         committed BENCH_hotpath.json first, whatever --out names\n\
-         (conc8_norm only when the baseline was recorded on the same core\n\
-         count): the geometric mean over all policies must stay within\n\
-         --tolerance (default 0.05), each single cell within 4x that."
+         --check-regress DIR measures nothing: it judges the quick runs of a\n\
+         base and a head build measured in alternation, DIR/base-N.json and\n\
+         DIR/head-N.json for N = 1..10. A dense_norm or conc8_norm cell\n\
+         fails when the head reads lower in at least 9 of the 10 pairs and\n\
+         its median head/base ratio is below 0.90; the geometric mean of the\n\
+         median ratios must stay at or above 0.95, and the head's median\n\
+         GD*(P) conc8_speedup must reach the core-scaled bar. Exits 1 on a\n\
+         regression and 2 on a bad command line."
     );
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const POLICIES: [&str; 3] = ["LRU", "GDS(1)", "GD*(P)"];
+
+    /// A two-core run in which every policy reads `norm` in both
+    /// compared columns and `speedup` as its `conc8_speedup`.
+    fn run(norm: f64, speedup: f64) -> Run {
+        Run {
+            cores: 2,
+            policies: POLICIES
+                .iter()
+                .map(|p| (p.to_string(), [norm, norm, speedup]))
+                .collect(),
+        }
+    }
+
+    fn runs(norm: f64, speedup: f64) -> Vec<Run> {
+        (0..GATE_PAIRS).map(|_| run(norm, speedup)).collect()
+    }
+
+    /// Head runs at 1.0, except that LRU's `dense_norm` reads
+    /// `ratios[i]` in pair `i`.
+    fn head_with_lru(ratios: [f64; GATE_PAIRS]) -> Vec<Run> {
+        ratios
+            .iter()
+            .map(|&ratio| {
+                let mut head = run(1.0, 1.5);
+                head.policies[0].1[0] = ratio;
+                head
+            })
+            .collect()
+    }
+
+    #[test]
+    fn identical_runs_pass() {
+        let verdict = judge(&runs(1.0, 1.5), &runs(1.0, 1.5));
+        assert_eq!(verdict.compared, 2 * POLICIES.len());
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+    }
+
+    #[test]
+    fn a_cell_lower_in_nine_pairs_below_the_bound_fails_and_is_named() {
+        let mut ratios = [0.85; GATE_PAIRS];
+        ratios[3] = 1.1;
+        let verdict = judge(&runs(1.0, 1.5), &head_with_lru(ratios));
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(
+            verdict.failures[0].starts_with("LRU dense_norm: lower in 9 of 10 pairs"),
+            "{}",
+            verdict.failures[0]
+        );
+    }
+
+    #[test]
+    fn a_cell_lower_in_every_pair_above_the_bound_passes() {
+        let verdict = judge(&runs(1.0, 1.5), &head_with_lru([0.95; GATE_PAIRS]));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+    }
+
+    #[test]
+    fn a_cell_lower_in_eight_pairs_passes_however_low() {
+        let mut ratios = [0.80; GATE_PAIRS];
+        ratios[0] = 1.2;
+        ratios[9] = 1.2;
+        let verdict = judge(&runs(1.0, 1.5), &head_with_lru(ratios));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+    }
+
+    #[test]
+    fn a_broad_slowdown_fails_on_the_geometric_mean() {
+        let verdict = judge(&runs(1.0, 1.5), &runs(0.94, 1.5));
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(
+            verdict.failures[0].starts_with("geometric mean of the 6 median ratios 0.940"),
+            "{}",
+            verdict.failures[0]
+        );
+    }
+
+    #[test]
+    fn a_policy_only_the_head_measures_is_skipped() {
+        let mut head = runs(1.0, 1.5);
+        for run in &mut head {
+            run.policies.push(("NEW".to_string(), [0.5, 0.5, 0.5]));
+        }
+        let verdict = judge(&runs(1.0, 1.5), &head);
+        assert_eq!(verdict.compared, 2 * POLICIES.len());
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+    }
+
+    #[test]
+    fn a_median_of_ten_averages_the_middle_two() {
+        let mut values: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(median(&mut values), 5.5);
+        // Lower in 9 of 10 pairs; the middle two are 0.86 and 0.92, so
+        // the median 0.89 fails where the upper middle value would pass.
+        let ratios = [0.95, 0.80, 1.05, 0.86, 0.80, 0.95, 0.92, 0.80, 0.95, 0.80];
+        let verdict = judge(&runs(1.0, 1.5), &head_with_lru(ratios));
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(
+            verdict.failures[0].contains("at a median ratio of 0.890"),
+            "{}",
+            verdict.failures[0]
+        );
+    }
+
+    #[test]
+    fn the_speedup_bar_reads_the_heads_median() {
+        // Two cores: the bar is 1.00. The base's speedups do not count.
+        assert_eq!(conc8_bar(2), 1.0);
+        let speedups = |below: usize| -> Vec<Run> {
+            (0..GATE_PAIRS)
+                .map(|i| run(1.0, if i < below { 0.9 } else { 1.2 }))
+                .collect()
+        };
+        let verdict = judge(&runs(1.0, 0.5), &speedups(4));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        let verdict = judge(&runs(1.0, 1.5), &speedups(6));
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(
+            verdict.failures[0].starts_with("GD*(P) conc8_speedup: the head's median 0.900"),
+            "{}",
+            verdict.failures[0]
+        );
     }
 }

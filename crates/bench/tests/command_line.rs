@@ -1,7 +1,9 @@
-//! The `repro` and `hotpath` command lines: a non-finite `--scale` or an
-//! unknown experiment is a usage error, not a panic or a partial run, and
+//! The `repro` and `hotpath` command lines: a non-finite `--scale`, an
+//! unknown experiment or flag, and a `--check-regress` without ten
+//! complete run pairs are usage errors, not a panic or a partial run, and
 //! `repro --help` names every experiment.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 use webcache_bench::experiments;
@@ -20,11 +22,39 @@ fn bad_command_lines_are_usage_errors() {
     let repro = env!("CARGO_BIN_EXE_repro");
     let hotpath = env!("CARGO_BIN_EXE_hotpath");
     let scale = "--scale expects a finite denominator";
+    let empty = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hotpath-empty-gate-dir");
+    let _ = std::fs::remove_dir_all(&empty);
+    std::fs::create_dir_all(&empty).expect("create an empty directory");
+    let empty = empty.to_str().expect("a UTF-8 temporary path");
     for (bin, args, code, message) in [
         (repro, &["table1", "--scale", "inf"][..], 2, scale),
         (repro, &["table1", "--scale", "nan"][..], 2, scale),
         (hotpath, &["--quick", "--scale", "inf"][..], 2, scale),
         (hotpath, &["--quick", "--scale", "nan"][..], 2, scale),
+        (
+            hotpath,
+            &["--tolerance", "0.05"][..],
+            2,
+            "unknown argument `--tolerance`",
+        ),
+        (
+            hotpath,
+            &["--check-regress"][..],
+            2,
+            "--check-regress expects a directory",
+        ),
+        (
+            hotpath,
+            &["--check-regress", empty][..],
+            2,
+            "--check-regress needs 10 complete base-N.json/head-N.json pairs",
+        ),
+        (
+            hotpath,
+            &["--check-regress", empty, "--quick"][..],
+            2,
+            "--check-regress DIR takes no other flag",
+        ),
         (
             repro,
             &["table1", "bogus", "--scale", "512"][..],
