@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use webcache_obs::bucket_index;
 use webcache_obs::flight::{DecisionRecord, EventKind, FlightRecorder, ReasonKind};
 use webcache_trace::DocumentType;
 
@@ -113,16 +114,21 @@ pub fn inspect(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Histogram over power-of-two buckets: `buckets[i]` counts values in
-/// `[2^(i-1)+1, 2^i]` (bucket 0 is exactly `0..=1`).
+/// Histogram over power-of-two buckets, binned by the registry's rule:
+/// `buckets[i]` counts values in `[2^(i-1)+1, 2^i]` (bucket 0 is exactly
+/// `0..=1`), and the last bucket every value above `2^(BUCKETS-2)`.
 const BUCKETS: usize = 24;
 
 fn bucket(value: u64) -> usize {
-    ((64 - value.max(1).leading_zeros()) as usize).min(BUCKETS - 1)
+    bucket_index(value).min(BUCKETS - 1)
 }
 
 fn bucket_label(i: usize) -> String {
-    format!("≤{}", 1u64 << i)
+    if i == BUCKETS - 1 {
+        format!(">{}", 1u64 << (i - 1))
+    } else {
+        format!("≤{}", 1u64 << i)
+    }
 }
 
 /// Per-document-type eviction forensics.
@@ -409,6 +415,34 @@ mod tests {
         assert_eq!(report.top_regret.len(), 1);
         assert_eq!(report.top_regret[0].doc, 1);
         assert_eq!(report.top_regret[0].min_reuse_distance, 2);
+    }
+
+    /// Doc 1 is inserted at 0, evicted at 1 and requested again at 3:
+    /// the eviction age 1 renders in `≤1`, the reuse distance 2 in `≤2`.
+    #[test]
+    fn powers_of_two_render_in_their_own_bucket() {
+        let records = vec![
+            rec(0, 1, EventKind::Miss, Reason::none()),
+            rec(0, 1, EventKind::Insert, Reason::none()),
+            rec(1, 2, EventKind::Miss, Reason::none()),
+            rec(1, 2, EventKind::Insert, Reason::none()),
+            rec(1, 1, EventKind::Evict, Reason::greedy_dual(1.5, 0.5)),
+            rec(3, 1, EventKind::Miss, Reason::none()),
+        ];
+        let text = render("test.jsonl", None, &analyze(&records, 16), 16, 10);
+        let row_after = |header: &str| {
+            let rest = text.split(header).nth(1).expect("section present");
+            rest.lines().nth(1).expect("a row").to_string()
+        };
+        assert_eq!(row_after("eviction age"), format!("  {:<13} ≤1:1", "HTML"));
+        assert_eq!(
+            row_after("reuse distance at eviction"),
+            format!("  {:<13} ≤2:1", "HTML")
+        );
+        assert!(text.contains("min reuse distance 2"), "{text}");
+        assert_eq!(bucket_label(bucket(1 << 22)), "≤4194304");
+        assert_eq!(bucket_label(bucket((1 << 22) + 1)), ">4194304");
+        assert_eq!(bucket_label(bucket(u64::MAX)), ">4194304");
     }
 
     #[test]
