@@ -82,7 +82,6 @@ use webcache_sim::{
     AnomalyConfig, AnomalyObserver, AnomalyTrigger, ConcurrentSimulator, FlightObserver,
     LatencyModel, LatencyObserver, LogObserver, ProfileObserver, RegretConfig, RegretTracker,
     ShardLockProbe, ShardReasons, ShardedTrace, SimulationConfig, SloConfig, SloTracker,
-    SloTrigger,
 };
 use webcache_trace::{DenseTrace, Trace};
 use webcache_workload::{WorkloadProfile, WorkloadStream};
@@ -942,8 +941,9 @@ pub fn serve_with(
     let profile_obs = ProfileObserver::register(&registry, &label);
     let mut anomaly_obs = AnomalyObserver::register(&registry, logger.clone(), anomaly);
     // Post-mortem bundles: one writer shared by the anomaly trigger
-    // (rate limited by the anomaly cooldown) and the SLO burn-rate
-    // trigger (edge-triggered), so --max-bundles caps the run globally.
+    // (rate limited by the anomaly cooldown) and the pass loop, which
+    // writes one for each SLO breach (edge-triggered), so --max-bundles
+    // caps the run globally.
     let bundle_writer = bundle_dir.map(|dir| {
         Arc::new(Mutex::new(BundleWriter {
             dir,
@@ -962,14 +962,6 @@ pub fn serve_with(
                 .lock()
                 .expect("bundle writer")
                 .write(kind.label(), doc_type);
-        }));
-    }
-    if let Some(writer) = bundle_writer {
-        slo_tracker.set_trigger(SloTrigger::new(move |breach| {
-            writer
-                .lock()
-                .expect("bundle writer")
-                .write(&format!("slo_{}_burn", breach.slo), "overall");
         }));
     }
     let log_obs = LogObserver::new(logger.clone());
@@ -1043,10 +1035,10 @@ pub fn serve_with(
                 // Publish the pass's counters and gauges before its
                 // `pass complete` record, then do the pass-boundary
                 // bookkeeping: rotate the latency windows, fold the pass
-                // into the SLO burn windows (fired breaches are logged
-                // here; the bundle side effect rides the trigger),
-                // refresh the contention gauges, and sample the registry
-                // into the snapshot ring.
+                // into the SLO burn windows (each fired breach writes its
+                // bundle, then every breach is logged), refresh the
+                // contention gauges, and sample the registry into the
+                // snapshot ring.
                 let pass = passes_total.get();
                 let req_per_sec = report.requests_per_sec();
                 let hit_rate = report.overall().hit_rate();
@@ -1079,7 +1071,14 @@ pub fn serve_with(
                     ],
                 );
                 latency_obs.rotate_and_publish();
-                for breach in slo_tracker.evaluate() {
+                let breaches = slo_tracker.evaluate();
+                if let Some(writer) = &bundle_writer {
+                    let mut writer = writer.lock().expect("bundle writer");
+                    for breach in &breaches {
+                        writer.write(&format!("slo_{}_burn", breach.slo), "overall");
+                    }
+                }
+                for breach in breaches {
                     logger.warn(
                         "serve",
                         "slo breach",

@@ -83,5 +83,5 @@ pub use report::Metric;
 pub use simulator::{
     ModificationRule, SimulationConfig, SimulationConfigBuilder, SimulationReport, Simulator,
 };
-pub use slo::{SloBreach, SloConfig, SloTracker, SloTrigger};
+pub use slo::{SloBreach, SloConfig, SloTracker};
 pub use windowed::{ChurnCounters, Window, WindowSpec, WindowedMetrics};
