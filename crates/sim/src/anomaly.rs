@@ -142,6 +142,52 @@ impl fmt::Debug for AnomalyTrigger {
     }
 }
 
+/// One detector: a per-type hit-rate collapse or one of the three
+/// cache-wide detectors, with its EWMA baseline (`None` until its first
+/// judged window seeds it), its log cooldown and its
+/// `webcache_anomaly_total` cell.
+#[derive(Debug)]
+struct Detector {
+    kind: AnomalyKind,
+    doc_type: &'static str,
+    baseline: Option<f64>,
+    cooldown: u32,
+    total: Counter,
+}
+
+impl Detector {
+    /// Counts the detection and, outside the cooldown, logs the warn
+    /// record, runs the trigger (if any), and starts a new cooldown.
+    fn fire(
+        &mut self,
+        logger: &Logger,
+        trigger: &mut Option<AnomalyTrigger>,
+        cooldown_windows: u32,
+        window: u64,
+        value: f64,
+        baseline: f64,
+    ) {
+        self.total.inc();
+        if self.cooldown == 0 {
+            logger.warn(
+                "anomaly",
+                self.kind.label(),
+                &[
+                    ("kind", self.kind.label().into()),
+                    ("doc_type", self.doc_type.into()),
+                    ("window", window.into()),
+                    ("value", value.into()),
+                    ("baseline", baseline.into()),
+                ],
+            );
+            if let Some(AnomalyTrigger(f)) = trigger {
+                f(self.kind, self.doc_type);
+            }
+            self.cooldown = cooldown_windows;
+        }
+    }
+}
+
 /// Windowed EWMA anomaly detectors over the replay event stream. See the
 /// [module docs](self).
 #[derive(Debug)]
@@ -159,18 +205,10 @@ pub struct AnomalyObserver {
     /// In `u128`: a window's evictions can free over `u64::MAX` bytes.
     bytes_evicted: u128,
     rejects: u64,
-    hit_rate_ewma: [Option<f64>; TYPES],
-    evictions_ewma: Option<f64>,
-    rejects_ewma: Option<f64>,
-    bytes_ewma: Option<f64>,
-    collapse_cooldown: [u32; TYPES],
-    storm_cooldown: u32,
-    reject_cooldown: u32,
-    thrash_cooldown: u32,
-    collapse_total: [Counter; TYPES],
-    storm_total: Counter,
-    reject_total: Counter,
-    thrash_total: Counter,
+    /// The hit-rate collapse detector of every type in index order, then
+    /// the eviction storm, admission-reject spike and occupancy thrash
+    /// detectors: the order windows are judged, logged and triggered in.
+    detectors: Vec<Detector>,
     trigger: Option<AnomalyTrigger>,
 }
 
@@ -179,25 +217,26 @@ impl AnomalyObserver {
     /// per (kind, doc_type); the three cache-wide detectors use
     /// `doc_type="overall"`) and returns the observer.
     pub fn register(registry: &Registry, logger: Logger, config: AnomalyConfig) -> Self {
-        const NAME: &str = "webcache_anomaly_total";
-        const HELP: &str = "Anomaly detections by kind and document type.";
-        let collapse_total = std::array::from_fn(|i| {
-            registry.counter(
-                NAME,
-                HELP,
-                &[
-                    ("kind", AnomalyKind::HitRateCollapse.label()),
-                    ("doc_type", DocumentType::from_index(i).label()),
-                ],
-            )
-        });
-        let overall = |kind: AnomalyKind| {
-            registry.counter(
-                NAME,
-                HELP,
-                &[("kind", kind.label()), ("doc_type", "overall")],
-            )
+        let detector = |kind: AnomalyKind, doc_type: &'static str| Detector {
+            kind,
+            doc_type,
+            baseline: None,
+            cooldown: 0,
+            total: registry.counter(
+                "webcache_anomaly_total",
+                "Anomaly detections by kind and document type.",
+                &[("kind", kind.label()), ("doc_type", doc_type)],
+            ),
         };
+        let detectors = DocumentType::ALL
+            .iter()
+            .map(|ty| detector(AnomalyKind::HitRateCollapse, ty.label()))
+            .chain(
+                AnomalyKind::ALL[1..]
+                    .iter()
+                    .map(|&kind| detector(kind, "overall")),
+            )
+            .collect();
         AnomalyObserver {
             config,
             logger,
@@ -209,18 +248,7 @@ impl AnomalyObserver {
             evictions: 0,
             bytes_evicted: 0,
             rejects: 0,
-            hit_rate_ewma: [None; TYPES],
-            evictions_ewma: None,
-            rejects_ewma: None,
-            bytes_ewma: None,
-            collapse_cooldown: [0; TYPES],
-            storm_cooldown: 0,
-            reject_cooldown: 0,
-            thrash_cooldown: 0,
-            collapse_total,
-            storm_total: overall(AnomalyKind::EvictionStorm),
-            reject_total: overall(AnomalyKind::AdmissionRejectSpike),
-            thrash_total: overall(AnomalyKind::OccupancyThrash),
+            detectors,
             trigger: None,
         }
     }
@@ -234,12 +262,11 @@ impl AnomalyObserver {
     /// Total detections of `kind` so far (summed over document types for
     /// the per-type collapse detector).
     pub fn fired(&self, kind: AnomalyKind) -> u64 {
-        match kind {
-            AnomalyKind::HitRateCollapse => self.collapse_total.iter().map(Counter::get).sum(),
-            AnomalyKind::EvictionStorm => self.storm_total.get(),
-            AnomalyKind::AdmissionRejectSpike => self.reject_total.get(),
-            AnomalyKind::OccupancyThrash => self.thrash_total.get(),
-        }
+        self.detectors
+            .iter()
+            .filter(|d| d.kind == kind)
+            .map(|d| d.total.get())
+            .sum()
     }
 
     /// Detection windows closed so far (monotonic across replay passes).
@@ -247,151 +274,63 @@ impl AnomalyObserver {
         self.windows_closed
     }
 
-    /// Counts the detection and, outside the cooldown, logs the warn
-    /// record, runs the trigger (if any), and starts a new cooldown.
-    #[allow(clippy::too_many_arguments)]
-    fn fire(
-        counter: &Counter,
-        cooldown: &mut u32,
-        cooldown_windows: u32,
-        logger: &Logger,
-        trigger: &mut Option<AnomalyTrigger>,
-        window: u64,
-        kind: AnomalyKind,
-        doc_type: &str,
-        value: f64,
-        baseline: f64,
-    ) {
-        counter.inc();
-        if *cooldown == 0 {
-            logger.warn(
-                "anomaly",
-                kind.label(),
-                &[
-                    ("kind", kind.label().into()),
-                    ("doc_type", doc_type.into()),
-                    ("window", window.into()),
-                    ("value", value.into()),
-                    ("baseline", baseline.into()),
-                ],
-            );
-            if let Some(AnomalyTrigger(f)) = trigger {
-                f(kind, doc_type);
-            }
-            *cooldown = cooldown_windows;
-        }
-    }
-
     /// Judges the completed window against the baselines, updates them,
     /// and resets the accumulators.
     fn close_window(&mut self) {
         let window = self.windows_closed;
         self.windows_closed += 1;
-        let alpha = self.config.ewma_alpha;
-
-        for cd in self.collapse_cooldown.iter_mut() {
-            *cd = cd.saturating_sub(1);
-        }
-        self.storm_cooldown = self.storm_cooldown.saturating_sub(1);
-        self.reject_cooldown = self.reject_cooldown.saturating_sub(1);
-        self.thrash_cooldown = self.thrash_cooldown.saturating_sub(1);
-
-        for t in 0..TYPES {
-            let requests = self.type_requests[t];
-            if requests < self.config.min_type_requests {
+        let config = self.config;
+        let alpha = config.ewma_alpha;
+        let (requests, hits) = (self.type_requests, self.type_hits);
+        // Each detector's value for this window, in detector order; a
+        // type with too few requests is not judged.
+        let values = (0..TYPES)
+            .map(|t| {
+                (requests[t] >= config.min_type_requests)
+                    .then(|| hits[t] as f64 / requests[t] as f64)
+            })
+            .chain([
+                Some(self.evictions as f64),
+                Some(self.rejects as f64),
+                Some(self.bytes_evicted as f64),
+            ]);
+        let thrash_floor = config.thrash_capacity_fraction * self.capacity as f64;
+        for (detector, value) in self.detectors.iter_mut().zip(values) {
+            detector.cooldown = detector.cooldown.saturating_sub(1);
+            let Some(value) = value else {
                 continue;
-            }
-            let hit_rate = self.type_hits[t] as f64 / requests as f64;
-            if let Some(baseline) = self.hit_rate_ewma[t] {
-                if hit_rate < baseline - self.config.hit_rate_drop {
-                    Self::fire(
-                        &self.collapse_total[t],
-                        &mut self.collapse_cooldown[t],
-                        self.config.cooldown_windows,
-                        &self.logger,
-                        &mut self.trigger,
-                        window,
-                        AnomalyKind::HitRateCollapse,
-                        DocumentType::from_index(t).label(),
-                        hit_rate,
-                        baseline,
-                    );
+            };
+            let Some(baseline) = detector.baseline else {
+                detector.baseline = Some(value);
+                continue;
+            };
+            let anomalous = match detector.kind {
+                AnomalyKind::HitRateCollapse => value < baseline - config.hit_rate_drop,
+                AnomalyKind::EvictionStorm => {
+                    self.evictions >= config.min_storm_evictions
+                        && value > config.storm_factor * baseline
                 }
-                self.hit_rate_ewma[t] = Some(alpha * hit_rate + (1.0 - alpha) * baseline);
-            } else {
-                self.hit_rate_ewma[t] = Some(hit_rate);
-            }
-        }
-
-        let evictions = self.evictions as f64;
-        if let Some(baseline) = self.evictions_ewma {
-            if self.evictions >= self.config.min_storm_evictions
-                && evictions > self.config.storm_factor * baseline
-            {
-                Self::fire(
-                    &self.storm_total,
-                    &mut self.storm_cooldown,
-                    self.config.cooldown_windows,
+                AnomalyKind::AdmissionRejectSpike => {
+                    self.rejects >= config.min_reject_spike
+                        && value > config.reject_factor * baseline
+                }
+                AnomalyKind::OccupancyThrash => {
+                    self.capacity > 0
+                        && value > thrash_floor
+                        && value > config.storm_factor * baseline
+                }
+            };
+            if anomalous {
+                detector.fire(
                     &self.logger,
                     &mut self.trigger,
+                    config.cooldown_windows,
                     window,
-                    AnomalyKind::EvictionStorm,
-                    "overall",
-                    evictions,
+                    value,
                     baseline,
                 );
             }
-            self.evictions_ewma = Some(alpha * evictions + (1.0 - alpha) * baseline);
-        } else {
-            self.evictions_ewma = Some(evictions);
-        }
-
-        let rejects = self.rejects as f64;
-        if let Some(baseline) = self.rejects_ewma {
-            if self.rejects >= self.config.min_reject_spike
-                && rejects > self.config.reject_factor * baseline
-            {
-                Self::fire(
-                    &self.reject_total,
-                    &mut self.reject_cooldown,
-                    self.config.cooldown_windows,
-                    &self.logger,
-                    &mut self.trigger,
-                    window,
-                    AnomalyKind::AdmissionRejectSpike,
-                    "overall",
-                    rejects,
-                    baseline,
-                );
-            }
-            self.rejects_ewma = Some(alpha * rejects + (1.0 - alpha) * baseline);
-        } else {
-            self.rejects_ewma = Some(rejects);
-        }
-
-        let bytes = self.bytes_evicted as f64;
-        if let Some(baseline) = self.bytes_ewma {
-            let thrash_floor = self.config.thrash_capacity_fraction * self.capacity as f64;
-            if self.capacity > 0
-                && bytes > thrash_floor
-                && bytes > self.config.storm_factor * baseline
-            {
-                Self::fire(
-                    &self.thrash_total,
-                    &mut self.thrash_cooldown,
-                    self.config.cooldown_windows,
-                    &self.logger,
-                    &mut self.trigger,
-                    window,
-                    AnomalyKind::OccupancyThrash,
-                    "overall",
-                    bytes,
-                    baseline,
-                );
-            }
-            self.bytes_ewma = Some(alpha * bytes + (1.0 - alpha) * baseline);
-        } else {
-            self.bytes_ewma = Some(bytes);
+            detector.baseline = Some(alpha * value + (1.0 - alpha) * baseline);
         }
 
         self.seen = 0;
