@@ -30,6 +30,26 @@ fn generate_trace(name: &str) -> PathBuf {
 }
 
 #[test]
+fn generate_reports_the_distinct_documents_it_wrote() {
+    for (profile, format) in [("dfn", "text"), ("rtp", "bin")] {
+        let path = temp_path(&format!("count-{profile}.{format}"));
+        let out = run(&argv(&format!(
+            "generate --profile {profile} --scale 1024 --seed 3 --format {format} --out {}",
+            path.display()
+        )))
+        .unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let trace = match format {
+            "text" => webcache_trace::format::read_trace(bytes.as_slice()).unwrap(),
+            _ => webcache_trace::format_bin::from_bytes(&bytes).unwrap(),
+        };
+        let reported = format!("({} distinct documents,", trace.distinct_documents());
+        assert!(out.contains(&reported), "{out} vs {reported}");
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
 fn generate_then_characterize() {
     let path = generate_trace("char.wct");
     let out = run(&argv(&format!(

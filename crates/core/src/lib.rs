@@ -52,7 +52,6 @@ pub mod cache;
 pub mod cost;
 pub mod policy;
 pub mod pqueue;
-pub mod prefetch;
 pub mod sketch;
 pub mod spec;
 
@@ -60,6 +59,5 @@ pub use admission::{AdmissionController, AdmissionSpec};
 pub use cache::{Cache, Eviction, EvictionOutcome, InsertDisposition, Occupancy};
 pub use cost::CostModel;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
-pub use prefetch::prefetch_read;
 pub use sketch::FrequencySketch;
 pub use spec::{ParseSpecError, PolicySpec, DEFAULT_SECOND_HIT_WINDOW};

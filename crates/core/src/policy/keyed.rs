@@ -17,11 +17,10 @@ use std::fmt;
 use std::mem;
 
 use webcache_obs::{HeapOp, MetricsSink, Reason};
-use webcache_trace::{ByteSize, DocId, DocumentType};
+use webcache_trace::{prefetch_read, ByteSize, DocId, DocumentType};
 
 use super::{slot_entry, slot_of, PriorityKey, ReplacementPolicy};
 use crate::pqueue::IndexedHeap;
-use crate::prefetch::prefetch_read;
 
 /// What distinguishes one key-ranked scheme from another: its
 /// per-document state, whether it ages, its value on insert and on hit,

@@ -32,9 +32,7 @@
 //! does.
 
 use webcache_obs::HeapCost;
-use webcache_trace::DocId;
-
-use crate::prefetch::prefetch_read;
+use webcache_trace::{prefetch_read, DocId};
 
 /// Heap fan-out, and the number of lanes in a child group. See the
 /// module docs for why 4 beats 2 here.

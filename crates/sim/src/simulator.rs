@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use webcache_core::{prefetch_read, AdmissionSpec, Cache, Eviction, PolicySpec, ReplacementPolicy};
-use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
+use webcache_core::{AdmissionSpec, Cache, Eviction, PolicySpec, ReplacementPolicy};
+use webcache_trace::{prefetch_read, ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
 
 use crate::metrics::HitStats;
 use crate::observe::{AccessEvent, AccessKind, NoopObserver, Observer, RunMeta};

@@ -46,6 +46,7 @@ pub mod error;
 pub mod format;
 pub mod format_bin;
 pub mod fxhash;
+pub mod prefetch;
 pub mod preprocess;
 pub mod record;
 pub mod squid;
@@ -57,6 +58,7 @@ pub use dense::DenseTrace;
 pub use doctype::{DocumentType, TypeMap};
 pub use error::TraceError;
 pub use fxhash::{FxHashMap, FxHashSet};
+pub use prefetch::prefetch_read;
 pub use record::{Request, Trace};
 pub use status::HttpStatus;
 pub use types::{ByteSize, DocId, Timestamp};

@@ -17,6 +17,12 @@ use rand::Rng;
 pub struct BoundedPowerLaw {
     beta: f64,
     max: u64,
+    /// `max + 1`, the upper end of the continuous support.
+    hi: f64,
+    /// `hi^(1−β) − 1`, the inverse CDF's scale (unused at β = 1).
+    span: f64,
+    /// `1 / (1−β)`, the inverse CDF's exponent (unused at β = 1).
+    inv_e: f64,
 }
 
 impl BoundedPowerLaw {
@@ -31,7 +37,15 @@ impl BoundedPowerLaw {
             "β must be positive and finite, got {beta}"
         );
         assert!(max >= 1, "max gap must be at least 1");
-        BoundedPowerLaw { beta, max }
+        let hi = (max + 1) as f64;
+        let e = 1.0 - beta;
+        BoundedPowerLaw {
+            beta,
+            max,
+            hi,
+            span: hi.powf(e) - 1.0,
+            inv_e: 1.0 / e,
+        }
     }
 
     /// The exponent β.
@@ -47,14 +61,12 @@ impl BoundedPowerLaw {
     /// Draws one gap in `1..=max`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        let hi = (self.max + 1) as f64;
         let x = if (self.beta - 1.0).abs() < 1e-9 {
             // β = 1: F(x) = ln x / ln hi  ⇒  x = hi^u.
-            hi.powf(u)
+            self.hi.powf(u)
         } else {
             // F(x) = (x^(1−β) − 1) / (hi^(1−β) − 1).
-            let e = 1.0 - self.beta;
-            (1.0 + u * (hi.powf(e) - 1.0)).powf(1.0 / e)
+            (1.0 + u * self.span).powf(self.inv_e)
         };
         (x.floor() as u64).clamp(1, self.max)
     }

@@ -20,11 +20,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+use webcache_trace::{prefetch_read, ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
 
 use crate::dist::{BoundedPowerLaw, Zipf};
 use crate::profiles::WorkloadProfile;
-use crate::temporal::place_references;
+use crate::temporal::place_into;
 
 /// Deterministic trace generator. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -32,11 +32,23 @@ pub struct TraceGenerator {
     profile: WorkloadProfile,
 }
 
+/// How many references ahead pass 4 hints a document record.
+const LOOKAHEAD: usize = 8;
+
 /// One reference before transfer-size assignment.
 #[derive(Debug, Clone, Copy)]
 struct PendingRef {
     position: f64,
     doc: u32,
+}
+
+/// What pass 4 reads and updates per document, packed so that one random
+/// access into the document table serves a request.
+#[derive(Debug, Clone, Copy)]
+struct DocState {
+    size: u64,
+    ty: DocumentType,
+    seen: bool,
 }
 
 impl TraceGenerator {
@@ -64,15 +76,14 @@ impl TraceGenerator {
         let max_gap = ((total_requests as f64 * self.profile.max_gap_fraction) as u64).max(64);
 
         let total_docs = self.profile.total_documents() as usize;
-        let mut doc_type: Vec<DocumentType> = Vec::with_capacity(total_docs);
-        let mut doc_size: Vec<u64> = Vec::with_capacity(total_docs);
+        let mut docs: Vec<DocState> = Vec::with_capacity(total_docs);
         let mut refs: Vec<PendingRef> = Vec::with_capacity(total_requests as usize);
 
         for (ty, tp) in self.profile.types.iter() {
             if tp.distinct_documents == 0 {
                 continue;
             }
-            let base = doc_type.len() as u32;
+            let base = docs.len() as u32;
             let n = tp.distinct_documents as usize;
 
             // Pass 1: popularity. One guaranteed request per document plus
@@ -93,55 +104,64 @@ impl TraceGenerator {
             // strength is the profile's size_popularity_correlation.
             let sizes = assign_sizes(&mut rng, tp, &counts);
 
-            // Pass 2: placement with per-type temporal correlation.
+            // Pass 2: placement with per-type temporal correlation, each
+            // document's positions written straight into its run of refs.
             let gaps = BoundedPowerLaw::new(tp.beta, max_gap);
-            for (i, &count) in counts.iter().enumerate() {
+            for (i, (&count, &size)) in counts.iter().zip(&sizes).enumerate() {
                 let doc = base + i as u32;
-                doc_type.push(ty);
-                doc_size.push(sizes[i]);
-                for position in place_references(&mut rng, count, horizon, &gaps) {
-                    refs.push(PendingRef { position, doc });
-                }
+                docs.push(DocState {
+                    size,
+                    ty,
+                    seen: false,
+                });
+                let at = refs.len();
+                refs.resize(at + count as usize, PendingRef { position: 0.0, doc });
+                place_into(&mut rng, horizon, &gaps, &mut refs[at..], |r| {
+                    &mut r.position
+                });
             }
         }
 
         // Pass 3: merge into one stream.
         refs.sort_unstable_by(|a, b| a.position.total_cmp(&b.position).then(a.doc.cmp(&b.doc)));
 
-        // Pass 4: transfer sizes with modifications and interrupts.
-        let mut seen = vec![false; doc_type.len()];
+        // Pass 4: transfer sizes with modifications and interrupts. The
+        // stream visits documents in random order, so each step hints the
+        // record of the reference LOOKAHEAD places on.
         let mut trace = Trace::with_capacity(refs.len());
         for (index, r) in refs.iter().enumerate() {
-            let doc = r.doc as usize;
-            let ty = doc_type[doc];
-            let tp = &self.profile.types[ty];
+            if let Some(ahead) = refs.get(index + LOOKAHEAD) {
+                prefetch_read(&docs, ahead.doc as usize);
+            }
+            let doc = &mut docs[r.doc as usize];
+            let tp = &self.profile.types[doc.ty];
 
-            if seen[doc] && rng.gen::<f64>() < tp.modification_rate {
+            if doc.seen && rng.gen::<f64>() < tp.modification_rate {
                 // Origin-server modification: perturb the document size by
                 // at least one byte but strictly less than 5%, the
                 // signature the simulator's detector looks for.
-                let size = doc_size[doc];
+                let size = doc.size;
                 let delta = ((size as f64 * rng.gen_range(0.005..0.045)) as u64).max(1);
-                doc_size[doc] = if rng.gen::<bool>() {
+                doc.size = if rng.gen::<bool>() {
                     size.saturating_add(delta)
                 } else {
                     size.saturating_sub(delta).max(tp.size_model.min.max(1))
                 };
             }
-            let size = doc_size[doc];
-            let transfer = if seen[doc] && rng.gen::<f64>() < tp.interrupt_rate {
+            let size = doc.size;
+            let transfer = if doc.seen && rng.gen::<f64>() < tp.interrupt_rate {
                 // Client interrupt: deliver only 5–80% of the document,
                 // guaranteeing a ≥ 5% shortfall.
                 ((size as f64 * rng.gen_range(0.05..0.80)) as u64).max(1)
             } else {
                 size
             };
-            seen[doc] = true;
+            doc.seen = true;
 
             trace.push(Request::new(
                 Timestamp::from_millis(index as u64 * 40),
                 DocId::new(r.doc as u64),
-                ty,
+                doc.ty,
                 ByteSize::new(transfer),
             ));
         }
@@ -163,7 +183,10 @@ fn assign_sizes<R: Rng + ?Sized>(
     counts: &[u64],
 ) -> Vec<u64> {
     let n = counts.len();
-    let mut sizes: Vec<u64> = (0..n).map(|_| tp.size_model.sample(rng).as_u64()).collect();
+    let body = tp.size_model.body();
+    let mut sizes: Vec<u64> = (0..n)
+        .map(|_| tp.size_model.sample_from(&body, rng).as_u64())
+        .collect();
     let rho = tp.size_popularity_correlation;
     if rho <= 0.0 || n < 2 {
         return sizes;

@@ -42,8 +42,19 @@ impl SizeModel {
 
     /// Draws one document size.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ByteSize {
-        let raw = LogNormal::from_mean_median(self.mean, self.median).sample(rng);
-        ByteSize::new((raw.round() as u64).clamp(self.min, self.max))
+        self.sample_from(&self.body(), rng)
+    }
+
+    /// The calibrated log-normal body. Build it once to draw many sizes
+    /// through [`sample_from`](Self::sample_from).
+    pub(crate) fn body(&self) -> LogNormal {
+        LogNormal::from_mean_median(self.mean, self.median)
+    }
+
+    /// Draws one document size from `body`, this model's
+    /// [`body`](Self::body).
+    pub(crate) fn sample_from<R: Rng + ?Sized>(&self, body: &LogNormal, rng: &mut R) -> ByteSize {
+        ByteSize::new((body.sample(rng).round() as u64).clamp(self.min, self.max))
     }
 }
 

@@ -30,20 +30,39 @@ pub fn place_references<R: Rng + ?Sized>(
     horizon: f64,
     gaps: &BoundedPowerLaw,
 ) -> Vec<f64> {
+    let mut positions = vec![0.0; count as usize];
+    place_into(rng, horizon, gaps, &mut positions, |p| p);
+    positions
+}
+
+/// Writes the positions [`place_references`] draws for `refs.len()`
+/// references, one into each item of `refs` through `position`, with the
+/// same random draws. The gap chain's offsets are written first and then
+/// rescaled in place, so the caller's storage is the only buffer.
+///
+/// # Panics
+///
+/// Panics if `horizon` is not positive and finite.
+pub(crate) fn place_into<R: Rng + ?Sized, T>(
+    rng: &mut R,
+    horizon: f64,
+    gaps: &BoundedPowerLaw,
+    refs: &mut [T],
+    position: impl Fn(&mut T) -> &mut f64,
+) {
     assert!(
         horizon.is_finite() && horizon > 0.0,
         "horizon must be positive, got {horizon}"
     );
-    match count {
-        0 => Vec::new(),
-        1 => vec![rng.gen::<f64>() * horizon],
-        k => {
-            let mut offsets = Vec::with_capacity(k as usize);
+    match &mut *refs {
+        [] => {}
+        [only] => *position(only) = rng.gen::<f64>() * horizon,
+        [first, rest @ ..] => {
             let mut acc = 0.0;
-            offsets.push(0.0);
-            for _ in 1..k {
+            *position(first) = 0.0;
+            for r in rest.iter_mut() {
                 acc += gaps.sample(rng) as f64;
-                offsets.push(acc);
+                *position(r) = acc;
             }
             let span = acc;
             // Leave the chain unscaled whenever it fits somewhere in the
@@ -54,10 +73,10 @@ pub fn place_references<R: Rng + ?Sized>(
                 horizon * 0.9 / span
             };
             let start = rng.gen::<f64>() * (horizon - span * scale).max(f64::MIN_POSITIVE);
-            for o in &mut offsets {
+            for r in refs.iter_mut() {
+                let o = position(r);
                 *o = start + *o * scale;
             }
-            offsets
         }
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use webcache_trace::DocumentType;
 use webcache_workload::dist::{BoundedPowerLaw, LogNormal, Zipf};
@@ -31,6 +31,20 @@ fn arb_type_profile() -> impl Strategy<Value = TypeProfile> {
             interrupt_rate: intr,
             size_popularity_correlation: corr,
         })
+}
+
+/// `BoundedPowerLaw::sample` as it was before its constants were
+/// precomputed: `hi`, `hi^(1−β) − 1` and `1 / (1−β)` derived on every call.
+fn per_call_gap(beta: f64, max: u64, rng: &mut StdRng) -> u64 {
+    let u: f64 = rng.gen();
+    let hi = (max + 1) as f64;
+    let x = if (beta - 1.0).abs() < 1e-9 {
+        hi.powf(u)
+    } else {
+        let e = 1.0 - beta;
+        (1.0 + u * (hi.powf(e) - 1.0)).powf(1.0 / e)
+    };
+    (x.floor() as u64).clamp(1, max)
 }
 
 proptest! {
@@ -114,6 +128,23 @@ proptest! {
         for _ in 0..200 {
             let g = d.sample(&mut rng);
             prop_assert!((1..=max).contains(&g));
+        }
+    }
+
+    /// Precomputing the inverse CDF's constants moves no draw: from
+    /// identical RNG states, `sample` returns the gap the per-call formula
+    /// returns, at β = 1 exactly and across β's range.
+    #[test]
+    fn powerlaw_matches_the_per_call_formula(
+        beta in prop_oneof![Just(1.0), 0.1f64..3.5],
+        max in 1u64..10_000_000,
+        seed in 0u64..u64::MAX,
+    ) {
+        let d = BoundedPowerLaw::new(beta, max);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference = StdRng::seed_from_u64(seed);
+        for _ in 0..200 {
+            prop_assert_eq!(d.sample(&mut rng), per_call_gap(beta, max, &mut reference));
         }
     }
 
