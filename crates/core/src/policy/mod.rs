@@ -114,11 +114,12 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     }
 
     /// Hints the CPU to load `doc`'s per-slot state, a few requests
-    /// before the cache touches it (see [`crate::prefetch`]). Purely a
-    /// hint: it changes no state and accepts any handle, tracked or not,
-    /// in range or not. The default does nothing; [`KeyedPolicy`] hints
-    /// its heap position and rule state for all seven key-ranked
-    /// schemes, and LRU, SLRU, ARC and S3-FIFO hint their list node.
+    /// before the cache touches it (see [`webcache_trace::prefetch`]).
+    /// Purely a hint: it changes no state and accepts any handle, tracked
+    /// or not, in range or not. The default does nothing;
+    /// [`KeyedPolicy`] hints its heap position and rule state for all
+    /// seven key-ranked schemes, and LRU, SLRU, ARC and S3-FIFO hint their
+    /// list node.
     fn prefetch(&self, doc: DocId) {
         let _ = doc;
     }
