@@ -87,7 +87,6 @@ struct HistogramCells {
     /// `v <= 1`); the last bucket catches everything larger than the
     /// largest finite bound.
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -95,7 +94,6 @@ impl Default for HistogramCells {
     fn default() -> Self {
         HistogramCells {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -132,13 +130,12 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, v: u64) {
         self.0.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Total number of observations.
+    /// Total number of observations: the sum of the bucket counts.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of all observed values.
@@ -440,6 +437,7 @@ impl Registry {
                 }
                 Cells::Histogram(h) => {
                     let counts = h.bucket_counts();
+                    let count: u64 = counts.iter().sum();
                     let top = counts
                         .iter()
                         .rposition(|&c| c > 0)
@@ -457,10 +455,9 @@ impl Registry {
                     }
                     let _ = writeln!(
                         out,
-                        "{}_bucket{} {}",
+                        "{}_bucket{} {count}",
                         m.name,
                         label_block(&m.labels, &[("le", "+Inf")]),
-                        h.count()
                     );
                     let _ = writeln!(
                         out,
@@ -471,10 +468,9 @@ impl Registry {
                     );
                     let _ = writeln!(
                         out,
-                        "{}_count{} {}",
+                        "{}_count{} {count}",
                         m.name,
                         label_block(&m.labels, &[]),
-                        h.count()
                     );
                 }
                 Cells::Series(s) => {
@@ -541,7 +537,7 @@ impl Registry {
                     buckets.push(']');
                     histograms.push(format!(
                         "{{{head}, \"count\": {}, \"sum\": {}, \"buckets\": {buckets}}}",
-                        h.count(),
+                        counts.iter().sum::<u64>(),
                         h.sum()
                     ));
                 }
@@ -725,6 +721,30 @@ mod tests {
         assert!(text.contains("h_count 5"), "{text}");
         // No empty trailing finite buckets.
         assert!(!text.contains("le=\"16\""), "{text}");
+    }
+
+    #[test]
+    fn histogram_count_is_the_bucket_sum_after_concurrent_observes() {
+        let r = Registry::new();
+        let h = r.histogram("h", "A histogram.", &[]);
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let h = h.clone();
+                std::thread::spawn(move || {
+                    for v in 0..10_000u64 {
+                        h.observe((v * (t + 1)) % 5_000);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 40_000);
+        let text = r.prometheus_text();
+        assert!(text.contains("h_bucket{le=\"+Inf\"} 40000"), "{text}");
+        assert!(text.contains("h_count 40000"), "{text}");
     }
 
     #[test]
