@@ -548,6 +548,7 @@ impl ConcurrentSimulator {
                     total_requests: sharded.shard_len(shard),
                     warmup_end,
                     capacity: shard_capacity,
+                    modification_rule: self.config.modification_rule,
                 };
                 let probe = probes.map(|p| &p[shard]);
                 let outcome = lock_stripe(&stripes[shard], probe, |cache| {

@@ -55,6 +55,8 @@
 use webcache_core::Eviction;
 use webcache_trace::{ByteSize, DocId, DocumentType};
 
+use crate::simulator::ModificationRule;
+
 /// Static facts about a run, delivered once before the first event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunMeta {
@@ -65,6 +67,9 @@ pub struct RunMeta {
     pub warmup_end: usize,
     /// Configured cache capacity.
     pub capacity: ByteSize,
+    /// How the replay tells a modified document from an interrupted
+    /// transfer.
+    pub modification_rule: ModificationRule,
 }
 
 /// One request-level event.

@@ -332,6 +332,7 @@ impl Simulator {
             total_requests: trace.len(),
             warmup_end,
             capacity: self.config.capacity,
+            modification_rule: self.config.modification_rule,
         });
         let mut cache = Cache::with_dense_slots(
             self.config.capacity,
@@ -391,6 +392,7 @@ impl Simulator {
             total_requests: trace.len(),
             warmup_end,
             capacity: self.config.capacity,
+            modification_rule: self.config.modification_rule,
         });
         let mut cache = Cache::new(self.config.capacity, self.policy, self.admission);
         if let Some(reasons) = self.admit_reasons {
